@@ -1,6 +1,7 @@
 """Command-line interface: tables, simulations, scattering, classification.
 
-Exit codes: 0 success, 2 usage or validation error, 3 golden-table mismatch.
+Exit codes: 0 success, 2 usage or validation error (an unwritable output
+path included), 3 golden-table mismatch.
 Every randomized command reports its seed and generator name, so any
 published number can be reproduced bit-for-bit; when no seed is given a
 fresh one is drawn and printed in the report header.
@@ -20,7 +21,6 @@ import math
 import os
 import secrets
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import serialize
@@ -59,7 +59,7 @@ class GoldenMismatch(Exception):
 
 
 def _table_ceiling(args: argparse.Namespace) -> int:
-    if getattr(args, "ceiling", None) is not None:
+    if args.ceiling is not None:
         return args.ceiling
     env = os.environ.get(ENV_CEILING)
     if env is not None:
@@ -101,136 +101,100 @@ def _grid_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fraction_text(fr: Fraction) -> str:
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+def _fraction_text(payload: dict[str, Any]) -> str:
+    num, den = payload["num"], payload["den"]
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # -- tables ------------------------------------------------------------------
 
 
 def _check_golden(table) -> None:
-    reference = golden_table(table.K)
-    mismatches = []
-    for row, ref_row in zip(table.rows, reference):
-        for (state, value), expected in zip(row.entries, ref_row):
-            if value != expected:
-                mismatches.append(
-                    f"k={row.k} K+={state.k_plus}: computed {value}, golden {expected}"
-                )
+    mismatches = [
+        f"k={row.k} K+={state.k_plus}: computed {value}, golden {expected}"
+        for row, ref_row in zip(table.rows, golden_table(table.K))
+        for (state, value), expected in zip(row.entries, ref_row)
+        if value != expected
+    ]
     if mismatches:
         raise GoldenMismatch("; ".join(mismatches))
 
 
-def _cmd_tables(args: argparse.Namespace) -> tuple[dict[str, Any], str, str]:
+def _cmd_tables(args: argparse.Namespace) -> dict[str, Any]:
     if args.golden and args.K not in GOLDEN_SIZES:
         raise ValueError(
             f"--golden is available for K in {GOLDEN_SIZES}, got K={args.K}"
         )
     table = probability_table(args.K, ceiling=_table_ceiling(args))
-    if args.golden:
-        _check_golden(table)
-
     payload = serialize.table_payload(table)
     if args.golden:
+        _check_golden(table)
         payload["golden_checked"] = True
+    return payload
 
-    header, rows = serialize.table_csv_rows(table)
-    csv_text = _render_csv(header, rows)
 
-    states = [s for s, _ in table.rows[0].entries]
-    grid_header = ["k\\E"] + [s.energy_label for s in states]
+def _tables_text(payload: dict[str, Any]) -> str:
+    grid_header = ["k\\E"] + [s["energy"] for s in payload["states"]]
     frac_rows = [
-        [str(row.k)] + [_fraction_text(p) for _, p in row.entries]
-        for row in table.rows
+        [str(row["k"])] + [_fraction_text(p) for p in row["cells"]]
+        for row in payload["rows"]
     ]
     dec_rows = [
-        [str(row.k)] + [f"{float(p):.6f}" for _, p in row.entries]
-        for row in table.rows
+        [str(row["k"])] + [f"{p['decimal']:.6f}" for p in row["cells"]]
+        for row in payload["rows"]
     ]
     text = (
-        f"transmission probabilities, K = {table.K} "
+        f"transmission probabilities, K = {payload['K']} "
         "(rows: tranche size k; columns: state energy K+/K-)\n"
         + _grid_text(grid_header, frac_rows)
         + "decimal equivalents\n"
         + _grid_text(grid_header, dec_rows)
     )
-    if args.golden:
-        text += f"golden check passed for K = {table.K}\n"
-    return payload, csv_text, text
+    if payload.get("golden_checked"):
+        text += f"golden check passed for K = {payload['K']}\n"
+    return text
 
 
 # -- simulate ----------------------------------------------------------------
 
 
-def _ensemble_csv(
-    prefix_header: list[str], prefix_row: list[Any], result_payload: dict[str, Any]
-) -> tuple[list[str], list[Any]]:
-    header = prefix_header + [
-        "n_trials",
-        "transmitted",
-        "frequency_num",
-        "frequency_den",
-        "frequency_decimal",
-        "half_width",
-        "z",
-        "seed",
-        "generator",
-    ]
-    row = prefix_row + [
-        result_payload["n_trials"],
-        result_payload["transmitted"],
-        result_payload["frequency"]["num"],
-        result_payload["frequency"]["den"],
-        result_payload["frequency"]["decimal"],
-        result_payload["half_width"],
-        result_payload["z"],
-        result_payload["seed"],
-        result_payload["generator"],
-    ]
-    return header, row
-
-
-def _cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, Any], str, str]:
+def _cell_payload(
+    args: argparse.Namespace, command: str
+) -> tuple[ElectricState, KMeasurement, dict[str, Any]]:
+    """The cell of ``--kp/--km/--k`` and the payload head with its exact value."""
     state = ElectricState(args.kp, args.km)
     meas = KMeasurement(args.k)
-    seed = _resolve_seed(args)
     expected = transmission_probability_exact(state, meas)
-    result = run_ensemble(state, meas, args.n, seed, z=args.z)
-
-    result_payload = serialize.ensemble_payload(result)
     payload = {
-        "command": "simulate",
+        "command": command,
         "k_plus": state.k_plus,
         "k_minus": state.k_minus,
         "k": meas.k,
         "expected": serialize.fraction_payload(expected),
-        "result": result_payload,
     }
-    header, row = _ensemble_csv(
-        ["k_plus", "k_minus", "k", "expected_num", "expected_den", "expected_decimal"],
-        [
-            state.k_plus,
-            state.k_minus,
-            meas.k,
-            expected.numerator,
-            expected.denominator,
-            float(expected),
-        ],
-        result_payload,
-    )
-    csv_text = _render_csv(header, [row])
+    return state, meas, payload
 
-    text = (
+
+def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
+    state, meas, payload = _cell_payload(args, "simulate")
+    result = run_ensemble(state, meas, args.n, _resolve_seed(args), z=args.z)
+    payload["result"] = serialize.ensemble_payload(result)
+    return payload
+
+
+def _simulate_text(payload: dict[str, Any]) -> str:
+    expected, result = payload["expected"], payload["result"]
+    return (
         "sphere-machine ensemble\n"
-        f"seed={result.seed} generator={result.generator} z={result.z}\n"
-        f"k_plus={state.k_plus} k_minus={state.k_minus} k={meas.k} "
-        f"n_trials={result.n_trials}\n"
-        f"expected    = {_fraction_text(expected)} = {float(expected)!r}\n"
-        f"transmitted = {result.transmitted}\n"
-        f"frequency   = {_fraction_text(result.frequency)} = {float(result.frequency)!r}\n"
-        f"half_width  = {result.half_width!r}\n"
+        f"seed={result['seed']} generator={result['generator']} z={result['z']}\n"
+        f"k_plus={payload['k_plus']} k_minus={payload['k_minus']} k={payload['k']} "
+        f"n_trials={result['n_trials']}\n"
+        f"expected    = {_fraction_text(expected)} = {expected['decimal']!r}\n"
+        f"transmitted = {result['transmitted']}\n"
+        f"frequency   = {_fraction_text(result['frequency'])} = "
+        f"{result['frequency']['decimal']!r}\n"
+        f"half_width  = {result['half_width']!r}\n"
     )
-    return payload, csv_text, text
 
 
 # -- scatter -----------------------------------------------------------------
@@ -247,7 +211,7 @@ def _parse_grid(spec: str) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _cmd_scatter(args: argparse.Namespace) -> tuple[dict[str, Any], str, str]:
+def _cmd_scatter(args: argparse.Namespace) -> dict[str, Any]:
     energies: list[float] = list(args.E or [])
     if args.grid:
         energies.extend(_parse_grid(args.grid))
@@ -255,128 +219,87 @@ def _cmd_scatter(args: argparse.Namespace) -> tuple[dict[str, Any], str, str]:
         raise ValueError("scatter requires --E and/or --grid")
     config = ScatteringConfig(coupling=args.coupling)
 
-    points = []
-    for e in energies:
-        amp = amplitudes(e, config)
-        points.append(
-            serialize.scatter_point_payload(
-                amp,
-                transmission_probability(e, config),
-                reflection_probability(e, config),
-                jump_condition_residual(e, config),
-            )
+    points = [
+        serialize.scatter_point_payload(
+            amplitudes(e, config),
+            transmission_probability(e, config),
+            reflection_probability(e, config),
+            jump_condition_residual(e, config),
         )
-    payload = {"command": "scatter", "coupling": config.coupling, "points": points}
-
-    header, rows = serialize.scatter_csv_rows(points)
-    csv_text = _render_csv(header, rows)
-
-    grid_header = ["energy", "T_re", "T_im", "R_re", "R_im", "P_tr", "P_re", "residual"]
-    text_rows = [
-        [
-            f"{p['energy']:g}",
-            f"{p['transmission']['re']:.12g}",
-            f"{p['transmission']['im']:.12g}",
-            f"{p['reflection']['re']:.12g}",
-            f"{p['reflection']['im']:.12g}",
-            f"{p['p_transmission']:.12g}",
-            f"{p['p_reflection']:.12g}",
-            f"{p['jump_residual']:.3g}",
-        ]
-        for p in points
+        for e in energies
     ]
-    text = (
-        f"delta-potential scattering, coupling = {config.coupling:g} "
+    return {"command": "scatter", "coupling": config.coupling, "points": points}
+
+
+def _scatter_text(payload: dict[str, Any]) -> str:
+    # The text grid shows the CSV columns, each in its own number format.
+    _, rows = serialize.scatter_csv_rows(payload)
+    specs = ("g", ".12g", ".12g", ".12g", ".12g", ".12g", ".12g", ".3g")
+    grid_header = ["energy", "T_re", "T_im", "R_re", "R_im", "P_tr", "P_re", "residual"]
+    text_rows = [[format(v, spec) for v, spec in zip(row, specs)] for row in rows]
+    return (
+        f"delta-potential scattering, coupling = {payload['coupling']:g} "
         "(multiples of sqrt(2 hbar^2 / m))\n" + _grid_text(grid_header, text_rows)
     )
-    return payload, csv_text, text
 
 
 # -- epsilon -----------------------------------------------------------------
 
 
-def _cmd_epsilon(args: argparse.Namespace) -> tuple[dict[str, Any], str, str]:
+def _cmd_epsilon(args: argparse.Namespace) -> dict[str, Any]:
     experiment = ElasticExperiment(theta=args.theta, epsilon=args.eps)
-    pair = epsilon_probabilities(experiment)
-
-    payload: dict[str, Any] = {
+    simulation = None
+    if args.n is not None:
+        result = simulate_elastic(experiment, args.n, _resolve_seed(args), z=args.z)
+        simulation = serialize.ensemble_payload(result)
+    return {
         "command": "epsilon",
         "theta": experiment.theta,
         "epsilon": experiment.epsilon,
         "cos_theta": experiment.cos_theta,
-        "closed_form": serialize.outcome_pair_payload(pair),
-        "simulation": None,
+        "closed_form": serialize.outcome_pair_payload(epsilon_probabilities(experiment)),
+        "simulation": simulation,
     }
-    prefix_header = ["theta", "epsilon", "p_plus", "p_minus"]
-    prefix_row: list[Any] = [
-        experiment.theta,
-        experiment.epsilon,
-        pair.p_plus,
-        pair.p_minus,
-    ]
+
+
+def _epsilon_text(payload: dict[str, Any]) -> str:
+    pair, sim = payload["closed_form"], payload["simulation"]
     text = (
         "elastic-band measurement\n"
-        f"theta={experiment.theta!r} epsilon={experiment.epsilon!r} "
-        f"cos_theta={experiment.cos_theta!r}\n"
-        f"closed form: p_plus={pair.p_plus!r} p_minus={pair.p_minus!r}\n"
+        f"theta={payload['theta']!r} epsilon={payload['epsilon']!r} "
+        f"cos_theta={payload['cos_theta']!r}\n"
+        f"closed form: p_plus={pair['p_plus']!r} p_minus={pair['p_minus']!r}\n"
     )
-
-    if args.n is not None:
-        seed = _resolve_seed(args)
-        result = simulate_elastic(experiment, args.n, seed, z=args.z)
-        result_payload = serialize.ensemble_payload(result)
-        payload["simulation"] = result_payload
-        header, row = _ensemble_csv(prefix_header, prefix_row, result_payload)
-        csv_text = _render_csv(header, [row])
+    if sim is not None:
         text += (
-            f"simulation: seed={result.seed} generator={result.generator} "
-            f"z={result.z}\n"
-            f"n_trials={result.n_trials} plus_outcomes={result.transmitted} "
-            f"frequency={float(result.frequency)!r} "
-            f"half_width={result.half_width!r}\n"
+            f"simulation: seed={sim['seed']} generator={sim['generator']} "
+            f"z={sim['z']}\n"
+            f"n_trials={sim['n_trials']} plus_outcomes={sim['transmitted']} "
+            f"frequency={sim['frequency']['decimal']!r} "
+            f"half_width={sim['half_width']!r}\n"
         )
-    else:
-        csv_text = _render_csv(prefix_header, [prefix_row])
-    return payload, csv_text, text
+    return text
 
 
 # -- classify ----------------------------------------------------------------
 
 
-def _witness_text(witness_payload: dict[str, Any]) -> str:
-    if witness_payload["k_plus"] is None:
-        return witness_payload["kind"]
-    return (
-        f"{witness_payload['kind']}"
-        f"({witness_payload['k_plus']}/{witness_payload['k_minus']})"
-    )
-
-
-def _cmd_classify(args: argparse.Namespace) -> tuple[dict[str, Any], str, str]:
+def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
     verdicts = classify_table(args.K, ceiling=_table_ceiling(args))
-    payload = {"command": "classify", "K": args.K}
-    payload.update(serialize.verdicts_payload(verdicts))
+    return {"command": "classify", "K": args.K, **serialize.verdicts_payload(verdicts)}
 
-    header = ["k", "verdict", "witnesses", "note"]
-    rows = []
-    for k in sorted(verdicts):
-        key = str(k)
-        witnesses = ";".join(
-            _witness_text(w) for w in payload["witnesses"][key]
+
+def _classify_text(payload: dict[str, Any]) -> str:
+    lines = [f"regime classification, K = {payload['K']}"]
+    for key, verdict in payload["verdicts"].items():
+        witnesses = ", ".join(
+            serialize.witness_label(w) for w in payload["witnesses"][key]
         )
-        rows.append([k, payload["verdicts"][key], witnesses, payload["notes"][key] or ""])
-    csv_text = _render_csv(header, rows)
-
-    lines = [f"regime classification, K = {args.K}"]
-    for k in sorted(verdicts):
-        key = str(k)
-        witnesses = ", ".join(_witness_text(w) for w in payload["witnesses"][key])
-        line = f"k={k}: {payload['verdicts'][key]}  [{witnesses}]"
+        line = f"k={key}: {verdict}  [{witnesses}]"
         if payload["notes"][key]:
             line += f"  note: {payload['notes'][key]}"
         lines.append(line)
-    text = "\n".join(lines) + "\n"
-    return payload, csv_text, text
+    return "\n".join(lines) + "\n"
 
 
 # -- convergence -------------------------------------------------------------
@@ -392,59 +315,23 @@ def _parse_schedule(spec: str) -> tuple[int, ...]:
     return values
 
 
-def _cmd_convergence(args: argparse.Namespace) -> tuple[dict[str, Any], str, str]:
-    state = ElectricState(args.kp, args.km)
-    meas = KMeasurement(args.k)
+def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:
+    state, meas, payload = _cell_payload(args, "convergence")
     seed = _resolve_seed(args)
     schedule = _parse_schedule(args.schedule)
-    expected = transmission_probability_exact(state, meas)
 
-    series = []
+    payload["schedule"] = list(schedule)
+    payload["series"] = []
     for n in schedule:
         result = run_ensemble(state, meas, n, seed, z=args.z)
         entry = serialize.ensemble_payload(result)
-        entry["abs_error"] = abs(float(result.frequency) - float(expected))
-        series.append(entry)
+        entry["abs_error"] = abs(float(result.frequency) - payload["expected"]["decimal"])
+        payload["series"].append(entry)
+    return payload
 
-    payload = {
-        "command": "convergence",
-        "k_plus": state.k_plus,
-        "k_minus": state.k_minus,
-        "k": meas.k,
-        "expected": serialize.fraction_payload(expected),
-        "schedule": list(schedule),
-        "series": series,
-    }
 
-    header = [
-        "n_trials",
-        "transmitted",
-        "frequency_num",
-        "frequency_den",
-        "frequency_decimal",
-        "half_width",
-        "abs_error",
-        "z",
-        "seed",
-        "generator",
-    ]
-    rows = [
-        [
-            e["n_trials"],
-            e["transmitted"],
-            e["frequency"]["num"],
-            e["frequency"]["den"],
-            e["frequency"]["decimal"],
-            e["half_width"],
-            e["abs_error"],
-            e["z"],
-            e["seed"],
-            e["generator"],
-        ]
-        for e in series
-    ]
-    csv_text = _render_csv(header, rows)
-
+def _convergence_text(payload: dict[str, Any]) -> str:
+    series, expected = payload["series"], payload["expected"]
     grid_header = ["n_trials", "frequency", "abs_error", "half_width"]
     text_rows = [
         [
@@ -455,31 +342,17 @@ def _cmd_convergence(args: argparse.Namespace) -> tuple[dict[str, Any], str, str
         ]
         for e in series
     ]
-    text = (
+    return (
         "frequency convergence, sphere-machine ensemble\n"
-        f"seed={series[0]['seed']} generator={series[0]['generator']} z={args.z}\n"
-        f"k_plus={state.k_plus} k_minus={state.k_minus} k={meas.k} "
-        f"expected={_fraction_text(expected)}={float(expected)!r}\n"
+        f"seed={series[0]['seed']} generator={series[0]['generator']} "
+        f"z={series[0]['z']}\n"
+        f"k_plus={payload['k_plus']} k_minus={payload['k_minus']} k={payload['k']} "
+        f"expected={_fraction_text(expected)}={expected['decimal']!r}\n"
         + _grid_text(grid_header, text_rows)
     )
-    return payload, csv_text, text
 
 
 # -- parser / entry point ----------------------------------------------------
-
-
-def _add_format_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default: text)",
-    )
-    sub.add_argument(
-        "--output",
-        default=None,
-        help=f"write output to this path (default: ${ENV_OUTPUT} or stdout)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,52 +365,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tables", help="exact transmission-probability table")
-    p.add_argument("--K", type=int, required=True, help="cluster size")
+    # Options shared by several commands, declared once as parent parsers.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format (default: text)")
+    output.add_argument("--output", default=None, help=f"write output to this path (default: ${ENV_OUTPUT} or stdout)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--K", type=int, required=True, help="cluster size")
+    table.add_argument("--ceiling", type=int, default=None, help=f"table size ceiling (default: ${ENV_CEILING} or {DEFAULT_TABLE_CEILING})")
+    cell = argparse.ArgumentParser(add_help=False)
+    cell.add_argument("--kp", type=int, required=True, help="positive-sphere count")
+    cell.add_argument("--km", type=int, required=True, help="negative-sphere count")
+    cell.add_argument("--k", type=int, required=True, help="tranche size")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="master seed (default: random, recorded in the report)")
+    seeded.add_argument("--z", type=float, default=DEFAULT_Z, help="confidence level for the half-width")
+
+    p = sub.add_parser("tables", parents=[table, output], help="exact transmission-probability table")
     p.add_argument("--golden", action="store_true", help="check against the frozen reference tables (K in 2..7)")
-    p.add_argument("--ceiling", type=int, default=None, help=f"table size ceiling (default: ${ENV_CEILING} or {DEFAULT_TABLE_CEILING})")
-    _add_format_options(p)
 
-    p = sub.add_parser("simulate", help="seeded sphere-machine ensemble")
-    p.add_argument("--kp", type=int, required=True, help="positive-sphere count")
-    p.add_argument("--km", type=int, required=True, help="negative-sphere count")
-    p.add_argument("--k", type=int, required=True, help="tranche size")
+    p = sub.add_parser("simulate", parents=[cell, seeded, output], help="seeded sphere-machine ensemble")
     p.add_argument("--n", type=int, required=True, help="number of trials")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: random, recorded in the report)")
-    p.add_argument("--z", type=float, default=DEFAULT_Z, help="confidence level for the half-width")
-    _add_format_options(p)
 
-    p = sub.add_parser("scatter", help="delta-potential amplitudes and probabilities")
+    p = sub.add_parser("scatter", parents=[output], help="delta-potential amplitudes and probabilities")
     p.add_argument("--E", type=float, action="append", help="energy (repeatable)")
     p.add_argument("--grid", default=None, help="energy grid LO:HI:N")
     p.add_argument("--coupling", type=float, default=1.0, help="coupling, multiples of sqrt(2 hbar^2/m) (default 1)")
-    _add_format_options(p)
 
-    p = sub.add_parser("epsilon", help="breakable-elastic spin measurement")
+    p = sub.add_parser("epsilon", parents=[seeded, output], help="breakable-elastic spin measurement")
     p.add_argument("--theta", type=float, required=True, help="angle in radians, [0, pi]")
     p.add_argument("--eps", type=float, required=True, help="breakable fraction, [0, 1]")
     p.add_argument("--n", type=int, default=None, help="also simulate this many trials")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: random, recorded in the report)")
-    p.add_argument("--z", type=float, default=DEFAULT_Z, help="confidence level for the half-width")
-    _add_format_options(p)
 
-    p = sub.add_parser("classify", help="regime verdict for every tranche size")
-    p.add_argument("--K", type=int, required=True, help="cluster size")
-    p.add_argument("--ceiling", type=int, default=None, help=f"table size ceiling (default: ${ENV_CEILING} or {DEFAULT_TABLE_CEILING})")
-    _add_format_options(p)
+    sub.add_parser("classify", parents=[table, output], help="regime verdict for every tranche size")
 
-    p = sub.add_parser("convergence", help="frequency-vs-n series for one cell")
-    p.add_argument("--kp", type=int, required=True, help="positive-sphere count")
-    p.add_argument("--km", type=int, required=True, help="negative-sphere count")
-    p.add_argument("--k", type=int, required=True, help="tranche size")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: random, recorded in the report)")
+    p = sub.add_parser("convergence", parents=[cell, seeded, output], help="frequency-vs-n series for one cell")
     p.add_argument("--schedule", default=",".join(str(n) for n in DEFAULT_SCHEDULE), help="comma-separated trial counts")
-    p.add_argument("--z", type=float, default=DEFAULT_Z, help="confidence level for the half-width")
-    _add_format_options(p)
 
     return parser
 
 
+#: Each command's payload builder; every output format is rendered from the
+#: payload it returns.
 _DISPATCH = {
     "tables": _cmd_tables,
     "simulate": _cmd_simulate,
@@ -545,6 +413,16 @@ _DISPATCH = {
     "epsilon": _cmd_epsilon,
     "classify": _cmd_classify,
     "convergence": _cmd_convergence,
+}
+
+#: Each command's text report and CSV rows, both functions of its payload.
+_RENDERERS = {
+    "tables": (_tables_text, serialize.table_csv_rows),
+    "simulate": (_simulate_text, serialize.simulate_csv_rows),
+    "scatter": (_scatter_text, serialize.scatter_csv_rows),
+    "epsilon": (_epsilon_text, serialize.epsilon_csv_rows),
+    "classify": (_classify_text, serialize.classify_csv_rows),
+    "convergence": (_convergence_text, serialize.convergence_csv_rows),
 }
 
 
@@ -565,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
-        payload, csv_text, text = _DISPATCH[args.command](args)
+        payload = _DISPATCH[args.command](args)
     except GoldenMismatch as exc:
         print(f"golden mismatch: {exc}", file=sys.stderr)
         return EXIT_GOLDEN_MISMATCH
@@ -573,13 +451,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    render_text, csv_rows = _RENDERERS[args.command]
     if args.format == "json":
         rendered = _render_json(payload)
     elif args.format == "csv":
-        rendered = csv_text
+        rendered = _render_csv(*csv_rows(payload))
     else:
-        rendered = text
-    _write_output(args, rendered)
+        rendered = render_text(payload)
+    try:
+        _write_output(args, rendered)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

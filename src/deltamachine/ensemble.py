@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
+from .spheres import as_int
 
 DEFAULT_Z = 3.0
 
@@ -62,7 +63,8 @@ def run_counted(
     ``(seed, trial_index)``, the aggregate is identical for any chunking or
     evaluation order.
     """
-    if not isinstance(n_trials, int) or n_trials < 1:
+    n_trials = as_int(n_trials, "n_trials")
+    if n_trials < 1:
         raise ValueError("n_trials must be a positive integer")
     if not math.isfinite(z) or z < 0.0:
         raise ValueError("z must be a nonnegative finite real")

@@ -1,9 +1,10 @@
-"""JSON payload builders and parsers for every CLI command.
+"""JSON payloads, their parsers, and the CSV rows of every CLI command.
 
 Exact rationals are serialized as ``{"num", "den"}`` integer pairs plus a
 ``decimal`` convenience field; golden comparisons and round-trips use only
-the integer pair.  CSV output is rendered from the same payloads, so the two
-formats always carry identical values.
+the integer pair.  Every command's CSV header and rows are built here from
+its JSON payload (the ``*_csv_rows`` functions), so the two formats always
+carry identical values.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ def fraction_payload(value: Fraction) -> dict[str, Any]:
 
 def fraction_from_payload(payload: dict[str, Any]) -> Fraction:
     return Fraction(payload["num"], payload["den"])
+
+
+def _fraction_columns(name: str, payload: dict[str, Any]) -> dict[str, Any]:
+    return {f"{name}_{part}": payload[part] for part in ("num", "den", "decimal")}
 
 
 # -- probability tables ------------------------------------------------------
@@ -63,12 +68,12 @@ def table_from_payload(payload: dict[str, Any]) -> ProbabilityTable:
     return ProbabilityTable(K=K, rows=rows)
 
 
-def table_csv_rows(table: ProbabilityTable) -> tuple[list[str], list[list[Any]]]:
+def table_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     header = ["k", "k_plus", "k_minus", "p_tr_num", "p_tr_den", "p_tr_decimal"]
     rows = [
-        [row.k, s.k_plus, s.k_minus, p.numerator, p.denominator, float(p)]
-        for row in table.rows
-        for s, p in row.entries
+        [row["k"], s["k_plus"], s["k_minus"], cell["num"], cell["den"], cell["decimal"]]
+        for row in payload["rows"]
+        for s, cell in zip(payload["states"], row["cells"])
     ]
     return header, rows
 
@@ -86,6 +91,40 @@ def ensemble_payload(result: EnsembleResult) -> dict[str, Any]:
         "seed": result.seed,
         "generator": result.generator,
     }
+
+
+def _ensemble_csv_record(payload: dict[str, Any], **extra: Any) -> dict[str, Any]:
+    """CSV columns of an ensemble payload.
+
+    The ``extra`` columns go between the interval and the stream (``z``,
+    ``seed``, ``generator``) columns.
+    """
+    return {
+        "n_trials": payload["n_trials"],
+        "transmitted": payload["transmitted"],
+        **_fraction_columns("frequency", payload["frequency"]),
+        "half_width": payload["half_width"],
+        **extra,
+        "z": payload["z"],
+        "seed": payload["seed"],
+        "generator": payload["generator"],
+    }
+
+
+def simulate_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    record = {
+        "k_plus": payload["k_plus"],
+        "k_minus": payload["k_minus"],
+        "k": payload["k"],
+        **_fraction_columns("expected", payload["expected"]),
+        **_ensemble_csv_record(payload["result"]),
+    }
+    return list(record), [list(record.values())]
+
+
+def convergence_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    records = [_ensemble_csv_record(e, abs_error=e["abs_error"]) for e in payload["series"]]
+    return list(records[0]), [list(record.values()) for record in records]
 
 
 def ensemble_from_payload(payload: dict[str, Any]) -> EnsembleResult:
@@ -109,6 +148,19 @@ def outcome_pair_payload(pair: OutcomePair) -> dict[str, float]:
 
 def outcome_pair_from_payload(payload: dict[str, Any]) -> OutcomePair:
     return OutcomePair(p_plus=payload["p_plus"], p_minus=payload["p_minus"])
+
+
+def epsilon_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    """The closed form, followed by the ensemble columns when simulated."""
+    record = {
+        "theta": payload["theta"],
+        "epsilon": payload["epsilon"],
+        "p_plus": payload["closed_form"]["p_plus"],
+        "p_minus": payload["closed_form"]["p_minus"],
+    }
+    if payload["simulation"] is not None:
+        record.update(_ensemble_csv_record(payload["simulation"]))
+    return list(record), [list(record.values())]
 
 
 # -- scattering ---------------------------------------------------------------
@@ -141,7 +193,7 @@ def amplitudes_from_payload(point: dict[str, Any]) -> ScatteringAmplitudes:
     )
 
 
-def scatter_csv_rows(points: list[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
+def scatter_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     header = ["energy", "t_re", "t_im", "r_re", "r_im", "p_tr", "p_re", "jump_residual"]
     rows = [
         [
@@ -154,7 +206,7 @@ def scatter_csv_rows(points: list[dict[str, Any]]) -> tuple[list[str], list[list
             p["p_reflection"],
             p["jump_residual"],
         ]
-        for p in points
+        for p in payload["points"]
     ]
     return header, rows
 
@@ -187,6 +239,21 @@ def verdicts_payload(verdicts: dict[int, RegimeVerdict]) -> dict[str, Any]:
         },
         "notes": {str(k): v.note for k, v in verdicts.items()},
     }
+
+
+def witness_label(payload: dict[str, Any]) -> str:
+    """``kind``, or ``kind(k_plus/k_minus)`` for a witness tied to a state."""
+    if payload["k_plus"] is None:
+        return payload["kind"]
+    return f"{payload['kind']}({payload['k_plus']}/{payload['k_minus']})"
+
+
+def classify_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    rows = []
+    for key, verdict in payload["verdicts"].items():
+        witnesses = ";".join(witness_label(w) for w in payload["witnesses"][key])
+        rows.append([int(key), verdict, witnesses, payload["notes"][key] or ""])
+    return ["k", "verdict", "witnesses", "note"], rows
 
 
 def verdicts_from_payload(payload: dict[str, Any]) -> dict[int, RegimeVerdict]:

@@ -15,6 +15,7 @@ a decimal is presentation-side only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -26,6 +27,20 @@ ExactProbability = Fraction
 #: Largest K accepted by the table builders unless overridden.  Purely an
 #: output-size guard; the arithmetic itself has no limit.
 DEFAULT_TABLE_CEILING = 64
+
+
+def as_int(value: object, what: str) -> int:
+    """``value`` as a plain ``int``.
+
+    Anything that supports ``operator.index`` passes, numpy integers
+    included; ``bool`` and non-integers raise ``TypeError``.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, not bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer") from None
 
 
 def choose(n: int, r: int) -> int:
@@ -54,8 +69,8 @@ class ElectricState:
     k_minus: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k_plus, int) or not isinstance(self.k_minus, int):
-            raise TypeError("sphere counts must be integers")
+        object.__setattr__(self, "k_plus", as_int(self.k_plus, "sphere counts"))
+        object.__setattr__(self, "k_minus", as_int(self.k_minus, "sphere counts"))
         if self.k_plus < 0 or self.k_minus < 0:
             raise ValueError("sphere counts must be nonnegative")
         if self.k_plus + self.k_minus < 1:
@@ -95,8 +110,7 @@ class KMeasurement:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int):
-            raise TypeError("tranche size must be an integer")
+        object.__setattr__(self, "k", as_int(self.k, "tranche size"))
         if self.k < 1:
             raise ValueError("tranche size must be at least 1")
 

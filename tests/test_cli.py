@@ -313,6 +313,18 @@ class TestOutputDestinations:
         assert code == 0 and out == ""
         assert "K = 2" in target.read_text()
 
+    def test_unwritable_output_flag_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(capsys, "tables", "--K", "3", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unwritable_env_output_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "missing" / "x.txt"))
+        code, out, err = run_cli(capsys, "tables", "--K", "3", "--format", "csv")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
 
 def test_module_entry_point_runs():
     env = dict(os.environ, PYTHONPATH=SRC)

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltamachine import ensemble as ensemble_mod
@@ -167,6 +168,15 @@ class TestRunEnsemble:
             run_ensemble(ElectricState(2, 1), KMeasurement(4), 10, 0)
         with pytest.raises(ValueError):
             run_ensemble(ElectricState(2, 1), KMeasurement(1), 0, 0)
+        with pytest.raises(TypeError):
+            ensemble_mod.run_counted(True, 0, lambda seeds: seeds % 2 == 0)
+        with pytest.raises(TypeError):
+            ensemble_mod.run_counted(10.0, 0, lambda seeds: seeds % 2 == 0)
+
+    def test_numpy_integer_trial_count(self):
+        result = run_ensemble(ElectricState(2, 1), KMeasurement(1), np.int64(500), 7)
+        assert result == run_ensemble(ElectricState(2, 1), KMeasurement(1), 500, 7)
+        assert type(result.n_trials) is int
 
     def test_balanced_full_tranche_frequency(self):
         # K+ = K- with k = K: every trial is a tie and the coin is fair.

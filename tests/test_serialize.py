@@ -34,7 +34,7 @@ def test_table_round_trip():
 
 def test_table_csv_values_match_payload():
     table = probability_table(3)
-    header, rows = serialize.table_csv_rows(table)
+    header, rows = serialize.table_csv_rows(serialize.table_payload(table))
     assert header == ["k", "k_plus", "k_minus", "p_tr_num", "p_tr_den", "p_tr_decimal"]
     by_cell = {(r[0], r[1]): (r[3], r[4]) for r in rows}
     assert by_cell[(3, 2)] == (1, 1)

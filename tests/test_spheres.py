@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltamachine.spheres import (
@@ -58,6 +59,16 @@ class TestElectricState:
         with pytest.raises(TypeError):
             ElectricState(1.5, 2)
 
+    @pytest.mark.parametrize("kp,km", [(True, 1), (1, False)])
+    def test_bool_counts_rejected(self, kp, km):
+        with pytest.raises(TypeError):
+            ElectricState(kp, km)
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        state = ElectricState(np.int64(2), np.int32(1))
+        assert state == ElectricState(2, 1)
+        assert type(state.k_plus) is int and type(state.k_minus) is int
+
 
 class TestKMeasurement:
     def test_rejects_nonpositive(self):
@@ -67,6 +78,12 @@ class TestKMeasurement:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             KMeasurement(2.0)
+        with pytest.raises(TypeError):
+            KMeasurement(True)
+
+    def test_numpy_integer_stored_as_int(self):
+        meas = KMeasurement(np.int64(3))
+        assert meas == KMeasurement(3) and type(meas.k) is int
 
 
 class TestTransmissionValues:
