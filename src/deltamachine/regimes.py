@@ -118,26 +118,25 @@ def wronskian_witnesses(row: ProbabilityTableRow) -> tuple[ElectricState, ...]:
     return tuple(s for s, p in entries if s.k_plus >= 1 and p == 0)
 
 
-def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
-    """Classify one table row; see the module docstring for the criteria."""
-    entries = _validated_entries(row)
-    total = entries[0][0].total
+def _classify_entries(
+    entries: tuple[tuple[ElectricState, Fraction], ...], total: int
+) -> RegimeVerdict:
+    """Verdict of a well-formed row.
 
-    deterministic = all(p == 0 or p == 1 for _, p in entries)
-    if deterministic:
+    ``entries[i]`` must hold state K+ = i and a ``Fraction`` in [0, 1]:
+    :func:`classify_row` checks this, and :func:`probability_table` builds
+    only such rows.
+    """
+    fractional = [i for i, (_, p) in enumerate(entries) if p.denominator != 1]
+    if not fractional:
         return RegimeVerdict(
             verdict=Regime.CLASSICAL,
             witnesses=(Witness(WitnessKind.ALL_DETERMINISTIC),),
         )
 
-    if total % 2 == 0:
+    if total % 2 == 0 and fractional == [total // 2]:
         balanced_state, balanced_p = entries[total // 2]
-        others_deterministic = all(
-            p == 0 or p == 1
-            for s, p in entries
-            if s.k_plus != balanced_state.k_plus
-        )
-        if others_deterministic and balanced_p == HALF:
+        if balanced_p == HALF:
             return RegimeVerdict(
                 verdict=Regime.CLASSICAL_WITH_TIE,
                 witnesses=(
@@ -148,9 +147,10 @@ def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
                 ),
             )
 
+    # Born value K+/K, cross-multiplied; at K+ = K it is 1.
     born = all(
-        (p == 1 if s.k_minus == 0 else p == Fraction(s.k_plus, total))
-        for s, p in entries
+        p.numerator * total == i * p.denominator
+        for i, (_, p) in enumerate(entries)
     )
     if born:
         return RegimeVerdict(
@@ -160,13 +160,12 @@ def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
 
     zero_witnesses = tuple(
         Witness(WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION, s)
-        for s, p in entries
-        if s.k_plus >= 1 and p == 0
+        for s, p in entries[1:]
+        if p.numerator == 0
     )
     indeterminism_witnesses = tuple(
-        Witness(WitnessKind.NON_CLASSICAL_INDETERMINISM, s)
-        for s, p in entries
-        if p != 0 and p != 1
+        Witness(WitnessKind.NON_CLASSICAL_INDETERMINISM, entries[i][0])
+        for i in fractional
     )
     return RegimeVerdict(
         verdict=Regime.INTERMEDIATE,
@@ -175,9 +174,30 @@ def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
     )
 
 
+def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
+    """Classify one table row; see the module docstring for the criteria.
+
+    The row is validated first, and entries of any rational type (``int``,
+    ``str``, ``Fraction``...) are converted to ``Fraction``.
+    """
+    entries = _validated_entries(row)
+    return _classify_entries(entries, entries[0][0].total)
+
+
 def classify_table(
     K: int, *, ceiling: int = DEFAULT_TABLE_CEILING
 ) -> dict[int, RegimeVerdict]:
-    """Classify every row k = 1..K of the exact transmission table."""
+    """Classify every row k = 1..K of the exact transmission table.
+
+    The rows come from :func:`probability_table`, so they skip the
+    validation of :func:`classify_row`; an even row that shares its odd
+    neighbour's entries shares its verdict too.
+    """
     table = probability_table(K, ceiling=ceiling)
-    return {row.k: classify_row(row) for row in table.rows}
+    verdicts: dict[int, RegimeVerdict] = {}
+    for i, row in enumerate(table.rows):
+        if i and row.entries is table.rows[i - 1].entries:
+            verdicts[row.k] = verdicts[row.k - 1]
+        else:
+            verdicts[row.k] = _classify_entries(row.entries, table.K)
+    return verdicts

@@ -7,10 +7,16 @@ left ("reflected") according to the sign of the total charge of the first
 tranche of ``k`` spheres; an exactly balanced tranche (possible only for even
 ``k``) tips either way with probability 1/2.
 
-All probabilities here are exact rationals: counting k-subsets by charge
-composition gives a hypergeometric sum over binomial coefficients, evaluated
-with arbitrary-precision integers.  Floats never enter; rendering a value as
-a decimal is presentation-side only.
+All probabilities here are exact rationals, computed with arbitrary-precision
+integers.  A single cell comes from the closed form: counting k-subsets by
+charge composition gives a hypergeometric sum over binomial coefficients.
+Full tables instead walk each column (fixed K+) up the odd tranche sizes:
+the count of positive-majority k-subsets at k + 2 follows from the count at
+k in O(1) big-integer steps, so a table costs O(K^2) cells rather than O(K^3)
+terms.  Each even row k equals the odd row k - 1, and columns with
+K+ > K/2 follow from the charge-swap identity P(K+, K-) = 1 - P(K-, K+).
+The table builder never calls the closed form, so the two check each other.
+Floats never enter; rendering a value as a decimal is presentation-side only.
 """
 
 from __future__ import annotations
@@ -195,26 +201,71 @@ class ProbabilityTable:
         return row.entries[k_plus][1]
 
 
+def _odd_counts(k_plus: int, k_minus: int) -> list[tuple[int, int]]:
+    """``(S, C(K, k))`` of one state for k = 1, 3, 5, ... <= K.
+
+    ``S`` counts the k-subsets with a positive majority, so P(k) = S / C(K, k)
+    for odd k.  Extending a k-subset by an ordered pair of the K - k spheres
+    left changes its majority only when it sits one sphere from the boundary:
+    a subset with j = (k-1)/2 positives gains one with two more positives,
+    and a subset with j + 1 positives loses it with two more negatives.
+    Every (k+2)-subset arises from (k+1)(k+2) ordered extensions, hence::
+
+        S(k+2) = [ S(k) (K-k)(K-k-1)
+                   + C(K+, j) C(K-, j+1) (K+ - j)(K+ - j - 1)
+                   - C(K+, j+1) C(K-, j) (K- - j)(K- - j - 1) ] / ((k+1)(k+2))
+
+    and the division is exact.  The four binomials slide up by one in j
+    per step.
+    """
+    total = k_plus + k_minus
+    subsets, majority = total, k_plus  # C(K, 1) and S(1)
+    plus_j, plus_next = 1, k_plus  # C(K+, j), C(K+, j+1) at j = 0
+    minus_j, minus_next = 1, k_minus  # C(K-, j), C(K-, j+1)
+    counts = [(majority, subsets)]
+    for j in range((total - 1) // 2):
+        k = 2 * j + 1
+        free = (total - k) * (total - k - 1)
+        step = (k + 1) * (k + 2)
+        gain = plus_j * minus_next * (k_plus - j) * (k_plus - j - 1)
+        loss = plus_next * minus_j * (k_minus - j) * (k_minus - j - 1)
+        majority = (majority * free + gain - loss) // step
+        subsets = subsets * free // step
+        counts.append((majority, subsets))
+        plus_j, plus_next = plus_next, plus_next * (k_plus - j - 1) // (j + 2)
+        minus_j, minus_next = minus_next, minus_next * (k_minus - j - 1) // (j + 2)
+    return counts
+
+
 def probability_table(
     K: int, *, ceiling: int = DEFAULT_TABLE_CEILING
 ) -> ProbabilityTable:
     """Full K x (K+1) grid of exact transmission probabilities.
 
     Rows run over tranche sizes k = 1..K, columns over states K+ = 0..K
-    (equivalently over increasing energy label K+/K-).
+    (equivalently over increasing energy label K+/K-).  Each column with
+    K+ <= K/2 comes from the odd-k recurrence of :func:`_odd_counts`.  The
+    column of K+ > K/2 is the charge swap of column K - K+: an odd tranche
+    never ties, so P(K+, K-) = 1 - P(K-, K+) = (C(K, k) - S) / C(K, k).  Row
+    k + 1 of an odd k shares row k's entries, the pairwise equality
+    P(k + 1) = P(k).
     """
-    if not isinstance(K, int):
-        raise TypeError("K must be an integer")
+    K = as_int(K, "K")
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > ceiling:
         raise ValueError(f"K={K} exceeds the table ceiling {ceiling}")
+    counts = [_odd_counts(i, K - i) for i in range(K // 2 + 1)]
+    columns = [[Fraction(s, c) for s, c in column] for column in counts]
+    columns += [
+        [Fraction(c - s, c) for s, c in counts[K - i]]
+        for i in range(K // 2 + 1, K + 1)
+    ]
     states = tuple(ElectricState(i, K - i) for i in range(K + 1))
     rows = []
-    for k in range(1, K + 1):
-        meas = KMeasurement(k)
-        entries = tuple(
-            (s, transmission_probability_exact(s, meas)) for s in states
-        )
-        rows.append(ProbabilityTableRow(k=k, entries=entries))
+    for j, odd_row in enumerate(zip(*columns)):
+        entries = tuple(zip(states, odd_row))
+        rows.append(ProbabilityTableRow(k=2 * j + 1, entries=entries))
+        if 2 * j + 2 <= K:
+            rows.append(ProbabilityTableRow(k=2 * j + 2, entries=entries))
     return ProbabilityTable(K=K, rows=tuple(rows))

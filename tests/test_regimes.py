@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltamachine.regimes import (
@@ -92,6 +93,33 @@ class TestClassifyRow:
         with pytest.raises(ValueError):
             classify_row(swapped)
 
+    def test_rejects_empty_row(self):
+        with pytest.raises(ValueError):
+            classify_row(ProbabilityTableRow(k=1, entries=()))
+
+    def test_rejects_mixed_cluster_sizes(self):
+        entries = probability_table(3).row(1).entries
+        mixed = entries[:3] + ((ElectricState(3, 1), Fraction(1)),)
+        with pytest.raises(ValueError):
+            classify_row(ProbabilityTableRow(k=1, entries=mixed))
+
+    def test_accepts_int_entries(self):
+        row = ProbabilityTableRow(
+            k=3,
+            entries=tuple((ElectricState(i, 3 - i), int(i >= 2)) for i in range(4)),
+        )
+        assert classify_row(row) == classify_row(probability_table(3).row(3))
+        assert classify_row(row).verdict is Regime.CLASSICAL
+        tie = ProbabilityTableRow(
+            k=1,
+            entries=(
+                (ElectricState(0, 2), 0),
+                (ElectricState(1, 1), Fraction(1, 2)),
+                (ElectricState(2, 0), 1),
+            ),
+        )
+        assert classify_row(tie).verdict is Regime.CLASSICAL_WITH_TIE
+
 
 class TestClassifyTable:
     def test_seven_sphere_pattern(self):
@@ -142,6 +170,52 @@ class TestClassifyTable:
         assert verdicts[K].verdict is Regime.CLASSICAL_WITH_TIE
         table = probability_table(K)
         assert table.row(K - 1).probabilities() == table.row(K).probabilities()
+
+
+class TestClassifyTableFastPath:
+    """``classify_table`` skips row validation; it must agree with
+    ``classify_row``, which validates and converts every entry."""
+
+    def test_matches_classify_row(self):
+        for K in range(1, 41):
+            table = probability_table(K)
+            verdicts = classify_table(K)
+            assert list(verdicts) == list(range(1, K + 1))
+            for k, verdict in verdicts.items():
+                assert verdict == classify_row(table.row(k))
+
+    def test_verdict_pattern(self):
+        # Independent of the shared row core: rows 1-2 are Born, the top
+        # row is deterministic (odd K) or the top two tie (even K), and
+        # everything between is intermediate.
+        for K in range(3, 41):
+            top = [Regime.CLASSICAL] if K % 2 else [Regime.CLASSICAL_WITH_TIE] * 2
+            middle = [Regime.INTERMEDIATE] * (K - 2 - len(top))
+            expected = [Regime.QUANTUM] * 2 + middle + top
+            assert [v.verdict for v in classify_table(K).values()] == expected
+
+    def test_witnesses_match_table(self):
+        for K in range(3, 41):
+            table = probability_table(K)
+            for k, verdict in classify_table(K).items():
+                if verdict.verdict is not Regime.INTERMEDIATE:
+                    continue
+                zeros = verdict.witnesses_of(WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION)
+                frac = verdict.witnesses_of(WitnessKind.NON_CLASSICAL_INDETERMINISM)
+                entries = table.row(k).entries
+                assert [w.state for w in zeros] == [
+                    s for s, p in entries if s.k_plus >= 1 and p == 0
+                ]
+                assert [w.state for w in frac] == [s for s, p in entries if p not in (0, 1)]
+
+    def test_bool_size_rejected(self):
+        with pytest.raises(TypeError):
+            classify_table(True)
+
+    def test_numpy_integer_size(self):
+        verdicts = classify_table(np.int64(3))
+        assert verdicts == classify_table(3)
+        assert all(type(k) is int for k in verdicts)
 
 
 class TestWitnessIntegrity:

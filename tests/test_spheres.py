@@ -252,3 +252,49 @@ class TestProbabilityTable:
         with pytest.raises(TypeError):
             probability_table(3.0)
         assert probability_table(65, ceiling=70).K == 65
+
+    def test_bool_size_rejected(self):
+        with pytest.raises(TypeError):
+            probability_table(True)
+
+    def test_numpy_integer_size_stored_as_int(self):
+        table = probability_table(np.int64(3))
+        assert table.K == 3 and type(table.K) is int
+        assert table.rows == probability_table(3).rows
+
+
+class TestTableRecurrence:
+    """The column recurrence against the closed form and the enumeration."""
+
+    def test_matches_closed_form(self):
+        for K in range(1, 41):
+            for row in probability_table(K).rows:
+                meas = KMeasurement(row.k)
+                for state, p in row.entries:
+                    assert type(p) is Fraction
+                    assert p == transmission_probability_exact(state, meas)
+
+    def test_matches_enumeration_small(self):
+        for K in range(1, 11):
+            for row in probability_table(K).rows:
+                for state, p in row.entries:
+                    assert p == enumerated_transmission(
+                        state.k_plus, state.k_minus, row.k
+                    )
+
+    def test_large_table_identities(self):
+        K = 256
+        table = probability_table(K, ceiling=K)
+        assert [row.k for row in table.rows] == list(range(1, K + 1))
+        for row in table.rows:
+            probs = row.probabilities()
+            if row.k % 2 == 0:
+                assert probs == table.row(row.k - 1).probabilities()
+            else:
+                assert all(probs[i] == 1 - probs[K - i] for i in range(K + 1))
+        for k_plus in (0, 1, 2, 37, 100, 128, 129, 200, 255, 256):
+            state = ElectricState(k_plus, K - k_plus)
+            for k in range(1, K + 1, 17):
+                assert table.value(k, k_plus) == transmission_probability_exact(
+                    state, KMeasurement(k)
+                )
