@@ -20,9 +20,14 @@ from .spheres import as_int
 
 DEFAULT_Z = 3.0
 
-#: Trials evaluated per vectorized chunk; a memory/latency trade-off only,
-#: never visible in the results.
-CHUNK_TRIALS = 1 << 15
+#: Working-set budget of one vectorized chunk, in bytes.  A chunk holds
+#: ``max(1, CHUNK_BYTES // trial_bytes)`` trials, so it stays cache-sized and
+#: its memory is bounded whatever the cluster size; a memory/latency
+#: trade-off only, never visible in the results.
+CHUNK_BYTES = 1 << 20
+
+#: Default working set of one trial: its seed, draw and index words.
+TRIAL_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -55,23 +60,29 @@ def run_counted(
     success_mask: Callable[[np.ndarray], np.ndarray],
     *,
     z: float = DEFAULT_Z,
+    trial_bytes: int = TRIAL_BYTES,
 ) -> EnsembleResult:
     """Run ``n_trials`` counter-seeded trials and aggregate the successes.
 
     ``success_mask`` maps an array of per-trial seeds to a boolean array.
-    Chunking keeps memory bounded; because per-trial seeds depend only on
-    ``(seed, trial_index)``, the aggregate is identical for any chunking or
-    evaluation order.
+    ``trial_bytes`` is the working set of one trial in ``success_mask``;
+    chunks of ``max(1, CHUNK_BYTES // trial_bytes)`` trials keep memory
+    bounded.  Because per-trial seeds depend only on ``(seed, trial_index)``,
+    the aggregate is identical for any chunking or evaluation order.
     """
     n_trials = as_int(n_trials, "n_trials")
     if n_trials < 1:
         raise ValueError("n_trials must be a positive integer")
     if not math.isfinite(z) or z < 0.0:
         raise ValueError("z must be a nonnegative finite real")
+    trial_bytes = as_int(trial_bytes, "trial_bytes")
+    if trial_bytes < 1:
+        raise ValueError("trial_bytes must be a positive integer")
     seed = int(seed) & rng.MASK64
+    chunk = max(1, CHUNK_BYTES // trial_bytes)
     count = 0
-    for start in range(0, n_trials, CHUNK_TRIALS):
-        m = min(CHUNK_TRIALS, n_trials - start)
+    for start in range(0, n_trials, chunk):
+        m = min(chunk, n_trials - start)
         trial_seeds = rng.substream_seeds(seed, start, m)
         count += int(np.count_nonzero(success_mask(trial_seeds)))
     freq = Fraction(count, n_trials)

@@ -19,6 +19,10 @@ counter-indexed stream (see :mod:`deltamachine.rng`):
 
 The outcome is therefore a pure function of ``(state, measurement, seed)``,
 and the vectorized ensemble path reproduces the scalar trial bit-for-bit.
+That stream contract is the same for both paths: draws ``0 .. K-2`` define
+the shuffle.  The scalar trial consumes all of them because its trace shows
+the whole queue; the vectorized kernel needs only the tranche's charge sum
+and so consumes only draws ``0 .. K-1-k`` (plus draw ``K-1`` on a tie).
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import rng
-from .ensemble import DEFAULT_Z, EnsembleResult, run_counted
+from .ensemble import DEFAULT_Z, TRIAL_BYTES, EnsembleResult, run_counted
 from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
@@ -163,22 +167,53 @@ def run_trial(
     return TrialOutcome(result=result, tie_broken=tie_broken, trace=trace)
 
 
+#: Shuffle draws the kernel takes from the RNG in one call (128 KiB).  A
+#: chunk of few trials (large K) then gets many steps' draws per call, so
+#: numpy's fixed cost per call does not dominate; larger blocks measured
+#: slower, as they leave the cache.
+_DRAWS_PER_BLOCK = 1 << 14
+
+
 def _transmitted_mask(
     charges: np.ndarray, k: int, trial_seeds: np.ndarray
 ) -> np.ndarray:
-    """Vectorized replica of the trial kernel over many per-trial seeds."""
+    """Vectorized replica of the trial kernel over many per-trial seeds.
+
+    The outcome depends only on the multiset of charges in the first ``k``
+    queue positions, so only the shuffle steps ``j = K-1 .. k`` run: after
+    step ``k`` the later steps merely permute positions inside the tranche.
+    Each step carries the one value the scalar swap moves into the live
+    prefix (position ``j`` into position ``r``); the value swapped out to
+    position ``j >= k`` is final, outside the tranche and never read again,
+    so it is not written.  The trials share one flat row-major buffer, and a
+    step is one gather (column ``j``) and one scatter (offsets ``rows + r``).
+    The draws of consecutive steps come from one RNG call per block of
+    ``_DRAWS_PER_BLOCK // m`` steps (see :func:`rng.advanced_seeds`).
+    """
     total = charges.size
     m = trial_seeds.size
-    mat = np.broadcast_to(charges, (m, total)).copy()
-    rows = np.arange(m)
-    for j in range(total - 1, 0, -1):
-        r = (rng.draws_at(trial_seeds, total - 1 - j) % np.uint64(j + 1)).astype(
-            np.intp
-        )
-        left = mat[rows, j]
-        mat[rows, j] = mat[rows, r]
-        mat[rows, r] = left
-    charge_sum = mat[:, :k].sum(axis=1, dtype=np.int32)
+    flat = np.tile(charges, m)
+    rows = np.arange(0, m * total, total, dtype=np.int64)
+    columns = flat.reshape(m, total)
+    per_block = max(1, _DRAWS_PER_BLOCK // m)
+    block_seeds = rng.advanced_seeds(trial_seeds, min(per_block, total - k))
+    for first in range(0, total - k, per_block):
+        # Row i holds draw first + i, the draw of step j = K-1-first-i.
+        draws = rng.draws_at(block_seeds[: total - k - first], first)
+        spans = np.arange(total - first, total - first - len(draws), -1, dtype=np.uint64)
+        # draws % spans (span = j + 1 per row), as draws - (draws // span) *
+        # span: numpy divides by a scalar with a precomputed reciprocal, but
+        # takes `%`, or division by an array, by hardware division.
+        quotient = np.empty_like(draws)
+        for draw, span, out in zip(draws, spans, quotient):
+            np.floor_divide(draw, span, out=out)
+        quotient *= spans[:, None]
+        draws -= quotient
+        dest = draws.view(np.int64)  # remainders < j + 1: same bits
+        dest += rows
+        for i, row_dest in enumerate(dest):
+            flat[row_dest] = columns[:, total - 1 - first - i]
+    charge_sum = columns[:, :k].sum(axis=1, dtype=np.int32)
     transmitted = charge_sum > 0
     tie = charge_sum == 0
     if tie.any():
@@ -213,6 +248,7 @@ def run_ensemble(
         seed,
         lambda trial_seeds: _transmitted_mask(charges, meas.k, trial_seeds),
         z=z,
+        trial_bytes=total + TRIAL_BYTES,
     )
 
 

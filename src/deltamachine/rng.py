@@ -31,6 +31,7 @@ GENERATOR_NAME = "splitmix64"
 _U64_GOLDEN = np.uint64(GOLDEN)
 _U64_MULT1 = np.uint64(_MULT1)
 _U64_MULT2 = np.uint64(_MULT2)
+_U64_1, _U64_27, _U64_30, _U64_31 = (np.uint64(n) for n in (1, 27, 30, 31))
 
 
 def mix64(z: int) -> int:
@@ -68,30 +69,50 @@ def coin(u64: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    z = np.array(z, dtype=np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
-        z *= _U64_MULT1
-        z ^= z >> np.uint64(27)
-        z *= _U64_MULT2
-        z ^= z >> np.uint64(31)
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied to a uint64 array in place; returns it.
+
+    Integer array arithmetic wraps silently, so no ``errstate`` is needed.
+    """
+    z ^= z >> _U64_30
+    z *= _U64_MULT1
+    z ^= z >> _U64_27
+    z *= _U64_MULT2
+    z ^= z >> _U64_31
     return z
+
+
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over an array; the input is left untouched."""
+    return _mix64_inplace(np.array(z, dtype=np.uint64, copy=True))
 
 
 def draws_at(seeds: np.ndarray, index: int) -> np.ndarray:
     """Draw ``index`` of many streams at once (``seeds`` is a uint64 array)."""
-    with np.errstate(over="ignore"):
-        base = seeds + np.uint64((index + 1) & MASK64) * _U64_GOLDEN
-    return mix64_array(base)
+    base = np.empty(np.shape(seeds), dtype=np.uint64)  # also for 0-d seeds
+    np.add(seeds, np.uint64(((index + 1) * GOLDEN) & MASK64), out=base)
+    return _mix64_inplace(base)
+
+
+def advanced_seeds(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Seeds advanced by ``0 .. count-1`` draws, one row per advance.
+
+    In counter mode, draw ``j`` of seed ``s + i * GOLDEN`` is draw ``j + i``
+    of seed ``s``, so ``draws_at(advanced_seeds(seeds, n), j)`` gives draws
+    ``j .. j+n-1`` of every stream in one call (row ``i`` is draw ``j + i``).
+    """
+    offsets = np.arange(count, dtype=np.uint64)
+    offsets *= _U64_GOLDEN
+    return offsets[:, None] + seeds
 
 
 def substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
     """Seeds of child streams ``start .. start+count-1`` as a uint64 array."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = np.uint64(seed & MASK64) + (idx + np.uint64(1)) * _U64_GOLDEN
-    return mix64_array(base)
+    base = np.arange(start, start + count, dtype=np.uint64)
+    base += _U64_1
+    base *= _U64_GOLDEN
+    base += np.uint64(seed & MASK64)
+    return _mix64_inplace(base)
 
 
 def unit_doubles(u64: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from deltamachine import ensemble as ensemble_mod
+from deltamachine import machine as machine_mod
 from deltamachine import rng
 from deltamachine.ensemble import normal_half_width
 from deltamachine.machine import (
@@ -145,7 +146,7 @@ class TestRunEnsemble:
     def test_chunking_invisible(self, monkeypatch):
         args = (ElectricState(4, 3), KMeasurement(3), 4096, 7)
         full = run_ensemble(*args)
-        monkeypatch.setattr(ensemble_mod, "CHUNK_TRIALS", 129)
+        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 129 * (7 + ensemble_mod.TRIAL_BYTES))
         chunked = run_ensemble(*args)
         assert full == chunked
 
@@ -186,6 +187,96 @@ class TestRunEnsemble:
                 ElectricState(2, 2), KMeasurement(4), rng.substream_seed(77, seed)
             ).tie_broken
         assert abs(float(result.frequency) - 0.5) <= normal_half_width(0.5, 50_000, 4.0)
+
+
+class TestKernelParity:
+    """The truncated vectorized kernel against the full scalar shuffle."""
+
+    SEEDS = rng.substream_seeds(2024, 0, 32)
+
+    def check(self, kp, km, k):
+        state = ElectricState(kp, km)
+        charges = np.array([s.charge for s in spheres_for_state(state)], dtype=np.int8)
+        got = machine_mod._transmitted_mask(charges, k, self.SEEDS)
+        expected = [
+            run_trial(state, KMeasurement(k), int(seed)).result is Outcome.TRANSMITTED
+            for seed in self.SEEDS
+        ]
+        assert got.tolist() == expected, (kp, km, k)
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_every_cell_up_to_twelve(self, K):
+        for kp in range(K + 1):
+            for k in range(1, K + 1):
+                self.check(kp, K - kp, k)
+
+    @pytest.mark.parametrize("K", [64, 256])
+    def test_truncation_boundary_and_ties(self, K):
+        for kp in (K // 2 - 1, K // 2):
+            for k in (1, 2, K - 1, K):
+                self.check(kp, K - kp, k)
+
+    @pytest.mark.parametrize("block", [1, 3 * 32])
+    def test_draw_blocks_invisible(self, monkeypatch, block):
+        # One step per RNG call (chunks of 16384+ trials), and blocks of
+        # three steps with a partial last block.
+        monkeypatch.setattr(machine_mod, "_DRAWS_PER_BLOCK", block)
+        for kp, k in ((5, 1), (6, 2), (6, 7), (4, 8), (3, 11)):
+            self.check(kp, 12 - kp, k)
+
+
+class TestChunkBudget:
+    def spy_sizes(self, monkeypatch):
+        sizes = []
+        kernel = machine_mod._transmitted_mask
+
+        def spy(charges, k, trial_seeds):
+            sizes.append(trial_seeds.size)
+            return kernel(charges, k, trial_seeds)
+
+        monkeypatch.setattr(machine_mod, "_transmitted_mask", spy)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "trial_bytes, n", [(1, 5000), (32, 70_000), (288, 10_000), (20_032, 100), (3 << 20, 5)]
+    )
+    def test_run_counted_respects_budget(self, trial_bytes, n):
+        sizes = []
+
+        def mask(seeds):
+            sizes.append(seeds.size)
+            return seeds % 2 == 0
+
+        result = ensemble_mod.run_counted(n, 5, mask, trial_bytes=trial_bytes)
+        assert max(sizes) <= max(1, ensemble_mod.CHUNK_BYTES // trial_bytes)
+        assert sum(sizes) == n
+        assert result == ensemble_mod.run_counted(n, 5, mask)
+
+    def test_rejects_bad_trial_bytes(self):
+        for bad, error in ((0, ValueError), (-32, ValueError), (32.0, TypeError)):
+            with pytest.raises(error):
+                ensemble_mod.run_counted(10, 0, lambda seeds: seeds % 2 == 0, trial_bytes=bad)
+
+    def test_default_chunk_is_32768_trials(self):
+        sizes = []
+        ensemble_mod.run_counted(70_000, 5, lambda seeds: sizes.append(seeds.size) or seeds % 2 == 0)
+        assert sizes == [32768, 32768, 70_000 - 65536]
+
+    def test_large_cluster_chunks_stay_small(self, monkeypatch):
+        sizes = self.spy_sizes(monkeypatch)
+        K = 20_000
+        result = run_ensemble(ElectricState(K // 2, K // 2), KMeasurement(K - 1), 100, 3)
+        assert result.n_trials == 100
+        assert sum(sizes) == 100
+        assert max(sizes) <= 52 == ensemble_mod.CHUNK_BYTES // (K + ensemble_mod.TRIAL_BYTES)
+
+    def test_tiny_chunks_leave_counts_unchanged(self, monkeypatch):
+        args = (ElectricState(128, 128), KMeasurement(10), 5000, 17)
+        full = run_ensemble(*args)
+        sizes = self.spy_sizes(monkeypatch)
+        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 7 * (256 + ensemble_mod.TRIAL_BYTES))
+        assert run_ensemble(*args) == full
+        assert max(sizes) == 7
 
 
 class TestStatisticalAgreement:

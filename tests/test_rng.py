@@ -53,11 +53,25 @@ class TestVectorParity:
             for s, got in zip(seeds.tolist(), vec.tolist()):
                 assert got == rng.draw(s, index)
 
+    def test_draws_at_zero_dim_seed(self, recwarn):
+        for seed in (np.uint64(MASK - 7), np.array(MASK - 7, dtype=np.uint64)):
+            got = rng.draws_at(seed, 5)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert int(got) == rng.draw(MASK - 7, 5)
+        assert not recwarn.list
+
     def test_substream_seeds_matches_scalar(self):
         seed = 20260811
         vec = rng.substream_seeds(seed, 5, 100)
         for offset, got in enumerate(vec.tolist()):
             assert got == rng.substream_seed(seed, 5 + offset)
+
+    def test_advanced_seeds_give_later_draws(self):
+        seeds = np.array([0, 1, 2**63 + 5, MASK], dtype=np.uint64)
+        block = rng.draws_at(rng.advanced_seeds(seeds, 4), 7)
+        assert block.shape == (4, 4)
+        for i, row in enumerate(block.tolist()):
+            assert row == [rng.draw(s, 7 + i) for s in seeds.tolist()]
 
     def test_unit_doubles_matches_scalar(self):
         values = np.array([0, 1 << 11, MASK], dtype=np.uint64)
