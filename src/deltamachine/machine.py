@@ -240,9 +240,8 @@ def run_ensemble(
     total = state.total
     if meas.k > total:
         raise ValueError(f"tranche size k={meas.k} exceeds cluster size K={total}")
-    charges = np.array(
-        [s.charge for s in spheres_for_state(state)], dtype=np.int8
-    )
+    # The charges of spheres_for_state(state), positive first, without the objects.
+    charges = np.repeat(np.array([1, -1], np.int8), (state.k_plus, state.k_minus))
     return run_counted(
         n_trials,
         seed,

@@ -82,11 +82,6 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer over an array; the input is left untouched."""
-    return _mix64_inplace(np.array(z, dtype=np.uint64, copy=True))
-
-
 def draws_at(seeds: np.ndarray, index: int) -> np.ndarray:
     """Draw ``index`` of many streams at once (``seeds`` is a uint64 array)."""
     base = np.empty(np.shape(seeds), dtype=np.uint64)  # also for 0-d seeds

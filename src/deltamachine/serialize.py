@@ -1,10 +1,11 @@
-"""JSON payloads, their parsers, and the CSV rows of every CLI command.
+"""JSON payloads and the CSV rows of every CLI command.
 
-Exact rationals are serialized as ``{"num", "den"}`` integer pairs plus a
-``decimal`` convenience field; golden comparisons and round-trips use only
-the integer pair.  Every command's CSV header and rows are built here from
-its JSON payload (the ``*_csv_rows`` functions), so the two formats always
-carry identical values.
+Serialization goes one way: library result -> JSON payload -> CSV rows.
+Every exact value is carried as integers: a rational as a ``{"num", "den"}``
+pair plus an advisory ``decimal`` field, a sphere state as its
+``(k_plus, k_minus)`` counts.  Every command's CSV header and rows are built
+here from its JSON payload (the ``*_csv_rows`` functions), so the two formats
+always carry identical values.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import Any
 
 from .elastic import OutcomePair
 from .ensemble import EnsembleResult
-from .regimes import Regime, RegimeVerdict, Witness, WitnessKind
+from .regimes import RegimeVerdict, Witness
 from .scattering import ScatteringAmplitudes
-from .spheres import ElectricState, ProbabilityTable, ProbabilityTableRow
+from .spheres import ProbabilityTable
 
 
 def fraction_payload(value: Fraction) -> dict[str, Any]:
@@ -25,10 +26,6 @@ def fraction_payload(value: Fraction) -> dict[str, Any]:
         "den": value.denominator,
         "decimal": float(value),
     }
-
-
-def fraction_from_payload(payload: dict[str, Any]) -> Fraction:
-    return Fraction(payload["num"], payload["den"])
 
 
 def _fraction_columns(name: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -48,24 +45,6 @@ def table_payload(table: ProbabilityTable) -> dict[str, Any]:
         for row in table.rows
     ]
     return {"command": "tables", "K": table.K, "states": states, "rows": rows}
-
-
-def table_from_payload(payload: dict[str, Any]) -> ProbabilityTable:
-    K = payload["K"]
-    states = tuple(
-        ElectricState(s["k_plus"], s["k_minus"]) for s in payload["states"]
-    )
-    rows = tuple(
-        ProbabilityTableRow(
-            k=row["k"],
-            entries=tuple(
-                (state, fraction_from_payload(cell))
-                for state, cell in zip(states, row["cells"])
-            ),
-        )
-        for row in payload["rows"]
-    )
-    return ProbabilityTable(K=K, rows=rows)
 
 
 def table_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
@@ -127,27 +106,11 @@ def convergence_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[
     return list(records[0]), [list(record.values()) for record in records]
 
 
-def ensemble_from_payload(payload: dict[str, Any]) -> EnsembleResult:
-    return EnsembleResult(
-        n_trials=payload["n_trials"],
-        transmitted=payload["transmitted"],
-        frequency=fraction_from_payload(payload["frequency"]),
-        half_width=payload["half_width"],
-        z=payload["z"],
-        seed=payload["seed"],
-        generator=payload["generator"],
-    )
-
-
 # -- outcome pairs -------------------------------------------------------------
 
 
 def outcome_pair_payload(pair: OutcomePair) -> dict[str, float]:
     return {"p_plus": pair.p_plus, "p_minus": pair.p_minus}
-
-
-def outcome_pair_from_payload(payload: dict[str, Any]) -> OutcomePair:
-    return OutcomePair(p_plus=payload["p_plus"], p_minus=payload["p_minus"])
 
 
 def epsilon_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
@@ -183,16 +146,6 @@ def scatter_point_payload(
     }
 
 
-def amplitudes_from_payload(point: dict[str, Any]) -> ScatteringAmplitudes:
-    return ScatteringAmplitudes(
-        transmission=complex(
-            point["transmission"]["re"], point["transmission"]["im"]
-        ),
-        reflection=complex(point["reflection"]["re"], point["reflection"]["im"]),
-        energy=point["energy"],
-    )
-
-
 def scatter_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
     header = ["energy", "t_re", "t_im", "r_re", "r_im", "p_tr", "p_re", "jump_residual"]
     rows = [
@@ -223,13 +176,6 @@ def witness_payload(witness: Witness) -> dict[str, Any]:
     }
 
 
-def witness_from_payload(payload: dict[str, Any]) -> Witness:
-    state = None
-    if payload["k_plus"] is not None:
-        state = ElectricState(payload["k_plus"], payload["k_minus"])
-    return Witness(kind=WitnessKind(payload["kind"]), state=state)
-
-
 def verdicts_payload(verdicts: dict[int, RegimeVerdict]) -> dict[str, Any]:
     return {
         "verdicts": {str(k): v.verdict.value for k, v in verdicts.items()},
@@ -254,17 +200,3 @@ def classify_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any
         witnesses = ";".join(witness_label(w) for w in payload["witnesses"][key])
         rows.append([int(key), verdict, witnesses, payload["notes"][key] or ""])
     return ["k", "verdict", "witnesses", "note"], rows
-
-
-def verdicts_from_payload(payload: dict[str, Any]) -> dict[int, RegimeVerdict]:
-    out: dict[int, RegimeVerdict] = {}
-    for key, name in payload["verdicts"].items():
-        witnesses = tuple(
-            witness_from_payload(w) for w in payload["witnesses"][key]
-        )
-        out[int(key)] = RegimeVerdict(
-            verdict=Regime(name),
-            witnesses=witnesses,
-            note=payload["notes"][key],
-        )
-    return out

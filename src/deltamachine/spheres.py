@@ -174,10 +174,6 @@ class ProbabilityTableRow:
     k: int
     entries: tuple[tuple[ElectricState, ExactProbability], ...]
 
-    @property
-    def total(self) -> int:
-        return self.entries[0][0].total
-
     def probabilities(self) -> tuple[ExactProbability, ...]:
         return tuple(p for _, p in self.entries)
 

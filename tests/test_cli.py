@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from deltamachine import cli, golden, serialize
+from deltamachine import cli, golden
 from deltamachine.spheres import probability_table
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -30,6 +30,18 @@ def parse_json(out):
 def parse_csv(out):
     rows = list(csv.reader(io.StringIO(out)))
     return rows[0], rows[1:]
+
+
+def assert_exact_table(payload, table):
+    """Every state and every cell of a ``tables`` payload equals the library's."""
+    assert payload["K"] == table.K
+    for row, library_row in zip(payload["rows"], table.rows, strict=True):
+        assert row["k"] == library_row.k
+        assert [(s["k_plus"], s["k_minus"]) for s in payload["states"]] == [
+            (s.k_plus, s.k_minus) for s, _ in library_row.entries
+        ]
+        cells = [Fraction(cell["num"], cell["den"]) for cell in row["cells"]]
+        assert cells == list(library_row.probabilities())
 
 
 class TestExitCodes:
@@ -80,11 +92,11 @@ class TestGoldenTables:
 
 
 class TestTables:
-    def test_json_round_trips_to_exact_table(self, capsys):
+    def test_json_carries_the_exact_table(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "--K", "7", "--format", "json")
         assert code == 0
         payload = parse_json(out)
-        assert serialize.table_from_payload(payload) == probability_table(7)
+        assert_exact_table(payload, probability_table(7))
         # spot-check a famous cell: k=3 at energy 4/3 is 22/35
         cell = payload["rows"][2]["cells"][4]
         assert (cell["num"], cell["den"]) == (22, 35)
@@ -238,8 +250,12 @@ class TestClassify:
             "4": "Intermediate",
             "5": "Classical",
         }
-        restored = serialize.verdicts_from_payload(payload)
-        assert restored[3].witnesses[0].state.k_plus == 1
+        assert payload["witnesses"]["3"][0] == {
+            "kind": "NonQuantumZeroTransmission",
+            "k_plus": 1,
+            "k_minus": 4,
+        }
+        assert payload["notes"] == {str(k): None for k in range(1, 6)}
 
     def test_text_lists_witnesses(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--K", "5")
@@ -304,7 +320,7 @@ class TestOutputDestinations:
             capsys, "tables", "--K", "3", "--format", "json", "--output", str(target)
         )
         assert code == 0 and out == ""
-        assert serialize.table_from_payload(json.loads(target.read_text())) == probability_table(3)
+        assert_exact_table(json.loads(target.read_text()), probability_table(3))
 
     def test_env_output_used_as_default(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "out.txt"

@@ -1,35 +1,63 @@
-"""Lossless JSON round-trips for every serialized result type."""
+"""JSON payloads are lossless: every field, sent through ``json``, equals the
+library value it was built from.
+
+Exact values travel as integers (rationals as ``num``/``den`` pairs, sphere
+states as ``k_plus``/``k_minus`` counts), so the checks below are equalities,
+never tolerances.
+"""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
+import pytest
+
 from deltamachine import serialize
+from deltamachine.elastic import ElasticExperiment, epsilon_probabilities
 from deltamachine.machine import run_ensemble
-from deltamachine.regimes import classify_table
+from deltamachine.regimes import classify_row, classify_table
 from deltamachine.scattering import (
     amplitudes,
     jump_condition_residual,
     reflection_probability,
     transmission_probability,
 )
-from deltamachine.spheres import ElectricState, KMeasurement, probability_table
+from deltamachine.spheres import (
+    ElectricState,
+    KMeasurement,
+    ProbabilityTableRow,
+    probability_table,
+)
 
 
 def through_json(payload):
     return json.loads(json.dumps(payload))
 
 
-def test_fraction_round_trip():
-    for f in (Fraction(0), Fraction(22, 35), Fraction(1)):
-        payload = serialize.fraction_payload(f)
+def test_fraction_payload_is_exact():
+    for f in (Fraction(0), Fraction(22, 35), Fraction(1), Fraction(2**70 + 1, 3**45)):
+        payload = through_json(serialize.fraction_payload(f))
         assert set(payload) == {"num", "den", "decimal"}
-        assert serialize.fraction_from_payload(through_json(payload)) == f
+        assert (payload["num"], payload["den"]) == (f.numerator, f.denominator)
+        assert Fraction(payload["num"], payload["den"]) == f
+        assert payload["decimal"] == float(f)
 
 
-def test_table_round_trip():
+def test_table_payload_is_exact():
     table = probability_table(5)
     payload = through_json(serialize.table_payload(table))
-    assert serialize.table_from_payload(payload) == table
+    assert (payload["command"], payload["K"]) == ("tables", table.K)
+    # One list of states serves every row, so it must be every row's states.
+    states = [(s["k_plus"], s["k_minus"]) for s in payload["states"]]
+    for row in table.rows:
+        assert states == [(s.k_plus, s.k_minus) for s, _ in row.entries]
+    assert [s["energy"] for s in payload["states"]] == [
+        s.energy_label for s, _ in table.rows[0].entries
+    ]
+    assert [row["k"] for row in payload["rows"]] == [row.k for row in table.rows]
+    for row, library_row in zip(payload["rows"], table.rows):
+        cells = [Fraction(cell["num"], cell["den"]) for cell in row["cells"]]
+        assert cells == list(library_row.probabilities())
 
 
 def test_table_csv_values_match_payload():
@@ -41,33 +69,61 @@ def test_table_csv_values_match_payload():
     assert by_cell[(1, 1)] == (1, 3)
 
 
-def test_ensemble_round_trip():
+def test_ensemble_payload_is_exact():
     result = run_ensemble(ElectricState(2, 1), KMeasurement(1), 1000, 42)
     payload = through_json(serialize.ensemble_payload(result))
-    assert serialize.ensemble_from_payload(payload) == result
+    assert set(payload) == {field.name for field in fields(result)}
+    frequency = payload.pop("frequency")
+    assert Fraction(frequency["num"], frequency["den"]) == result.frequency
+    for name, value in payload.items():
+        assert value == getattr(result, name), name
 
 
-def test_amplitudes_round_trip():
+def test_amplitudes_payload_is_exact():
     amp = amplitudes(2.5)
-    point = serialize.scatter_point_payload(
-        amp,
-        transmission_probability(2.5),
-        reflection_probability(2.5),
-        jump_condition_residual(2.5),
-    )
-    restored = serialize.amplitudes_from_payload(through_json(point))
-    assert restored == amp
+    p_tr = transmission_probability(2.5)
+    p_re = reflection_probability(2.5)
+    residual = jump_condition_residual(2.5)
+    point = through_json(serialize.scatter_point_payload(amp, p_tr, p_re, residual))
+    assert point["energy"] == amp.energy
+    for name in ("transmission", "reflection"):
+        value = point[name]
+        assert complex(value["re"], value["im"]) == getattr(amp, name), name
+    assert (point["p_transmission"], point["p_reflection"]) == (p_tr, p_re)
+    assert point["jump_residual"] == residual
 
 
-def test_verdicts_round_trip():
-    verdicts = classify_table(6)
+def _noted_verdicts():
+    # Indeterministic, no transmission zeros, off the Born curve: the only
+    # kind of row whose verdict carries a note (see test_regimes).
+    states = [ElectricState(i, 3 - i) for i in range(4)]
+    probabilities = [Fraction(p) for p in ("0", "1/3", "1/2", "1")]
+    row = ProbabilityTableRow(k=2, entries=tuple(zip(states, probabilities)))
+    return {2: classify_row(row)}
+
+
+@pytest.mark.parametrize("verdicts", [classify_table(6), _noted_verdicts()])
+def test_verdicts_payload_is_exact(verdicts):
     payload = through_json(serialize.verdicts_payload(verdicts))
-    assert serialize.verdicts_from_payload(payload) == verdicts
+    for part in ("verdicts", "witnesses", "notes"):
+        assert list(payload[part]) == [str(k) for k in verdicts], part
+    for k, verdict in verdicts.items():
+        assert payload["verdicts"][str(k)] == verdict.verdict.value
+        witnesses = [
+            (w["kind"], w["k_plus"], w["k_minus"]) for w in payload["witnesses"][str(k)]
+        ]
+        assert witnesses == [
+            (
+                w.kind.value,
+                None if w.state is None else w.state.k_plus,
+                None if w.state is None else w.state.k_minus,
+            )
+            for w in verdict.witnesses
+        ]
+        assert payload["notes"][str(k)] == verdict.note
 
 
-def test_outcome_pair_round_trip():
-    from deltamachine.elastic import ElasticExperiment, epsilon_probabilities
-
+def test_outcome_pair_payload_is_exact():
     pair = epsilon_probabilities(ElasticExperiment(1.1, 0.7))
     payload = through_json(serialize.outcome_pair_payload(pair))
-    assert serialize.outcome_pair_from_payload(payload) == pair
+    assert payload == {"p_plus": pair.p_plus, "p_minus": pair.p_minus}
