@@ -38,6 +38,7 @@ from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
     KMeasurement,
+    as_int,
     probability_table,
 )
 
@@ -268,6 +269,7 @@ class EmpiricalTable:
     rows: tuple[EmpiricalRow, ...]
 
     def row(self, k: int) -> EmpiricalRow:
+        k = as_int(k, "k")
         if not 1 <= k <= self.K:
             raise KeyError(f"no row for k={k} in a K={self.K} table")
         return self.rows[k - 1]

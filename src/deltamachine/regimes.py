@@ -18,22 +18,31 @@ fractional probability certifies non-classicality.
 Degenerate tiny-K rows can satisfy several criteria at once; the verdict
 precedence is Classical > ClassicalWithTie > Quantum > Intermediate
 (determinism is the strongest, most falsifiable property).
+
+Every criterion is decided on integers.  A cell P = num / den, with
+den > 0 and the pair reduced or not, is fractional iff 0 < num < den, the
+balanced half iff 2 num = den, the Born value iff num K = K+ den, and a
+transmission zero iff num = 0.  :func:`classify_table` reads the odd-row
+subset counts of the table builder directly and never forms a ``Fraction``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+# ``probability_table`` is not called here, but stays importable from this
+# module: bench/tracing.py wraps ``regimes.probability_table``.
 from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
     ProbabilityTableRow,
+    _odd_columns,
+    _table_size,
     probability_table,
 )
-
-HALF = Fraction(1, 2)
 
 
 class Regime(Enum):
@@ -79,6 +88,13 @@ _UNDECIDED_NOTE = (
     "realizability by some other 1-D potential is not decided here"
 )
 
+_CLASSICAL = RegimeVerdict(
+    verdict=Regime.CLASSICAL, witnesses=(Witness(WitnessKind.ALL_DETERMINISTIC),)
+)
+_QUANTUM = RegimeVerdict(
+    verdict=Regime.QUANTUM, witnesses=(Witness(WitnessKind.MATCHES_BORN_RULE),)
+)
+
 
 def _validated_entries(
     row: ProbabilityTableRow,
@@ -86,6 +102,12 @@ def _validated_entries(
     entries = tuple(row.entries)
     if not entries:
         raise ValueError("row has no entries")
+    for i, (state, _) in enumerate(entries):
+        if not isinstance(state, ElectricState):
+            raise TypeError(
+                f"entry {i} has state of type {type(state).__name__}; "
+                "expected ElectricState"
+            )
     total = entries[0][0].total
     if len(entries) != total + 1:
         raise ValueError(
@@ -99,7 +121,10 @@ def _validated_entries(
                 f"entry {i} has state ({state.k_plus}, {state.k_minus}); "
                 f"expected ({i}, {total - i})"
             )
-        p = Fraction(p)
+        try:
+            p = Fraction(p)
+        except OverflowError:
+            raise ValueError(f"probability {p!r} at K+={i} is not finite") from None
         if p < 0 or p > 1:
             raise ValueError(f"probability {p} at K+={i} is outside [0, 1]")
         checked.append((state, p))
@@ -118,54 +143,61 @@ def wronskian_witnesses(row: ProbabilityTableRow) -> tuple[ElectricState, ...]:
     return tuple(s for s, p in entries if s.k_plus >= 1 and p == 0)
 
 
-def _classify_entries(
-    entries: tuple[tuple[ElectricState, Fraction], ...], total: int
-) -> RegimeVerdict:
-    """Verdict of a well-formed row.
+def _witnesses(
+    cache: dict[WitnessKind, dict[int, Witness]],
+    kind: WitnessKind,
+    k_plus: Iterable[int],
+    total: int,
+) -> tuple[Witness, ...]:
+    """Witnesses of ``kind`` for the states K+ in ``k_plus``, built once each."""
+    known = cache.setdefault(kind, {})
+    found = []
+    for i in k_plus:
+        witness = known.get(i)
+        if witness is None:
+            witness = known[i] = Witness(kind, ElectricState(i, total - i))
+        found.append(witness)
+    return tuple(found)
 
-    ``entries[i]`` must hold state K+ = i and a ``Fraction`` in [0, 1]:
-    :func:`classify_row` checks this, and :func:`probability_table` builds
-    only such rows.
+
+def _row_verdict(
+    cells: Sequence[tuple[int, int]],
+    cache: dict[WitnessKind, dict[int, Witness]],
+) -> RegimeVerdict:
+    """Verdict of a row whose cell K+ = i is P = num / den, ``cells[i]``.
+
+    Each pair must have den > 0 and 0 <= num <= den; it need not be reduced.
+    ``cache`` holds the witnesses built so far; the rows of one table share
+    it, so each (kind, state) has one :class:`Witness`.
     """
-    fractional = [i for i, (_, p) in enumerate(entries) if p.denominator != 1]
+    total = len(cells) - 1
+    fractional = [i for i, (num, den) in enumerate(cells) if 0 < num < den]
     if not fractional:
-        return RegimeVerdict(
-            verdict=Regime.CLASSICAL,
-            witnesses=(Witness(WitnessKind.ALL_DETERMINISTIC),),
-        )
+        return _CLASSICAL
 
     if total % 2 == 0 and fractional == [total // 2]:
-        balanced_state, balanced_p = entries[total // 2]
-        if balanced_p == HALF:
+        num, den = cells[total // 2]
+        if 2 * num == den:
             return RegimeVerdict(
                 verdict=Regime.CLASSICAL_WITH_TIE,
-                witnesses=(
-                    Witness(
-                        WitnessKind.DETERMINISTIC_EXCEPT_BALANCED_HALF,
-                        balanced_state,
-                    ),
+                witnesses=_witnesses(
+                    cache,
+                    WitnessKind.DETERMINISTIC_EXCEPT_BALANCED_HALF,
+                    fractional,
+                    total,
                 ),
             )
 
     # Born value K+/K, cross-multiplied; at K+ = K it is 1.
-    born = all(
-        p.numerator * total == i * p.denominator
-        for i, (_, p) in enumerate(entries)
-    )
-    if born:
-        return RegimeVerdict(
-            verdict=Regime.QUANTUM,
-            witnesses=(Witness(WitnessKind.MATCHES_BORN_RULE),),
-        )
+    if all(num * total == i * den for i, (num, den) in enumerate(cells)):
+        return _QUANTUM
 
-    zero_witnesses = tuple(
-        Witness(WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION, s)
-        for s, p in entries[1:]
-        if p.numerator == 0
+    zeros = [i for i, (num, _) in enumerate(cells) if i and num == 0]
+    zero_witnesses = _witnesses(
+        cache, WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION, zeros, total
     )
-    indeterminism_witnesses = tuple(
-        Witness(WitnessKind.NON_CLASSICAL_INDETERMINISM, entries[i][0])
-        for i in fractional
+    indeterminism_witnesses = _witnesses(
+        cache, WitnessKind.NON_CLASSICAL_INDETERMINISM, fractional, total
     )
     return RegimeVerdict(
         verdict=Regime.INTERMEDIATE,
@@ -178,10 +210,13 @@ def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
     """Classify one table row; see the module docstring for the criteria.
 
     The row is validated first, and entries of any rational type (``int``,
-    ``str``, ``Fraction``...) are converted to ``Fraction``.
+    ``str``, ``Fraction``...) are converted to ``Fraction``.  States that
+    are not :class:`ElectricState` raise ``TypeError``; a misshapen row or
+    a probability that is not finite or lies outside [0, 1] raises
+    ``ValueError``.
     """
     entries = _validated_entries(row)
-    return _classify_entries(entries, entries[0][0].total)
+    return _row_verdict([(p.numerator, p.denominator) for _, p in entries], {})
 
 
 def classify_table(
@@ -189,15 +224,24 @@ def classify_table(
 ) -> dict[int, RegimeVerdict]:
     """Classify every row k = 1..K of the exact transmission table.
 
-    The rows come from :func:`probability_table`, so they skip the
-    validation of :func:`classify_row`; an even row that shares its odd
-    neighbour's entries shares its verdict too.
+    No table is built: each odd row is classified on the integer subset
+    counts (num, C(K, k)) that the table builder turns into ``Fraction``s,
+    with P = 0 or 1 from each column's determinism threshold on, and the
+    even row k + 1, which equals row k, shares its verdict.  The rows share
+    one :class:`Witness` per state and kind.  The verdicts equal those of
+    :func:`classify_row` on the rows of :func:`probability_table`.
     """
-    table = probability_table(K, ceiling=ceiling)
+    K = _table_size(K, ceiling)
+    n_odd = (K + 1) // 2
+    columns = [
+        cells + [(certain, 1)] * (n_odd - len(cells))
+        for cells, certain in _odd_columns(K)
+    ]
+    cache: dict[WitnessKind, dict[int, Witness]] = {}
     verdicts: dict[int, RegimeVerdict] = {}
-    for i, row in enumerate(table.rows):
-        if i and row.entries is table.rows[i - 1].entries:
-            verdicts[row.k] = verdicts[row.k - 1]
-        else:
-            verdicts[row.k] = _classify_entries(row.entries, table.K)
+    for j, cells in enumerate(zip(*columns)):
+        verdict = _row_verdict(cells, cache)
+        verdicts[2 * j + 1] = verdict
+        if 2 * j + 2 <= K:
+            verdicts[2 * j + 2] = verdict
     return verdicts

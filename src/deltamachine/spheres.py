@@ -13,9 +13,13 @@ charge composition gives a hypergeometric sum over binomial coefficients.
 Full tables instead walk each column (fixed K+) up the odd tranche sizes:
 the count of positive-majority k-subsets at k + 2 follows from the count at
 k in O(1) big-integer steps, so a table costs O(K^2) cells rather than O(K^3)
-terms.  Each even row k equals the odd row k - 1, and columns with
-K+ > K/2 follow from the charge-swap identity P(K+, K-) = 1 - P(K-, K+).
-The table builder never calls the closed form, so the two check each other.
+terms.  A column stops at its determinism threshold 2 min(K+, K-) + 1,
+from which on every cell is exactly 0 or 1, so about half of the cells are
+shared constants and never computed.  Each even row k equals the odd row
+k - 1, and columns with K+ > K/2 follow from the charge-swap identity
+P(K+, K-) = 1 - P(K-, K+).  The table builder never calls the closed form,
+so the two check each other; the regime classifier reads the builder's
+integer counts directly.
 Floats never enter; rendering a value as a decimal is presentation-side only.
 """
 
@@ -186,26 +190,32 @@ class ProbabilityTable:
     rows: tuple[ProbabilityTableRow, ...]
 
     def row(self, k: int) -> ProbabilityTableRow:
+        k = as_int(k, "k")
         if not 1 <= k <= self.K:
             raise KeyError(f"no row for k={k} in a K={self.K} table")
         return self.rows[k - 1]
 
     def value(self, k: int, k_plus: int) -> ExactProbability:
         row = self.row(k)
+        k_plus = as_int(k_plus, "k_plus")
         if not 0 <= k_plus <= self.K:
             raise KeyError(f"no column for k_plus={k_plus} in a K={self.K} table")
         return row.entries[k_plus][1]
 
 
 def _odd_counts(k_plus: int, k_minus: int) -> list[tuple[int, int]]:
-    """``(S, C(K, k))`` of one state for k = 1, 3, 5, ... <= K.
+    """``(S, C(K, k))`` of a state with K+ <= K- for odd k below its threshold.
 
     ``S`` counts the k-subsets with a positive majority, so P(k) = S / C(K, k)
-    for odd k.  Extending a k-subset by an ordered pair of the K - k spheres
-    left changes its majority only when it sits one sphere from the boundary:
-    a subset with j = (k-1)/2 positives gains one with two more positives,
-    and a subset with j + 1 positives loses it with two more negatives.
-    Every (k+2)-subset arises from (k+1)(k+2) ordered extensions, hence::
+    for odd k.  The list runs over k = 1, 3, ..., 2 K+ - 1: from the
+    determinism threshold 2 K+ + 1 on, no k-subset has a positive majority
+    and S = 0, so those rows are not computed (K+ = 0 gives an empty list).
+
+    Extending a k-subset by an ordered pair of the K - k spheres left changes
+    its majority only when it sits one sphere from the boundary: a subset
+    with j = (k-1)/2 positives gains one with two more positives, and a
+    subset with j + 1 positives loses it with two more negatives.  Every
+    (k+2)-subset arises from (k+1)(k+2) ordered extensions, hence::
 
         S(k+2) = [ S(k) (K-k)(K-k-1)
                    + C(K+, j) C(K-, j+1) (K+ - j)(K+ - j - 1)
@@ -214,12 +224,14 @@ def _odd_counts(k_plus: int, k_minus: int) -> list[tuple[int, int]]:
     and the division is exact.  The four binomials slide up by one in j
     per step.
     """
+    if k_plus == 0:
+        return []
     total = k_plus + k_minus
     subsets, majority = total, k_plus  # C(K, 1) and S(1)
     plus_j, plus_next = 1, k_plus  # C(K+, j), C(K+, j+1) at j = 0
     minus_j, minus_next = 1, k_minus  # C(K-, j), C(K-, j+1)
     counts = [(majority, subsets)]
-    for j in range((total - 1) // 2):
+    for j in range(k_plus - 1):
         k = 2 * j + 1
         free = (total - k) * (total - k - 1)
         step = (k + 1) * (k + 2)
@@ -233,29 +245,58 @@ def _odd_counts(k_plus: int, k_minus: int) -> list[tuple[int, int]]:
     return counts
 
 
+def _table_size(K: object, ceiling: int) -> int:
+    """``K`` as an ``int``, checked to lie in 1..ceiling."""
+    K = as_int(K, "K")
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    if K > ceiling:
+        raise ValueError(f"K={K} exceeds the table ceiling {ceiling}")
+    return K
+
+
+def _odd_columns(K: int) -> list[tuple[list[tuple[int, int]], int]]:
+    """Every column K+ = 0..K of the odd rows k = 1, 3, ... of the K table.
+
+    Column K+ is ``(cells, certain)``.  ``cells`` holds P = num / den as
+    ``(num, C(K, k))`` for the odd k below the determinism threshold
+    2 min(K+, K-) + 1, and from the threshold on every odd row has
+    P = ``certain``: 0 in a column K+ < K/2 and 1 in its charge swap.  A
+    column K+ > K/2 is the swap of column K - K+: an odd tranche never ties,
+    so P(K+, K-) = 1 - P(K-, K+) = (C(K, k) - S) / C(K, k).  The cells are
+    not reduced.
+    """
+    half = [_odd_counts(i, K - i) for i in range(K // 2 + 1)]
+    return [(cells, 0) for cells in half] + [
+        ([(c - s, c) for s, c in half[K - i]], 1) for i in range(K // 2 + 1, K + 1)
+    ]
+
+
+#: Table cells at and above the determinism threshold, shared by every table.
+_CERTAIN = (Fraction(0), Fraction(1))
+
+
 def probability_table(
     K: int, *, ceiling: int = DEFAULT_TABLE_CEILING
 ) -> ProbabilityTable:
     """Full K x (K+1) grid of exact transmission probabilities.
 
     Rows run over tranche sizes k = 1..K, columns over states K+ = 0..K
-    (equivalently over increasing energy label K+/K-).  Each column with
-    K+ <= K/2 comes from the odd-k recurrence of :func:`_odd_counts`.  The
-    column of K+ > K/2 is the charge swap of column K - K+: an odd tranche
-    never ties, so P(K+, K-) = 1 - P(K-, K+) = (C(K, k) - S) / C(K, k).  Row
-    k + 1 of an odd k shares row k's entries, the pairwise equality
-    P(k + 1) = P(k).
+    (equivalently over increasing energy label K+/K-).  The odd rows come
+    from :func:`_odd_columns`: each column K+ <= K/2 runs the recurrence of
+    :func:`_odd_counts` only up to its determinism threshold
+    2 min(K+, K-) + 1, and the cells from there on, about half the table,
+    are the shared constants ``Fraction(0)`` in column K+ and
+    ``Fraction(1)`` in the swapped column K - K+.  Every computed cell is
+    one ``Fraction``.  Row k + 1 of an odd k shares row k's entries, the
+    pairwise equality P(k + 1) = P(k).
     """
-    K = as_int(K, "K")
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    if K > ceiling:
-        raise ValueError(f"K={K} exceeds the table ceiling {ceiling}")
-    counts = [_odd_counts(i, K - i) for i in range(K // 2 + 1)]
-    columns = [[Fraction(s, c) for s, c in column] for column in counts]
-    columns += [
-        [Fraction(c - s, c) for s, c in counts[K - i]]
-        for i in range(K // 2 + 1, K + 1)
+    K = _table_size(K, ceiling)
+    n_odd = (K + 1) // 2
+    columns = [
+        [Fraction(num, den) for num, den in cells]
+        + [_CERTAIN[certain]] * (n_odd - len(cells))
+        for cells, certain in _odd_columns(K)
     ]
     states = tuple(ElectricState(i, K - i) for i in range(K + 1))
     rows = []

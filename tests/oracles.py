@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: probabilities come
 from literal enumeration of every possible first tranche, never from the
-closed-form sums under test.
+closed-form sums under test, and rows are classified on ``Fraction`` values
+straight from the criteria, never on the integer counts the library uses.
 """
 
 from __future__ import annotations
@@ -41,3 +42,39 @@ def cubic_tranche_transmission(k_plus: int, total: int) -> Fraction:
         k_plus * (k_plus - 1) * (3 * total - 2 * k_plus - 2),
         total * (total - 1) * (total - 2),
     )
+
+
+def reference_verdict(
+    probabilities: list[Fraction],
+) -> tuple[str, list[tuple[str, tuple[int, int] | None]], bool]:
+    """Regime of one row, written from the criteria in the regimes docstring.
+
+    ``probabilities[i]`` is the transmission probability of the state
+    K+ = i.  Returns the verdict name, the witnesses as (kind name, state
+    (K+, K-) or None) in the library's order, and whether a note is due.
+    """
+    K = len(probabilities) - 1
+    fractional = [i for i, p in enumerate(probabilities) if p not in (0, 1)]
+    if not fractional:
+        return "Classical", [("AllDeterministic", None)], False
+    balanced = K // 2
+    if (
+        K % 2 == 0
+        and fractional == [balanced]
+        and probabilities[balanced] == Fraction(1, 2)
+    ):
+        return (
+            "ClassicalWithTie",
+            [("DeterministicExceptBalancedHalf", (balanced, balanced))],
+            False,
+        )
+    born = [born_transmission(i, K) for i in range(K)] + [Fraction(1)]
+    if probabilities == born:
+        return "Quantum", [("MatchesBornRule", None)], False
+    zeros = [
+        ("NonQuantumZeroTransmission", (i, K - i))
+        for i in range(1, K + 1)
+        if probabilities[i] == 0
+    ]
+    indeterminate = [("NonClassicalIndeterminism", (i, K - i)) for i in fractional]
+    return "Intermediate", zeros + indeterminate, not zeros

@@ -335,6 +335,13 @@ class TestEmpiricalTable:
         with pytest.raises(ValueError):
             empirical_table(80, 10, 1)
 
+    def test_row_index_types(self):
+        table = empirical_table(2, 10, 5)
+        assert table.row(np.int64(2)) is table.rows[1]
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError):
+                table.row(bad)
+
 
 def test_exact_expectation_reference():
     # The cell the CLI example uses: expected exactly 2/3.

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from deltamachine import regimes, spheres
 from deltamachine.regimes import (
     Regime,
     WitnessKind,
@@ -20,6 +21,8 @@ from deltamachine.spheres import (
     probability_table,
     transmission_probability_exact,
 )
+
+from oracles import reference_verdict
 
 
 def make_row(k, values):
@@ -92,6 +95,23 @@ class TestClassifyRow:
         )
         with pytest.raises(ValueError):
             classify_row(swapped)
+
+    def test_rejects_non_state_entries(self):
+        row = ProbabilityTableRow(k=1, entries=((0, Fraction(0)), (1, Fraction(1))))
+        with pytest.raises(TypeError):
+            classify_row(row)
+        with pytest.raises(TypeError):
+            wronskian_witnesses(row)
+
+    def test_rejects_infinite_probability(self):
+        row = ProbabilityTableRow(
+            k=1,
+            entries=((ElectricState(0, 1), 0), (ElectricState(1, 0), float("inf"))),
+        )
+        with pytest.raises(ValueError):
+            classify_row(row)
+        with pytest.raises(ValueError):
+            wronskian_witnesses(row)
 
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
@@ -172,9 +192,19 @@ class TestClassifyTable:
         assert table.row(K - 1).probabilities() == table.row(K).probabilities()
 
 
+def plain_verdict(verdict):
+    """A verdict in the plain form of ``oracles.reference_verdict``."""
+    witnesses = [
+        (w.kind.value, None if w.state is None else (w.state.k_plus, w.state.k_minus))
+        for w in verdict.witnesses
+    ]
+    return verdict.verdict.value, witnesses, verdict.note is not None
+
+
 class TestClassifyTableFastPath:
-    """``classify_table`` skips row validation; it must agree with
-    ``classify_row``, which validates and converts every entry."""
+    """``classify_table`` reads integer subset counts and builds no table;
+    it must agree with ``classify_row`` on the rows of ``probability_table``,
+    which validates and converts every entry."""
 
     def test_matches_classify_row(self):
         for K in range(1, 41):
@@ -183,6 +213,31 @@ class TestClassifyTableFastPath:
             assert list(verdicts) == list(range(1, K + 1))
             for k, verdict in verdicts.items():
                 assert verdict == classify_row(table.row(k))
+
+    @pytest.mark.parametrize("K", [64, 65, 127, 128])
+    def test_matches_classify_row_large(self, K):
+        table = probability_table(K, ceiling=K)
+        verdicts = classify_table(K, ceiling=K)
+        assert list(verdicts) == list(range(1, K + 1))
+        for k, verdict in verdicts.items():
+            assert verdict == classify_row(table.row(k))
+
+    def test_builds_no_table(self, monkeypatch):
+        expected = classify_table(64)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("classify_table built a probability table")
+
+        monkeypatch.setattr(regimes, "probability_table", no_table)
+        monkeypatch.setattr(spheres, "probability_table", no_table)
+        assert classify_table(64) == expected
+
+    def test_matches_reference_classifier(self):
+        for K in range(1, 41):
+            table = probability_table(K)
+            for k, verdict in classify_table(K).items():
+                probabilities = list(table.row(k).probabilities())
+                assert plain_verdict(verdict) == reference_verdict(probabilities)
 
     def test_verdict_pattern(self):
         # Independent of the shared row core: rows 1-2 are Born, the top

@@ -262,6 +262,23 @@ class TestProbabilityTable:
         assert table.K == 3 and type(table.K) is int
         assert table.rows == probability_table(3).rows
 
+    def test_bool_and_float_indices_rejected(self):
+        table = probability_table(3)
+        for bad in (True, False, 1.0):
+            with pytest.raises(TypeError):
+                table.row(bad)
+            with pytest.raises(TypeError):
+                table.value(bad, 1)
+            with pytest.raises(TypeError):
+                table.value(1, bad)
+
+    def test_numpy_integer_indices(self):
+        table = probability_table(3)
+        assert table.row(np.int64(2)) is table.rows[1]
+        assert table.value(np.int64(1), np.int64(2)) == Fraction(2, 3)
+        with pytest.raises(KeyError):
+            table.row(np.int64(4))
+
 
 class TestTableRecurrence:
     """The column recurrence against the closed form and the enumeration."""
@@ -294,7 +311,11 @@ class TestTableRecurrence:
                 assert all(probs[i] == 1 - probs[K - i] for i in range(K + 1))
         for k_plus in (0, 1, 2, 37, 100, 128, 129, 200, 255, 256):
             state = ElectricState(k_plus, K - k_plus)
-            for k in range(1, K + 1, 17):
+            # The recurrence stops below the determinism threshold: check the
+            # last computed odd row and the first filled one as well.
+            threshold = determinism_threshold(state)
+            edges = [k for k in (threshold - 2, threshold) if 1 <= k <= K]
+            for k in [*range(1, K + 1, 17), *edges]:
                 assert table.value(k, k_plus) == transmission_probability_exact(
                     state, KMeasurement(k)
                 )
