@@ -38,6 +38,7 @@ from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
     KMeasurement,
+    _require_valid,
     as_int,
     probability_table,
 )
@@ -134,10 +135,9 @@ def run_trial(
     record_trace: bool = False,
 ) -> TrialOutcome:
     """Run one seeded trial; deterministic in ``(state, meas, seed)``."""
+    _require_valid(state, meas)
     total = state.total
     k = meas.k
-    if k > total:
-        raise ValueError(f"tranche size k={k} exceeds cluster size K={total}")
     seed = int(seed) & rng.MASK64
 
     spheres = spheres_for_state(state)
@@ -238,9 +238,8 @@ def run_ensemble(
     ``run_trial(state, meas, substream_seed(seed, i))``; the aggregate is
     reproducible and order-independent.
     """
+    _require_valid(state, meas)
     total = state.total
-    if meas.k > total:
-        raise ValueError(f"tranche size k={meas.k} exceeds cluster size K={total}")
     # The charges of spheres_for_state(state), positive first, without the objects.
     charges = np.repeat(np.array([1, -1], np.int8), (state.k_plus, state.k_minus))
     return run_counted(

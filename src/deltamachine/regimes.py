@@ -39,7 +39,7 @@ from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
     ProbabilityTableRow,
-    _odd_columns,
+    _odd_rows,
     _table_size,
     probability_table,
 )
@@ -224,24 +224,13 @@ def classify_table(
 ) -> dict[int, RegimeVerdict]:
     """Classify every row k = 1..K of the exact transmission table.
 
-    No table is built: each odd row is classified on the integer subset
-    counts (num, C(K, k)) that the table builder turns into ``Fraction``s,
-    with P = 0 or 1 from each column's determinism threshold on, and the
-    even row k + 1, which equals row k, shares its verdict.  The rows share
-    one :class:`Witness` per state and kind.  The verdicts equal those of
+    No table is built: each odd row of :func:`~deltamachine.spheres._odd_rows`
+    is classified on its integer cells (num, den), and the even row k + 1,
+    which equals row k, shares its verdict.  The rows share one
+    :class:`Witness` per state and kind.  The verdicts equal those of
     :func:`classify_row` on the rows of :func:`probability_table`.
     """
     K = _table_size(K, ceiling)
-    n_odd = (K + 1) // 2
-    columns = [
-        cells + [(certain, 1)] * (n_odd - len(cells))
-        for cells, certain in _odd_columns(K)
-    ]
     cache: dict[WitnessKind, dict[int, Witness]] = {}
-    verdicts: dict[int, RegimeVerdict] = {}
-    for j, cells in enumerate(zip(*columns)):
-        verdict = _row_verdict(cells, cache)
-        verdicts[2 * j + 1] = verdict
-        if 2 * j + 2 <= K:
-            verdicts[2 * j + 2] = verdict
-    return verdicts
+    odd = [_row_verdict(cells, cache) for cells in _odd_rows(K)]
+    return {k: odd[(k - 1) // 2] for k in range(1, K + 1)}

@@ -20,6 +20,7 @@ recovers the fixed-energy probability.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,13 @@ class ScatteringConfig:
         c = float(self.coupling)
         if not math.isfinite(c) or c <= 0.0:
             raise ValueError("coupling must be a positive finite real")
+        # kappa^2 = E / coupling^2: a square that underflows divides by zero,
+        # and one that overflows zeroes kappa at every energy.
+        if not sys.float_info.min <= c * c <= sys.float_info.max:
+            raise ValueError(
+                f"coupling {c!r} is out of range: its square must be a normal, "
+                "finite double"
+            )
         object.__setattr__(self, "coupling", c)
 
 
@@ -72,7 +80,13 @@ def _check_energy(energy: float) -> float:
 
 
 def _kappa_squared(energy: float, config: ScatteringConfig) -> float:
-    return energy / (config.coupling * config.coupling)
+    k2 = energy / (config.coupling * config.coupling)
+    if not math.isfinite(k2):
+        raise ValueError(
+            f"energy {energy!r} is out of range for coupling {config.coupling!r}: "
+            "kappa^2 = E / coupling^2 overflows"
+        )
+    return k2
 
 
 def amplitudes(
@@ -110,12 +124,18 @@ def reflection_probability(
 def transmission_curve(
     energies: np.ndarray, config: ScatteringConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Vectorized |T(E)|^2 over an array of nonnegative energies."""
+    """Vectorized |T(E)|^2 over an array of nonnegative energies.
+
+    Each element equals :func:`transmission_probability` at that energy,
+    bit for bit: both evaluate the same IEEE operations.
+    """
     e = np.asarray(energies, dtype=np.float64)
-    if e.size and (not np.all(np.isfinite(e)) or e.min() < 0.0):
-        raise ValueError("energies must be finite and nonnegative")
-    g2 = config.coupling * config.coupling
-    return e / (g2 + e)
+    if e.size:
+        if not np.all(np.isfinite(e)) or e.min() < 0.0:
+            raise ValueError("energies must be finite and nonnegative")
+        _kappa_squared(float(e.max()), config)  # kappa^2 grows with E
+    k2 = e / (config.coupling * config.coupling)
+    return k2 / (1.0 + k2)
 
 
 def jump_condition_residual(

@@ -15,17 +15,19 @@ the count of positive-majority k-subsets at k + 2 follows from the count at
 k in O(1) big-integer steps, so a table costs O(K^2) cells rather than O(K^3)
 terms.  A column stops at its determinism threshold 2 min(K+, K-) + 1,
 from which on every cell is exactly 0 or 1, so about half of the cells are
-shared constants and never computed.  Each even row k equals the odd row
-k - 1, and columns with K+ > K/2 follow from the charge-swap identity
-P(K+, K-) = 1 - P(K-, K+).  The table builder never calls the closed form,
-so the two check each other; the regime classifier reads the builder's
-integer counts directly.
+shared constants and never computed.  Columns with K+ > K/2 follow from
+the charge-swap identity P(K+, K-) = 1 - P(K-, K+), and each even row k
+equals the odd row k - 1.  ``_odd_rows`` lays out the odd rows with every
+cell in place: as ``Fraction``s for the table builder, and as integer
+(num, den) pairs that the regime classifier reads directly.  The table
+builder never calls the closed form, so the two check each other.
 Floats never enter; rendering a value as a decimal is presentation-side only.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -255,21 +257,33 @@ def _table_size(K: object, ceiling: int) -> int:
     return K
 
 
-def _odd_columns(K: int) -> list[tuple[list[tuple[int, int]], int]]:
-    """Every column K+ = 0..K of the odd rows k = 1, 3, ... of the K table.
+def _odd_rows(
+    K: int,
+    cell: Callable[[int, int], object] | None = None,
+    certain: tuple[object, object] = ((0, 1), (1, 1)),
+) -> list[tuple[object, ...]]:
+    """The odd rows k = 1, 3, ... of the K table, every cell in place.
 
-    Column K+ is ``(cells, certain)``.  ``cells`` holds P = num / den as
-    ``(num, C(K, k))`` for the odd k below the determinism threshold
-    2 min(K+, K-) + 1, and from the threshold on every odd row has
-    P = ``certain``: 0 in a column K+ < K/2 and 1 in its charge swap.  A
-    column K+ > K/2 is the swap of column K - K+: an odd tranche never ties,
-    so P(K+, K-) = 1 - P(K-, K+) = (C(K, k) - S) / C(K, k).  The cells are
-    not reduced.
+    Row k is a tuple over K+ = 0..K.  A column K+ <= K/2 holds
+    P = S / C(K, k) from :func:`_odd_counts` below its determinism
+    threshold 2 K+ + 1, and ``certain[0]`` (P = 0) from there on.  A column
+    K+ > K/2 is the swap of column K - K+: an odd tranche never ties, so
+    P(K+, K-) = 1 - P(K-, K+), which is (C - S) / C below the threshold and
+    ``certain[1]`` (P = 1) from there on.  A computed cell is the pair
+    ``(num, den)``, not reduced, or ``cell(num, den)`` when ``cell`` is
+    given.  Cells are converted before the columns are padded, so the
+    certain cells, about half the table, are never visited one by one.
     """
-    half = [_odd_counts(i, K - i) for i in range(K // 2 + 1)]
-    return [(cells, 0) for cells in half] + [
-        ([(c - s, c) for s, c in half[K - i]], 1) for i in range(K // 2 + 1, K + 1)
-    ]
+    n_odd = (K + 1) // 2
+    low = [_odd_counts(i, K - i) for i in range(K // 2 + 1)]
+    high = [[(c - s, c) for s, c in cells] for cells in reversed(low[:n_odd])]
+    if cell is not None:
+        low = [[cell(n, d) for n, d in cells] for cells in low]
+        high = [[cell(n, d) for n, d in cells] for cells in high]
+    zero, one = certain
+    low = [cells + [zero] * (n_odd - len(cells)) for cells in low]
+    high = [cells + [one] * (n_odd - len(cells)) for cells in high]
+    return list(zip(*low, *high))
 
 
 #: Table cells at and above the determinism threshold, shared by every table.
@@ -283,26 +297,15 @@ def probability_table(
 
     Rows run over tranche sizes k = 1..K, columns over states K+ = 0..K
     (equivalently over increasing energy label K+/K-).  The odd rows come
-    from :func:`_odd_columns`: each column K+ <= K/2 runs the recurrence of
-    :func:`_odd_counts` only up to its determinism threshold
-    2 min(K+, K-) + 1, and the cells from there on, about half the table,
-    are the shared constants ``Fraction(0)`` in column K+ and
-    ``Fraction(1)`` in the swapped column K - K+.  Every computed cell is
-    one ``Fraction``.  Row k + 1 of an odd k shares row k's entries, the
+    from :func:`_odd_rows`, which runs the recurrence of :func:`_odd_counts`
+    only up to each column's determinism threshold 2 min(K+, K-) + 1.  The
+    cells from there on, about half the table, are the shared constants
+    ``Fraction(0)`` and ``Fraction(1)``; every computed cell is one
+    ``Fraction``.  Row k + 1 of an odd k shares row k's entries, the
     pairwise equality P(k + 1) = P(k).
     """
     K = _table_size(K, ceiling)
-    n_odd = (K + 1) // 2
-    columns = [
-        [Fraction(num, den) for num, den in cells]
-        + [_CERTAIN[certain]] * (n_odd - len(cells))
-        for cells, certain in _odd_columns(K)
-    ]
     states = tuple(ElectricState(i, K - i) for i in range(K + 1))
-    rows = []
-    for j, odd_row in enumerate(zip(*columns)):
-        entries = tuple(zip(states, odd_row))
-        rows.append(ProbabilityTableRow(k=2 * j + 1, entries=entries))
-        if 2 * j + 2 <= K:
-            rows.append(ProbabilityTableRow(k=2 * j + 2, entries=entries))
+    odd = [tuple(zip(states, row)) for row in _odd_rows(K, Fraction, _CERTAIN)]
+    rows = [ProbabilityTableRow(k=k, entries=odd[(k - 1) // 2]) for k in range(1, K + 1)]
     return ProbabilityTable(K=K, rows=tuple(rows))

@@ -205,6 +205,22 @@ class TestScatter:
         assert code == 0
         assert parse_json(out)["points"][0]["p_transmission"] == 0.5
 
+    @pytest.mark.parametrize(
+        "E, coupling",
+        [
+            ("1", "1e-200"),  # coupling^2 underflows to 0
+            ("1e300", "1e-10"),  # kappa^2 = E / coupling^2 overflows
+            ("1", "1e200"),  # coupling^2 overflows, so kappa would be 0
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_out_of_range_numerics_exit_two(self, capsys, E, coupling, fmt):
+        code, out, err = run_cli(
+            capsys, "scatter", "--E", E, "--coupling", coupling, "--format", fmt
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestEpsilon:
     def test_closed_form_only(self, capsys):

@@ -273,6 +273,24 @@ class TestClassifyTableFastPath:
         assert all(type(k) is int for k in verdicts)
 
 
+class TestVerdictSharing:
+    """One verdict per odd/even row pair and one witness per (kind, state)."""
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 64, 65])
+    def test_even_rows_share_the_odd_row_verdict(self, K):
+        verdicts = classify_table(K, ceiling=K)
+        for k in range(1, K, 2):
+            assert verdicts[k + 1] is verdicts[k]
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 64, 65])
+    def test_witnesses_are_shared_within_a_table(self, K):
+        seen = {}
+        for verdict in classify_table(K, ceiling=K).values():
+            for witness in verdict.witnesses:
+                first = seen.setdefault((witness.kind, witness.state), witness)
+                assert witness is first
+
+
 class TestWitnessIntegrity:
     def test_non_classical_verdicts_carry_witnesses(self):
         for K in range(1, 13):

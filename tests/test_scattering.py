@@ -56,6 +56,32 @@ class TestAmplitudes:
         with pytest.raises(ValueError):
             ScatteringConfig(coupling=float("inf"))
 
+    @pytest.mark.parametrize("coupling", [1e-200, 1e-160, 1e200])
+    def test_rejects_coupling_whose_square_is_not_normal(self, coupling):
+        # 1e-200 squares to 0, 1e-160 to a subnormal, 1e200 to inf.
+        with pytest.raises(ValueError, match="coupling"):
+            ScatteringConfig(coupling=coupling)
+
+    def test_extreme_couplings_with_normal_squares_are_accepted(self):
+        for coupling in (1e-153, 1e153):
+            config = ScatteringConfig(coupling=coupling)
+            assert jump_condition_residual(1.0, config) < IDENTITY_TOL
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            amplitudes,
+            transmission_probability,
+            reflection_probability,
+            jump_condition_residual,
+            lambda e, config: transmission_curve(np.array([0.0, e]), config),
+        ],
+    )
+    def test_kappa_squared_overflow_raises(self, evaluate):
+        config = ScatteringConfig(coupling=1e-10)
+        with pytest.raises(ValueError, match="kappa"):
+            evaluate(1e300, config)
+
 
 class TestProbabilities:
     def test_closed_form_values(self):
@@ -174,9 +200,11 @@ class TestWavePacket:
         assert wavepacket_transmission(packet) == pytest.approx(oracle, abs=1e-5)
 
     def test_transmission_curve_matches_pointwise(self):
-        energies = np.array([0.0, 1.0, 4.0, 10.0])
-        curve = transmission_curve(energies)
-        for e, value in zip(energies, curve):
-            assert value == transmission_probability(float(e))
+        energies = np.linspace(0.0, 100.0, 10001)
+        for coupling in (0.3, 1.0, 1.5):
+            config = ScatteringConfig(coupling=coupling)
+            curve = transmission_curve(energies, config)
+            pointwise = [transmission_probability(float(e), config) for e in energies]
+            assert curve.tolist() == pointwise, coupling
         with pytest.raises(ValueError):
             transmission_curve(np.array([-1.0]))

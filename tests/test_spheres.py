@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from deltamachine.spheres import (
+    _CERTAIN,
     ElectricState,
     KMeasurement,
     choose,
@@ -319,3 +320,22 @@ class TestTableRecurrence:
                 assert table.value(k, k_plus) == transmission_probability_exact(
                     state, KMeasurement(k)
                 )
+
+
+class TestTableSharing:
+    """The object sharing that keeps a table about half constants."""
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 64, 65])
+    def test_even_rows_share_the_odd_row_entries(self, K):
+        table = probability_table(K, ceiling=K)
+        for k in range(1, K, 2):
+            assert table.rows[k].entries is table.rows[k - 1].entries
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 64, 65])
+    def test_certain_cells_are_the_shared_constants(self, K):
+        table = probability_table(K, ceiling=K)
+        for row in table.rows:
+            for state, p in row.entries:
+                if row.k >= determinism_threshold(state):
+                    assert p in (0, 1)
+                    assert p is _CERTAIN[0] or p is _CERTAIN[1]
