@@ -8,7 +8,9 @@ fresh one is drawn and printed in the report header.
 
 Environment overrides (these two only): ``DELTAMACHINE_OUTPUT`` for the
 default output path, ``DELTAMACHINE_TABLE_CEILING`` for the largest K the
-table builders accept.
+table builders accept.  argparse resolves every option, flag over
+environment variable over default, and converts it, so a malformed value is
+a usage error before any command runs.
 """
 
 from __future__ import annotations
@@ -58,22 +60,13 @@ class GoldenMismatch(Exception):
     pass
 
 
-def _table_ceiling(args: argparse.Namespace) -> int:
-    if args.ceiling is not None:
-        return args.ceiling
-    env = os.environ.get(ENV_CEILING)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_CEILING} must be an integer, got {env!r}") from exc
-    return DEFAULT_TABLE_CEILING
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    return secrets.randbits(64)
+def _parse_ceiling(spec: str) -> int:
+    try:
+        return int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--ceiling and {ENV_CEILING} take an integer, got {spec!r}"
+        ) from None
 
 
 # -- rendering ---------------------------------------------------------------
@@ -125,7 +118,7 @@ def _cmd_tables(args: argparse.Namespace) -> dict[str, Any]:
         raise ValueError(
             f"--golden is available for K in {GOLDEN_SIZES}, got K={args.K}"
         )
-    table = probability_table(args.K, ceiling=_table_ceiling(args))
+    table = probability_table(args.K, ceiling=args.ceiling)
     payload = serialize.table_payload(table)
     if args.golden:
         _check_golden(table)
@@ -177,7 +170,7 @@ def _cell_payload(
 
 def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
     state, meas, payload = _cell_payload(args, "simulate")
-    result = run_ensemble(state, meas, args.n, _resolve_seed(args), z=args.z)
+    result = run_ensemble(state, meas, args.n, args.seed, z=args.z)
     payload["result"] = serialize.ensemble_payload(result)
     return payload
 
@@ -201,20 +194,19 @@ def _simulate_text(payload: dict[str, Any]) -> str:
 
 
 def _parse_grid(spec: str) -> list[float]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError("--grid expects LO:HI:N")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI:N, got {spec!r}") from None
     if n < 2 or not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise ValueError("--grid expects LO < HI and N >= 2")
+        raise argparse.ArgumentTypeError("expected finite LO < HI and N >= 2")
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
 def _cmd_scatter(args: argparse.Namespace) -> dict[str, Any]:
-    energies: list[float] = list(args.E or [])
-    if args.grid:
-        energies.extend(_parse_grid(args.grid))
+    energies: list[float] = (args.E or []) + (args.grid or [])
     if not energies:
         raise ValueError("scatter requires --E and/or --grid")
     config = ScatteringConfig(coupling=args.coupling)
@@ -250,7 +242,7 @@ def _cmd_epsilon(args: argparse.Namespace) -> dict[str, Any]:
     experiment = ElasticExperiment(theta=args.theta, epsilon=args.eps)
     simulation = None
     if args.n is not None:
-        result = simulate_elastic(experiment, args.n, _resolve_seed(args), z=args.z)
+        result = simulate_elastic(experiment, args.n, args.seed, z=args.z)
         simulation = serialize.ensemble_payload(result)
     return {
         "command": "epsilon",
@@ -285,7 +277,7 @@ def _epsilon_text(payload: dict[str, Any]) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
-    verdicts = classify_table(args.K, ceiling=_table_ceiling(args))
+    verdicts = classify_table(args.K, ceiling=args.ceiling)
     return {"command": "classify", "K": args.K, **serialize.verdicts_payload(verdicts)}
 
 
@@ -308,22 +300,21 @@ def _classify_text(payload: dict[str, Any]) -> str:
 def _parse_schedule(spec: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in spec.split(","))
-    except ValueError as exc:
-        raise ValueError("--schedule expects comma-separated integers") from exc
-    if not values or any(v < 1 for v in values):
-        raise ValueError("--schedule entries must be positive")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {spec!r}"
+        ) from None
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError("entries must be positive")
     return values
 
 
 def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:
     state, meas, payload = _cell_payload(args, "convergence")
-    seed = _resolve_seed(args)
-    schedule = _parse_schedule(args.schedule)
-
-    payload["schedule"] = list(schedule)
+    payload["schedule"] = list(args.schedule)
     payload["series"] = []
-    for n in schedule:
-        result = run_ensemble(state, meas, n, seed, z=args.z)
+    for n in args.schedule:
+        result = run_ensemble(state, meas, n, args.seed, z=args.z)
         entry = serialize.ensemble_payload(result)
         entry["abs_error"] = abs(float(result.frequency) - payload["expected"]["decimal"])
         payload["series"].append(entry)
@@ -368,16 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     # Options shared by several commands, declared once as parent parsers.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format (default: text)")
-    output.add_argument("--output", default=None, help=f"write output to this path (default: ${ENV_OUTPUT} or stdout)")
+    output.add_argument("--output", default=os.environ.get(ENV_OUTPUT), help=f"write output to this path (default: ${ENV_OUTPUT} or stdout)")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--K", type=int, required=True, help="cluster size")
-    table.add_argument("--ceiling", type=int, default=None, help=f"table size ceiling (default: ${ENV_CEILING} or {DEFAULT_TABLE_CEILING})")
+    table.add_argument("--ceiling", type=_parse_ceiling, default=os.environ.get(ENV_CEILING, DEFAULT_TABLE_CEILING), help=f"table size ceiling (default: ${ENV_CEILING} or {DEFAULT_TABLE_CEILING})")
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("--kp", type=int, required=True, help="positive-sphere count")
     cell.add_argument("--km", type=int, required=True, help="negative-sphere count")
     cell.add_argument("--k", type=int, required=True, help="tranche size")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="master seed (default: random, recorded in the report)")
+    seeded.add_argument("--seed", type=int, default=secrets.randbits(64), help="master seed (default: random, recorded in the report)")
     seeded.add_argument("--z", type=float, default=DEFAULT_Z, help="confidence level for the half-width")
 
     p = sub.add_parser("tables", parents=[table, output], help="exact transmission-probability table")
@@ -388,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scatter", parents=[output], help="delta-potential amplitudes and probabilities")
     p.add_argument("--E", type=float, action="append", help="energy (repeatable)")
-    p.add_argument("--grid", default=None, help="energy grid LO:HI:N")
+    p.add_argument("--grid", type=_parse_grid, default=None, help="energy grid LO:HI:N")
     p.add_argument("--coupling", type=float, default=1.0, help="coupling, multiples of sqrt(2 hbar^2/m) (default 1)")
 
     p = sub.add_parser("epsilon", parents=[seeded, output], help="breakable-elastic spin measurement")
@@ -399,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[table, output], help="regime verdict for every tranche size")
 
     p = sub.add_parser("convergence", parents=[cell, seeded, output], help="frequency-vs-n series for one cell")
-    p.add_argument("--schedule", default=",".join(str(n) for n in DEFAULT_SCHEDULE), help="comma-separated trial counts")
+    p.add_argument("--schedule", type=_parse_schedule, default=DEFAULT_SCHEDULE, help="comma-separated trial counts")
 
     return parser
 
@@ -427,9 +418,8 @@ _RENDERERS = {
 
 
 def _write_output(args: argparse.Namespace, rendered: str) -> None:
-    path = args.output or os.environ.get(ENV_OUTPUT)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)

@@ -69,6 +69,8 @@ def run_counted(
     chunks of ``max(1, CHUNK_BYTES // trial_bytes)`` trials keep memory
     bounded.  Because per-trial seeds depend only on ``(seed, trial_index)``,
     the aggregate is identical for any chunking or evaluation order.
+    ``seed`` is any integer, reduced modulo 2**64 and recorded as such;
+    ``bool``, float and ``str`` seeds raise ``TypeError``.
     """
     n_trials = as_int(n_trials, "n_trials")
     if n_trials < 1:
@@ -78,7 +80,7 @@ def run_counted(
     trial_bytes = as_int(trial_bytes, "trial_bytes")
     if trial_bytes < 1:
         raise ValueError("trial_bytes must be a positive integer")
-    seed = int(seed) & rng.MASK64
+    seed = as_int(seed, "seed") & rng.MASK64
     chunk = max(1, CHUNK_BYTES // trial_bytes)
     count = 0
     for start in range(0, n_trials, chunk):

@@ -134,11 +134,15 @@ def run_trial(
     *,
     record_trace: bool = False,
 ) -> TrialOutcome:
-    """Run one seeded trial; deterministic in ``(state, meas, seed)``."""
+    """Run one seeded trial; deterministic in ``(state, meas, seed)``.
+
+    ``seed`` is any integer, reduced modulo 2**64; ``bool``, float and
+    ``str`` seeds raise ``TypeError``.
+    """
     _require_valid(state, meas)
     total = state.total
     k = meas.k
-    seed = int(seed) & rng.MASK64
+    seed = as_int(seed, "seed") & rng.MASK64
 
     spheres = spheres_for_state(state)
     queue = tuple(spheres[i] for i in _shuffled_ids(total, seed))
@@ -288,7 +292,7 @@ def empirical_table(
     so the whole table is reproducible from the single master seed.
     """
     exact = probability_table(K, ceiling=ceiling)  # validates K and ceiling
-    seed = int(seed) & rng.MASK64
+    seed = as_int(seed, "seed") & rng.MASK64
     rows = []
     for row in exact.rows:
         meas = KMeasurement(row.k)

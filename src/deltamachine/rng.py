@@ -12,7 +12,10 @@ Child streams (per-trial seeds, per-table-cell seeds) are derived with
 the same splitting rule used by splittable-generator designs.
 
 Seeds and draws are unsigned 64-bit values; arbitrary Python ints are reduced
-modulo 2**64 on entry.
+modulo 2**64 on entry.  The ensemble entry points (``run_counted``,
+``run_trial``, ``empirical_table``) accept any integer, numpy integers
+included, and raise ``TypeError`` for ``bool``, float and ``str`` seeds, so
+the seed a result records is always the stream that produced it.
 """
 
 from __future__ import annotations

@@ -76,7 +76,7 @@ def _check_energy(energy: float) -> float:
         raise ValueError("energy must be finite")
     if e < 0.0:
         raise ValueError("energy must be nonnegative")
-    return e
+    return e or 0.0  # -0.0 becomes 0.0, so no result carries a minus sign
 
 
 def _kappa_squared(energy: float, config: ScatteringConfig) -> float:
@@ -129,7 +129,7 @@ def transmission_curve(
     Each element equals :func:`transmission_probability` at that energy,
     bit for bit: both evaluate the same IEEE operations.
     """
-    e = np.asarray(energies, dtype=np.float64)
+    e = np.asarray(energies, dtype=np.float64) + 0.0  # -0.0 as in _check_energy
     if e.size:
         if not np.all(np.isfinite(e)) or e.min() < 0.0:
             raise ValueError("energies must be finite and nonnegative")

@@ -247,9 +247,10 @@ def _odd_counts(k_plus: int, k_minus: int) -> list[tuple[int, int]]:
     return counts
 
 
-def _table_size(K: object, ceiling: int) -> int:
-    """``K`` as an ``int``, checked to lie in 1..ceiling."""
+def _table_size(K: object, ceiling: object) -> int:
+    """``K`` as an ``int``, checked to lie in 1..ceiling (an ``int`` too)."""
     K = as_int(K, "K")
+    ceiling = as_int(ceiling, "ceiling")
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > ceiling:

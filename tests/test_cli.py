@@ -128,6 +128,24 @@ class TestTables:
         monkeypatch.setenv(cli.ENV_CEILING, "not-a-number")
         assert run_cli(capsys, "tables", "--K", "3")[0] == 2
 
+    @pytest.mark.parametrize("command", ["tables", "classify"])
+    def test_bad_env_ceiling_names_the_variable(self, capsys, monkeypatch, command):
+        monkeypatch.setenv(cli.ENV_CEILING, "7.5")
+        code, out, err = run_cli(capsys, command, "--K", "3")
+        assert code == 2 and out == ""
+        assert cli.ENV_CEILING in err and "--ceiling" in err
+
+    def test_ceiling_flag_wins_over_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_CEILING, "not-a-number")
+        code, out, _ = run_cli(capsys, "tables", "--K", "5", "--ceiling", "5")
+        assert code == 0 and "K = 5" in out
+        assert run_cli(capsys, "tables", "--K", "6", "--ceiling", "5")[0] == 2
+
+    def test_malformed_ceiling_flag_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--K", "3", "--ceiling", "x")
+        assert code == 2 and out == ""
+        assert "--ceiling" in err and "usage:" in err
+
 
 class TestSimulate:
     ARGS = ("simulate", "--kp", "2", "--km", "1", "--k", "1", "--n", "2000", "--seed", "42")
@@ -161,6 +179,11 @@ class TestSimulate:
         assert code == 0
         payload = parse_json(out)
         assert isinstance(payload["result"]["seed"], int)
+
+    def test_each_run_draws_a_fresh_seed(self, capsys):
+        args = ("simulate", "--kp", "1", "--km", "1", "--k", "1", "--n", "10", "--format", "json")
+        seeds = {parse_json(run_cli(capsys, *args)[1])["result"]["seed"] for _ in range(2)}
+        assert len(seeds) == 2
 
     def test_csv_matches_json(self, capsys):
         _, json_out, _ = run_cli(capsys, *self.ARGS, "--format", "json")
@@ -204,6 +227,18 @@ class TestScatter:
         )
         assert code == 0
         assert parse_json(out)["points"][0]["p_transmission"] == 0.5
+
+    @pytest.mark.parametrize("grid", ["1:2:x", "a:2:3", "1:2", "1:2:1"])
+    def test_malformed_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "scatter", "--grid", grid)
+        assert code == 2 and out == ""
+        assert "--grid" in err and "usage:" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_negative_zero_energy_prints_as_zero(self, capsys, fmt):
+        negative = run_cli(capsys, "scatter", "--E", "-0", "--format", fmt)
+        positive = run_cli(capsys, "scatter", "--E", "0", "--format", fmt)
+        assert negative == positive and negative[0] == 0
 
     @pytest.mark.parametrize(
         "E, coupling",
@@ -306,6 +341,15 @@ class TestConvergence:
         big = parse_json(out_big)["series"][0]
         assert small["transmitted"] == big["transmitted"]
 
+    @pytest.mark.parametrize("schedule", ["10,x", "", "10,-5"])
+    def test_malformed_schedule_is_usage_error(self, capsys, schedule):
+        code, out, err = run_cli(
+            capsys, "convergence", "--kp", "1", "--km", "1", "--k", "1",
+            "--seed", "1", "--schedule", schedule,
+        )
+        assert code == 2 and out == ""
+        assert "--schedule" in err and "usage:" in err
+
     def test_default_schedule(self, capsys):
         code, out, _ = run_cli(
             capsys, "convergence", "--kp", "1", "--km", "1", "--k", "1",
@@ -344,6 +388,13 @@ class TestOutputDestinations:
         code, out, _ = run_cli(capsys, "tables", "--K", "2")
         assert code == 0 and out == ""
         assert "K = 2" in target.read_text()
+
+    def test_output_flag_wins_over_env(self, capsys, tmp_path, monkeypatch):
+        flag, env = tmp_path / "flag.txt", tmp_path / "env.txt"
+        monkeypatch.setenv(cli.ENV_OUTPUT, str(env))
+        code, out, _ = run_cli(capsys, "tables", "--K", "2", "--output", str(flag))
+        assert code == 0 and out == ""
+        assert "K = 2" in flag.read_text() and not env.exists()
 
     def test_unwritable_output_flag_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.txt"

@@ -172,6 +172,16 @@ class TestSimulateElastic:
         assert simulate_elastic(exp, 5000, 4) == simulate_elastic(exp, 5000, 4)
         assert simulate_elastic(exp, 5000, 4) != simulate_elastic(exp, 5000, 5)
 
+    @pytest.mark.parametrize("seed", (4.0, 1.2, True, "4"))
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(TypeError, match="seed"):
+            simulate_elastic(ElasticExperiment(1.0, 0.8), 100, seed)
+
+    def test_numpy_and_negative_seeds(self):
+        exp = ElasticExperiment(1.0, 0.8)
+        assert simulate_elastic(exp, 500, np.int64(4)) == simulate_elastic(exp, 500, 4)
+        assert simulate_elastic(exp, 500, -1) == simulate_elastic(exp, 500, 2**64 - 1)
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate_elastic(ElasticExperiment(1.0, 0.5), 0, 1)

@@ -343,6 +343,37 @@ class TestEmpiricalTable:
                 table.row(bad)
 
 
+class TestSeedTypes:
+    """A seed is an integer, so a result reports the stream it really used."""
+
+    STATE, MEAS = ElectricState(3, 4), KMeasurement(3)
+    NON_INTEGERS = (1.0, 1.2, 1.9, True, "1")
+
+    @pytest.mark.parametrize("seed", NON_INTEGERS)
+    def test_non_integer_seeds_rejected(self, seed):
+        with pytest.raises(TypeError, match="seed"):
+            run_ensemble(self.STATE, self.MEAS, 1000, seed)
+        with pytest.raises(TypeError, match="seed"):
+            run_trial(self.STATE, self.MEAS, seed)
+        with pytest.raises(TypeError, match="seed"):
+            empirical_table(2, 10, seed)
+
+    def test_numpy_and_negative_seeds_accepted(self):
+        reference = run_ensemble(self.STATE, self.MEAS, 1000, 1)
+        for seed in (np.int64(1), np.uint64(1)):
+            assert run_ensemble(self.STATE, self.MEAS, 1000, seed) == reference
+            assert run_trial(self.STATE, self.MEAS, seed) == run_trial(self.STATE, self.MEAS, 1)
+        assert run_ensemble(self.STATE, self.MEAS, 1000, -1).seed == 2**64 - 1
+        assert run_trial(self.STATE, self.MEAS, -1) == run_trial(self.STATE, self.MEAS, 2**64 - 1)
+        table = empirical_table(2, 10, np.int64(-1))
+        assert table.seed == 2**64 - 1 and type(table.seed) is int
+
+    @pytest.mark.parametrize("ceiling", (5.5, 70.0, True))
+    def test_empirical_table_rejects_non_integer_ceiling(self, ceiling):
+        with pytest.raises(TypeError, match="ceiling"):
+            empirical_table(2, 10, 1, ceiling=ceiling)
+
+
 def test_exact_expectation_reference():
     # The cell the CLI example uses: expected exactly 2/3.
     assert transmission_probability_exact(

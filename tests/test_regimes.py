@@ -267,6 +267,11 @@ class TestClassifyTableFastPath:
         with pytest.raises(TypeError):
             classify_table(True)
 
+    @pytest.mark.parametrize("ceiling", (5.5, 70.0, True))
+    def test_non_integer_ceiling_rejected(self, ceiling):
+        with pytest.raises(TypeError, match="ceiling"):
+            classify_table(5, ceiling=ceiling)
+
     def test_numpy_integer_size(self):
         verdicts = classify_table(np.int64(3))
         assert verdicts == classify_table(3)

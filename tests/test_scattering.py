@@ -24,6 +24,16 @@ ENERGY_SWEEP = np.linspace(1e-3, 100.0, 1000)
 
 
 class TestAmplitudes:
+    def test_negative_zero_energy_is_positive_zero(self):
+        assert math.copysign(1.0, transmission_probability(-0.0)) == 1.0
+        assert math.copysign(1.0, amplitudes(-0.0).energy) == 1.0
+        assert amplitudes(-0.0) == amplitudes(0.0)
+        curve = transmission_curve([-0.0, 0.0])
+        pointwise = [transmission_probability(e) for e in (-0.0, 0.0)]
+        assert [(v, math.copysign(1.0, v)) for v in curve.tolist()] == [
+            (v, math.copysign(1.0, v)) for v in pointwise
+        ]
+
     def test_zero_energy_totally_reflects_with_phase_flip(self):
         amp = amplitudes(0.0)
         assert amp.transmission == 0

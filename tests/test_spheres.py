@@ -253,10 +253,16 @@ class TestProbabilityTable:
         with pytest.raises(TypeError):
             probability_table(3.0)
         assert probability_table(65, ceiling=70).K == 65
+        assert probability_table(65, ceiling=np.int64(65)).K == 65
 
     def test_bool_size_rejected(self):
         with pytest.raises(TypeError):
             probability_table(True)
+
+    @pytest.mark.parametrize("ceiling", (5.5, 70.0, True))
+    def test_non_integer_ceiling_rejected(self, ceiling):
+        with pytest.raises(TypeError, match="ceiling"):
+            probability_table(5, ceiling=ceiling)
 
     def test_numpy_integer_size_stored_as_int(self):
         table = probability_table(np.int64(3))
