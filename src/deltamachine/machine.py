@@ -74,13 +74,7 @@ class MachinePhase(Enum):
     REASSEMBLED = "reassembled"
 
 
-PHASE_ORDER = (
-    MachinePhase.ASSEMBLED,
-    MachinePhase.DISASSEMBLED,
-    MachinePhase.DECIDING,
-    MachinePhase.SETTLED,
-    MachinePhase.REASSEMBLED,
-)
+PHASE_ORDER = tuple(MachinePhase)
 
 
 @dataclass(frozen=True)

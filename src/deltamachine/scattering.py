@@ -10,7 +10,9 @@ with ``kappa = sqrt(2 hbar^2 E / m) / lambda``.  Internally we work in units
 ``hbar = m = 1`` and express the coupling as a dimensionless multiple of the
 normalization constant ``c = sqrt(2 hbar^2 / m)``, so that the default
 coupling 1 gives ``kappa = sqrt(E)`` and the transmission probability the
-simple form ``E / (1 + E)``.
+simple form ``E / (1 + E)``.  One rule admits an energy: finite and
+nonnegative (-0.0 counts as 0.0) with a finite ``kappa^2``; the array form
+checks it at the extremes of its energies.
 
 The wave-packet operation integrates ``|T(E)|^2`` against a user-supplied
 energy density on a grid with the trapezoidal rule; the sharply peaked limit
@@ -70,31 +72,29 @@ class ScatteringAmplitudes:
     energy: float
 
 
-def _check_energy(energy: float) -> float:
+def _kappa_squared(energy: float, config: ScatteringConfig) -> tuple[float, float]:
+    """``(E, kappa^2)``; E must be finite and nonnegative, and kappa^2 finite."""
     e = float(energy)
     if not math.isfinite(e):
         raise ValueError("energy must be finite")
     if e < 0.0:
         raise ValueError("energy must be nonnegative")
-    return e or 0.0  # -0.0 becomes 0.0, so no result carries a minus sign
-
-
-def _kappa_squared(energy: float, config: ScatteringConfig) -> float:
-    k2 = energy / (config.coupling * config.coupling)
+    e = e or 0.0  # -0.0 becomes 0.0, so no result carries a minus sign
+    k2 = e / (config.coupling * config.coupling)
     if not math.isfinite(k2):
         raise ValueError(
-            f"energy {energy!r} is out of range for coupling {config.coupling!r}: "
+            f"energy {e!r} is out of range for coupling {config.coupling!r}: "
             "kappa^2 = E / coupling^2 overflows"
         )
-    return k2
+    return e, k2
 
 
 def amplitudes(
     energy: float, config: ScatteringConfig = DEFAULT_CONFIG
 ) -> ScatteringAmplitudes:
     """T and R at the given energy; satisfies 1 + R = T by construction."""
-    e = _check_energy(energy)
-    kappa = math.sqrt(_kappa_squared(e, config))
+    e, k2 = _kappa_squared(energy, config)
+    kappa = math.sqrt(k2)
     denom = complex(-1.0, kappa)
     return ScatteringAmplitudes(
         transmission=complex(0.0, kappa) / denom,
@@ -107,8 +107,7 @@ def transmission_probability(
     energy: float, config: ScatteringConfig = DEFAULT_CONFIG
 ) -> float:
     """|T(E)|^2 = kappa^2 / (1 + kappa^2); equals E/(1+E) at default coupling."""
-    e = _check_energy(energy)
-    k2 = _kappa_squared(e, config)
+    _, k2 = _kappa_squared(energy, config)
     return k2 / (1.0 + k2)
 
 
@@ -116,8 +115,7 @@ def reflection_probability(
     energy: float, config: ScatteringConfig = DEFAULT_CONFIG
 ) -> float:
     """|R(E)|^2 = 1 / (1 + kappa^2); equals 1/(1+E) at default coupling."""
-    e = _check_energy(energy)
-    k2 = _kappa_squared(e, config)
+    _, k2 = _kappa_squared(energy, config)
     return 1.0 / (1.0 + k2)
 
 
@@ -127,13 +125,14 @@ def transmission_curve(
     """Vectorized |T(E)|^2 over an array of nonnegative energies.
 
     Each element equals :func:`transmission_probability` at that energy,
-    bit for bit: both evaluate the same IEEE operations.
+    bit for bit: both evaluate the same IEEE operations.  The one energy
+    rule is checked at the extremes, with the scalar functions' errors.
     """
-    e = np.asarray(energies, dtype=np.float64) + 0.0  # -0.0 as in _check_energy
+    e = np.asarray(energies, dtype=np.float64) + 0.0  # -0.0 becomes 0.0
     if e.size:
-        if not np.all(np.isfinite(e)) or e.min() < 0.0:
-            raise ValueError("energies must be finite and nonnegative")
-        _kappa_squared(float(e.max()), config)  # kappa^2 grows with E
+        # NaN reaches both, +-inf and negatives one, and kappa^2 grows with E
+        _kappa_squared(e.min(), config)
+        _kappa_squared(e.max(), config)
     k2 = e / (config.coupling * config.coupling)
     return k2 / (1.0 + k2)
 
@@ -147,10 +146,15 @@ def jump_condition_residual(
     the computed amplitudes, in units hbar = m = 1 (so the wave number is
     ``k = sqrt(2 E)`` and the physical coupling is ``coupling * sqrt(2)``).
     Zero analytically; below :data:`IDENTITY_TOL` in double precision.
+    Raises ``ValueError`` where ``2 E`` overflows.
     """
-    e = _check_energy(energy)
-    amp = amplitudes(e, config)
-    k_wave = math.sqrt(2.0 * e)
+    amp = amplitudes(energy, config)
+    two_e = 2.0 * amp.energy
+    if not math.isfinite(two_e):
+        raise ValueError(
+            f"energy {amp.energy!r} is out of range: k^2 = 2 E overflows"
+        )
+    k_wave = math.sqrt(two_e)
     lam = config.coupling * math.sqrt(2.0)
     residual = (
         complex(0.0, k_wave) * (amp.reflection - 1.0)

@@ -55,18 +55,6 @@ def as_int(value: object, what: str) -> int:
         raise TypeError(f"{what} must be an integer") from None
 
 
-def choose(n: int, r: int) -> int:
-    """Binomial coefficient C(n, r), defined as 0 outside 0 <= r <= n.
-
-    The out-of-range convention lets the tranche-counting sums run over a
-    fixed index range without special-casing states that are short of one
-    charge species.
-    """
-    if r < 0 or r > n:
-        return 0
-    return comb(n, r)
-
-
 @dataclass(frozen=True)
 class ElectricState:
     """Prepared charge state of the cluster: counts of +1 and -1 spheres.
@@ -145,14 +133,15 @@ def transmission_probability_exact(
               + (1/2) C(K+, k/2) C(K-, k/2)   (even k only) ] / C(K, k)
 
     The first sum covers strict positive majorities; the halved term is the
-    exactly balanced tranche resolved by a fair coin.
+    exactly balanced tranche resolved by a fair coin.  States short of one
+    species need no special case: ``comb(n, r)`` is 0 for r > n.
     """
     _require_valid(state, meas)
     kp, km, k = state.k_plus, state.k_minus, meas.k
     total = state.total
-    majority = sum(choose(kp, k - m) * choose(km, m) for m in range((k + 1) // 2))
-    tie = choose(kp, k // 2) * choose(km, k // 2) if k % 2 == 0 else 0
-    return Fraction(2 * majority + tie, 2 * choose(total, k))
+    majority = sum(comb(kp, k - m) * comb(km, m) for m in range((k + 1) // 2))
+    tie = comb(kp, k // 2) * comb(km, k // 2) if k % 2 == 0 else 0
+    return Fraction(2 * majority + tie, 2 * comb(total, k))
 
 
 def reflection_probability_exact(

@@ -56,6 +56,7 @@ class TestExitCodes:
         assert run_cli(capsys, "tables", "--K", "65")[0] == 2
         assert run_cli(capsys, "simulate", "--kp", "2", "--km", "1", "--k", "4", "--n", "10")[0] == 2
         assert run_cli(capsys, "simulate", "--kp", "-1", "--km", "1", "--k", "1", "--n", "10")[0] == 2
+        assert run_cli(capsys, "simulate", "--kp", "1", "--km", "1", "--k", "1", "--n", "10", "--z", "-1")[0] == 2
         assert run_cli(capsys, "scatter")[0] == 2          # no energies
         assert run_cli(capsys, "scatter", "--E", "-3")[0] == 2
         assert run_cli(capsys, "epsilon", "--theta", "9", "--eps", "0.5")[0] == 2
@@ -89,6 +90,10 @@ class TestGoldenTables:
             reference = golden.golden_table(K)
             for row, ref in zip(table.rows, reference):
                 assert row.probabilities() == ref
+
+    def test_missing_size_raises_key_error(self):
+        with pytest.raises(KeyError, match="K=8"):
+            golden.golden_table(8)
 
 
 class TestTables:
@@ -246,6 +251,7 @@ class TestScatter:
             ("1", "1e-200"),  # coupling^2 underflows to 0
             ("1e300", "1e-10"),  # kappa^2 = E / coupling^2 overflows
             ("1", "1e200"),  # coupling^2 overflows, so kappa would be 0
+            ("1e308", "1"),  # k^2 = 2 E overflows in the jump residual
         ],
     )
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

@@ -185,3 +185,8 @@ class TestSimulateElastic:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate_elastic(ElasticExperiment(1.0, 0.5), 0, 1)
+
+    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_z(self, z):
+        with pytest.raises(ValueError, match="z must be"):
+            simulate_elastic(ElasticExperiment(1.0, 0.5), 10, 1, z=z)

@@ -174,6 +174,11 @@ class TestRunEnsemble:
         with pytest.raises(TypeError):
             ensemble_mod.run_counted(10.0, 0, lambda seeds: seeds % 2 == 0)
 
+    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_z(self, z):
+        with pytest.raises(ValueError, match="z must be"):
+            run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 0, z=z)
+
     def test_numpy_integer_trial_count(self):
         result = run_ensemble(ElectricState(2, 1), KMeasurement(1), np.int64(500), 7)
         assert result == run_ensemble(ElectricState(2, 1), KMeasurement(1), 500, 7)
@@ -341,6 +346,9 @@ class TestEmpiricalTable:
         for bad in (True, 1.0):
             with pytest.raises(TypeError):
                 table.row(bad)
+        for missing in (0, 3):
+            with pytest.raises(KeyError, match=f"k={missing}"):
+                table.row(missing)
 
 
 class TestSeedTypes:

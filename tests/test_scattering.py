@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,27 @@ class TestAmplitudes:
         with pytest.raises(ValueError, match="kappa"):
             evaluate(1e300, config)
 
+    @pytest.mark.parametrize(
+        "energies, bad, coupling",
+        [
+            ([math.nan], math.nan, 1.0),
+            ([1.0, math.nan, 2.0], math.nan, 1.0),
+            ([math.inf], math.inf, 1.0),
+            ([-math.inf], -math.inf, 1.0),
+            ([-1.0], -1.0, 1.0),
+            ([4.0, -1.0], -1.0, 1.0),
+            ([0.0, 1e300], 1e300, 1e-10),
+            ([1e308], 1e308, 0.3),
+        ],
+    )
+    def test_curve_rejects_as_the_scalar_functions(self, energies, bad, coupling):
+        config = ScatteringConfig(coupling=coupling)
+        with pytest.raises(ValueError) as scalar:
+            transmission_probability(bad, config)
+        with pytest.raises(ValueError) as curve:
+            transmission_curve(np.array(energies), config)
+        assert str(curve.value) == str(scalar.value)
+
 
 class TestProbabilities:
     def test_closed_form_values(self):
@@ -139,6 +161,13 @@ class TestJumpCondition:
             e = rnd.uniform(1e-9, 100.0)
             assert jump_condition_residual(e) < IDENTITY_TOL
 
+    def test_largest_energy_whose_double_is_finite(self):
+        assert jump_condition_residual(sys.float_info.max / 2) < IDENTITY_TOL
+
+    def test_energy_whose_double_overflows_raises(self):
+        with pytest.raises(ValueError, match="2 E overflows"):
+            jump_condition_residual(math.nextafter(sys.float_info.max / 2, math.inf))
+
 
 class TestWavePacket:
     def test_validation(self):
@@ -162,6 +191,24 @@ class TestWavePacket:
     def test_normalized_rescales(self):
         packet = WavePacket([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]).normalized()
         assert abs(packet.weight_integral() - 1.0) < 1e-12
+
+    def test_normalized_rejects_zero_weight(self):
+        with pytest.raises(ValueError, match="zero total weight"):
+            WavePacket([0.0, 1.0], [0.0, 0.0]).normalized()
+
+    @pytest.mark.parametrize(
+        "center, width, n_points, match",
+        [
+            (-1.0, 0.1, 2001, "center"),
+            (math.nan, 0.1, 2001, "center"),
+            (1.0, 0.0, 2001, "width"),
+            (1.0, -0.1, 2001, "width"),
+            (1.0, 0.1, 1, "n_points"),
+        ],
+    )
+    def test_gaussian_rejects_bad_parameters(self, center, width, n_points, match):
+        with pytest.raises(ValueError, match=match):
+            WavePacket.gaussian(center, width, n_points=n_points)
 
     def test_rejects_unnormalized_at_use(self):
         packet = WavePacket([0.0, 1.0], [1.0, 1.0])  # integral = 1 trapezoid? no: 1.0

@@ -9,7 +9,6 @@ from deltamachine.spheres import (
     _CERTAIN,
     ElectricState,
     KMeasurement,
-    choose,
     determinism_threshold,
     probability_table,
     reflection_probability_exact,
@@ -21,18 +20,6 @@ from oracles import born_transmission, cubic_tranche_transmission, enumerated_tr
 
 def p_tr(kp, km, k):
     return transmission_probability_exact(ElectricState(kp, km), KMeasurement(k))
-
-
-class TestChoose:
-    def test_matches_pascal(self):
-        assert choose(7, 3) == 35
-        assert choose(5, 0) == 1
-        assert choose(5, 5) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert choose(3, 4) == 0
-        assert choose(3, -1) == 0
-        assert choose(0, 1) == 0
 
 
 class TestElectricState:
