@@ -15,29 +15,15 @@ reproduce 1-D delta-potential quantum scattering:
 * :mod:`~deltamachine.regimes` — classification of probability tables as
   classical, quantum, or irreducibly intermediate, with witnesses;
 * :mod:`~deltamachine.cli` — command-line front end.
+
+Only the simulation modules (``machine``, ``elastic``, ``ensemble``, ``rng``)
+and the array functions of ``scattering`` use numpy.  Their names are
+resolved on first access (PEP 562), so ``import deltamachine`` and the exact
+and scalar commands of the command line never load numpy.
 """
 
-from .elastic import (
-    ElasticExperiment,
-    OutcomePair,
-    epsilon_probabilities,
-    quantum_spin_probabilities,
-    simulate_elastic,
-)
-from .ensemble import EnsembleResult
-from .machine import (
-    EmpiricalRow,
-    EmpiricalTable,
-    MachinePhase,
-    Outcome,
-    PhaseRecord,
-    Sphere,
-    Tilt,
-    TrialOutcome,
-    empirical_table,
-    run_ensemble,
-    run_trial,
-)
+from importlib import import_module as _import_module
+
 from .regimes import (
     Regime,
     RegimeVerdict,
@@ -71,6 +57,40 @@ from .spheres import (
 )
 
 __version__ = "0.1.0"
+
+#: Names whose defining modules load numpy, with those modules.
+_LAZY_NAMES = {
+    **dict.fromkeys(
+        (
+            "ElasticExperiment",
+            "OutcomePair",
+            "epsilon_probabilities",
+            "quantum_spin_probabilities",
+            "simulate_elastic",
+        ),
+        "elastic",
+    ),
+    "EnsembleResult": "ensemble",
+    **dict.fromkeys(
+        (
+            "EmpiricalRow",
+            "EmpiricalTable",
+            "MachinePhase",
+            "Outcome",
+            "PhaseRecord",
+            "Sphere",
+            "Tilt",
+            "TrialOutcome",
+            "empirical_table",
+            "run_ensemble",
+            "run_trial",
+        ),
+        "machine",
+    ),
+}
+
+#: Submodules that load numpy; each is imported on first access.
+_LAZY_SUBMODULES = ("elastic", "ensemble", "machine", "rng")
 
 __all__ = [
     "DEFAULT_TABLE_CEILING",
@@ -116,3 +136,18 @@ __all__ = [
     "wavepacket_transmission",
     "wronskian_witnesses",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        value = getattr(_import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    elif name in _LAZY_SUBMODULES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_NAMES, *_LAZY_SUBMODULES})

@@ -11,6 +11,10 @@ default output path, ``DELTAMACHINE_TABLE_CEILING`` for the largest K the
 table builders accept.  argparse resolves every option, flag over
 environment variable over default, and converts it, so a malformed value is
 a usage error before any command runs.
+
+The simulation commands (``simulate``, ``epsilon``, ``convergence``) import
+their numpy-backed modules when they run, so the other commands start
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -26,10 +30,8 @@ import sys
 from typing import Any
 
 from . import serialize
-from .elastic import ElasticExperiment, epsilon_probabilities, simulate_elastic
-from .ensemble import DEFAULT_Z
 from .golden import GOLDEN_SIZES, golden_table
-from .machine import run_ensemble
+from .interval import DEFAULT_Z
 from .regimes import classify_table
 from .scattering import (
     ScatteringConfig,
@@ -169,6 +171,8 @@ def _cell_payload(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
+    from .machine import run_ensemble
+
     state, meas, payload = _cell_payload(args, "simulate")
     result = run_ensemble(state, meas, args.n, args.seed, z=args.z)
     payload["result"] = serialize.ensemble_payload(result)
@@ -239,6 +243,8 @@ def _scatter_text(payload: dict[str, Any]) -> str:
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> dict[str, Any]:
+    from .elastic import ElasticExperiment, epsilon_probabilities, simulate_elastic
+
     experiment = ElasticExperiment(theta=args.theta, epsilon=args.eps)
     simulation = None
     if args.n is not None:
@@ -310,6 +316,8 @@ def _parse_schedule(spec: str) -> tuple[int, ...]:
 
 
 def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:
+    from .machine import run_ensemble
+
     state, meas, payload = _cell_payload(args, "convergence")
     payload["schedule"] = list(args.schedule)
     payload["series"] = []
@@ -417,9 +425,9 @@ _RENDERERS = {
 }
 
 
-def _write_output(args: argparse.Namespace, rendered: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+def _write_output(output: str | None, rendered: str) -> None:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
@@ -432,24 +440,27 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
+    command, fmt, output = args.command, args.format, args.output
     try:
-        payload = _DISPATCH[args.command](args)
+        payload = _DISPATCH[command](args)
     except GoldenMismatch as exc:
         print(f"golden mismatch: {exc}", file=sys.stderr)
         return EXIT_GOLDEN_MISMATCH
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # Free the parsed inputs (a --grid list among them) before rendering.
+    del args
 
-    render_text, csv_rows = _RENDERERS[args.command]
-    if args.format == "json":
+    render_text, csv_rows = _RENDERERS[command]
+    if fmt == "json":
         rendered = _render_json(payload)
-    elif args.format == "csv":
+    elif fmt == "csv":
         rendered = _render_csv(*csv_rows(payload))
     else:
         rendered = render_text(payload)
     try:
-        _write_output(args, rendered)
+        _write_output(output, rendered)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,9 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import rng
+from .interval import DEFAULT_Z, normal_half_width
 from .spheres import as_int
-
-DEFAULT_Z = 3.0
 
 #: Working-set budget of one vectorized chunk, in bytes.  A chunk holds
 #: ``max(1, CHUNK_BYTES // trial_bytes)`` trials, so it stays cache-sized and
@@ -47,11 +46,6 @@ class EnsembleResult:
     z: float
     seed: int
     generator: str = rng.GENERATOR_NAME
-
-
-def normal_half_width(p: float, n_trials: int, z: float) -> float:
-    """Half-width of the normal-approximation interval at level z."""
-    return z * math.sqrt(p * (1.0 - p) / n_trials)
 
 
 def run_counted(

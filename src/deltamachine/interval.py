@@ -1,0 +1,17 @@
+"""The interval reported with every ensemble frequency.
+
+Kept free of numpy, so the command-line front end can declare its ``--z``
+default without loading the simulation layer.
+"""
+
+from __future__ import annotations
+
+import math
+
+#: Default confidence level ``z`` of the half-width.
+DEFAULT_Z = 3.0
+
+
+def normal_half_width(p: float, n_trials: int, z: float) -> float:
+    """Half-width of the normal-approximation interval at level z."""
+    return z * math.sqrt(p * (1.0 - p) / n_trials)

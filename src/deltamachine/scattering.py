@@ -17,6 +17,10 @@ checks it at the extremes of its energies.
 The wave-packet operation integrates ``|T(E)|^2`` against a user-supplied
 energy density on a grid with the trapezoidal rule; the sharply peaked limit
 recovers the fixed-energy probability.
+
+The scalar functions use only ``math`` and ``complex``; numpy is imported by
+the array code alone (:func:`transmission_curve`, :class:`WavePacket` and
+:func:`wavepacket_transmission`), so scalar callers never load it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Identity tolerance for the closed-form amplitude relations (unitarity,
 #: continuity, derivative jump).  Double precision leaves ~3 orders of margin.
@@ -128,6 +134,8 @@ def transmission_curve(
     bit for bit: both evaluate the same IEEE operations.  The one energy
     rule is checked at the extremes, with the scalar functions' errors.
     """
+    import numpy as np
+
     e = np.asarray(energies, dtype=np.float64) + 0.0  # -0.0 becomes 0.0
     if e.size:
         # NaN reaches both, +-inf and negatives one, and kappa^2 grows with E
@@ -173,6 +181,8 @@ class WavePacket:
     """
 
     def __init__(self, energies, weights) -> None:
+        import numpy as np
+
         e = np.asarray(energies, dtype=np.float64)
         w = np.asarray(weights, dtype=np.float64)
         if e.ndim != 1 or w.ndim != 1 or e.size != w.size or e.size == 0:
@@ -192,6 +202,8 @@ class WavePacket:
 
     def weight_integral(self) -> float:
         """Trapezoidal integral of the weights (the weight itself for a point mass)."""
+        import numpy as np
+
         if self.energies.size == 1:
             return float(self.weights[0])
         return float(np.trapezoid(self.weights, self.energies))
@@ -219,6 +231,8 @@ class WavePacket:
             raise ValueError("width must be a positive finite real")
         if n_points < 2:
             raise ValueError("n_points must be at least 2")
+        import numpy as np
+
         lo = max(0.0, center - span * width)
         hi = center + span * width
         grid = np.linspace(lo, hi, n_points)
@@ -230,6 +244,8 @@ def wavepacket_transmission(
     packet: WavePacket, config: ScatteringConfig = DEFAULT_CONFIG
 ) -> float:
     """Packet-averaged transmission: trapezoidal integral of |T|^2 |phi|^2."""
+    import numpy as np
+
     total = packet.weight_integral()
     if abs(total - 1.0) > PACKET_NORM_TOL:
         raise ValueError(

@@ -6,18 +6,24 @@ pair plus an advisory ``decimal`` field, a sphere state as its
 ``(k_plus, k_minus)`` counts.  Every command's CSV header and rows are built
 here from its JSON payload (the ``*_csv_rows`` functions), so the two formats
 always carry identical values.
+
+The module loads no numpy: the simulation result types it reads
+(``EnsembleResult``, ``OutcomePair``) and ``ScatteringAmplitudes`` are
+imported for the annotations only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .elastic import OutcomePair
-from .ensemble import EnsembleResult
 from .regimes import RegimeVerdict, Witness
-from .scattering import ScatteringAmplitudes
 from .spheres import ProbabilityTable
+
+if TYPE_CHECKING:
+    from .elastic import OutcomePair
+    from .ensemble import EnsembleResult
+    from .scattering import ScatteringAmplitudes
 
 
 def fraction_payload(value: Fraction) -> dict[str, Any]:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -413,6 +414,37 @@ class TestOutputDestinations:
         code, out, err = run_cli(capsys, "tables", "--K", "3", "--format", "csv")
         assert code == 2 and out == ""
         assert err.startswith("error:")
+
+
+class TestModuleSeams:
+    """Commands call the library through ``cli`` module attributes.
+
+    ``bench/tracing.py`` counts scattering points, tables, verdicts and output
+    bytes by wrapping these attributes, so each call must go through them.
+    """
+
+    def test_commands_call_the_module_attributes(self, capsys, monkeypatch):
+        calls = Counter()
+        for name in ("amplitudes", "probability_table", "classify_table"):
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        written = []
+        write = cli._write_output
+        monkeypatch.setattr(
+            cli, "_write_output", lambda output, rendered: (written.append(rendered), write(output, rendered))
+        )
+        outputs = [
+            run_cli(capsys, "scatter", "--E", "2", "--grid", "0.1:10:7")[1],
+            run_cli(capsys, "tables", "--K", "4")[1],
+            run_cli(capsys, "classify", "--K", "4")[1],
+        ]
+        assert calls == {"amplitudes": 8, "probability_table": 1, "classify_table": 1}
+        assert written == outputs
 
 
 def test_module_entry_point_runs():

@@ -1,0 +1,113 @@
+"""Import contract: the exact and scalar commands run without numpy.
+
+numpy costs more start-up time than the rest of the package together, so
+only the simulation modules and the array functions load it.  The package
+namespace stays complete: its numpy-backed names resolve on first access.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import deltamachine
+from deltamachine import cli, ensemble, interval
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter; its assertions must hold."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_and_scatter_commands_never_import_numpy():
+    run_fresh(
+        """
+        import contextlib, io, sys
+
+        def no_numpy(where):
+            assert "numpy" not in sys.modules, f"numpy imported by {where}"
+
+        import deltamachine
+        no_numpy("import deltamachine")
+        from deltamachine import cli
+        no_numpy("import deltamachine.cli")
+
+        commands = (
+            ["tables", "--K", "5", "--golden"],
+            ["classify", "--K", "8"],
+            ["scatter", "--E", "1", "--grid", "0.1:10:50"],
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in commands:
+                for fmt in ("text", "json", "csv"):
+                    assert cli.main([*argv, "--format", fmt]) == 0, argv
+                    no_numpy(f"{argv} --format {fmt}")
+            assert cli.main(["--help"]) == 0
+            no_numpy("--help")
+
+            # The simulation commands load numpy themselves, in this process.
+            cell = ["--kp", "2", "--km", "1", "--k", "1", "--seed", "1"]
+            assert cli.main(["simulate", *cell, "--n", "100"]) == 0
+            assert cli.main(["epsilon", "--theta", "1", "--eps", "0.5", "--n", "100", "--seed", "1"]) == 0
+            assert cli.main(["convergence", *cell, "--schedule", "10,100"]) == 0
+        assert "numpy" in sys.modules
+        """
+    )
+
+
+def test_submodules_resolve_after_a_bare_import():
+    run_fresh(
+        """
+        import importlib
+        import deltamachine
+
+        assert deltamachine.run_ensemble is deltamachine.machine.run_ensemble
+        for name in ("machine", "elastic", "ensemble", "rng"):
+            module = getattr(deltamachine, name)
+            assert module is importlib.import_module(f"deltamachine.{name}"), name
+        """
+    )
+
+
+class TestNamespace:
+    @pytest.mark.parametrize("name", deltamachine.__all__)
+    def test_name_is_its_defining_modules_object(self, name):
+        value = getattr(deltamachine, name)
+        defining = getattr(value, "__module__", "")
+        if not defining.startswith("deltamachine."):
+            defining = "deltamachine.spheres"  # a constant or a type alias
+        assert getattr(importlib.import_module(defining), name) is value
+
+    def test_dir_lists_every_public_name(self):
+        assert set(deltamachine.__all__) <= set(dir(deltamachine))
+
+    def test_from_import_of_a_numpy_backed_name(self):
+        from deltamachine import run_ensemble
+        from deltamachine.machine import run_ensemble as defined
+
+        assert run_ensemble is defined
+
+    def test_unknown_name_is_an_error(self):
+        with pytest.raises(AttributeError):
+            deltamachine.nope
+        with pytest.raises(ImportError):
+            from deltamachine import nope  # noqa: F401
+
+    def test_z_default_is_defined_once(self):
+        args = cli.build_parser().parse_args(
+            ["simulate", "--kp", "1", "--km", "1", "--k", "1", "--n", "1"]
+        )
+        assert args.z == ensemble.DEFAULT_Z
+        assert ensemble.DEFAULT_Z is interval.DEFAULT_Z
