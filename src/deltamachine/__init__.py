@@ -75,12 +75,7 @@ _LAZY_NAMES = {
         (
             "EmpiricalRow",
             "EmpiricalTable",
-            "MachinePhase",
             "Outcome",
-            "PhaseRecord",
-            "Sphere",
-            "Tilt",
-            "TrialOutcome",
             "empirical_table",
             "run_ensemble",
             "run_trial",
@@ -101,19 +96,14 @@ __all__ = [
     "EnsembleResult",
     "ExactProbability",
     "KMeasurement",
-    "MachinePhase",
     "Outcome",
     "OutcomePair",
-    "PhaseRecord",
     "ProbabilityTable",
     "ProbabilityTableRow",
     "Regime",
     "RegimeVerdict",
     "ScatteringAmplitudes",
     "ScatteringConfig",
-    "Sphere",
-    "Tilt",
-    "TrialOutcome",
     "WavePacket",
     "Witness",
     "WitnessKind",

@@ -25,7 +25,6 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
 from typing import Any
 
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     cell.add_argument("--km", type=int, required=True, help="negative-sphere count")
     cell.add_argument("--k", type=int, required=True, help="tranche size")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=secrets.randbits(64), help="master seed (default: random, recorded in the report)")
+    seeded.add_argument("--seed", type=int, default=int.from_bytes(os.urandom(8), "little"), help="master seed (default: random, recorded in the report)")
     seeded.add_argument("--z", type=float, default=DEFAULT_Z, help="confidence level for the half-width")
 
     p = sub.add_parser("tables", parents=[table, output], help="exact transmission-probability table")

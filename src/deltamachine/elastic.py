@@ -74,15 +74,23 @@ class ElasticExperiment:
         """Reduce full 3-D unit vectors to the angle between them.
 
         The exact normalized dot product is kept as the landing coordinate.
+        Each vector is first divided by its largest absolute component, so
+        the norms neither overflow nor underflow.
         """
         v = np.asarray(state, dtype=np.float64)
         u = np.asarray(axis, dtype=np.float64)
         if v.shape != (3,) or u.shape != (3,):
             raise ValueError("state and axis must be 3-vectors")
+        if not (np.isfinite(v).all() and np.isfinite(u).all()):
+            raise ValueError("state and axis must have finite components")
+        sv = float(np.abs(v).max())
+        su = float(np.abs(u).max())
+        if sv == 0.0 or su == 0.0:
+            raise ValueError("state and axis must be nonzero vectors")
+        v = v / sv
+        u = u / su
         nv = float(np.linalg.norm(v))
         nu = float(np.linalg.norm(u))
-        if nv == 0.0 or nu == 0.0:
-            raise ValueError("state and axis must be nonzero vectors")
         c = max(-1.0, min(1.0, float(np.dot(v, u) / (nv * nu))))
         return cls(theta=math.acos(c), epsilon=epsilon, projection=c)
 

@@ -4,6 +4,8 @@ Both simulators (sphere machine, breakable elastic) follow the same scheme:
 trial ``i`` of an ensemble owns the counter-indexed child stream
 ``substream_seed(master_seed, i)``, so results are independent of execution
 order and chunking, and any single trial can be replayed in isolation.
+Trial ``i`` of a sphere-machine ensemble is
+``machine.run_trial(state, meas, substream_seed(master_seed, i))``.
 """
 
 from __future__ import annotations

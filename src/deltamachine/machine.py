@@ -1,28 +1,28 @@
-"""Event-level seeded simulation of the charged-sphere scattering machine.
+"""Seeded, reproducible Monte Carlo of the charged-sphere scattering machine.
 
-A trial walks the machine through its five phases: the assembled cluster is
-dropped in, disassembles into a shuttered queue (a uniformly random sphere
-ordering — the uncontrollable selection that generates the statistics), the
-first tranche of ``k`` spheres falls through the deflecting field and tilts
-the lever by charge majority, every later tranche is routed to the already
-tilted side (its torque can no longer flip the lever), and the cluster
-reassembles in one exit compartment.
+One run of the machine drops the assembled cluster in; it disassembles into
+a shuttered queue (a uniformly random sphere ordering — the uncontrollable
+selection that generates the statistics); the first tranche of ``k`` spheres
+falls through the deflecting field and tilts the lever by charge majority;
+every later tranche follows the tilt (its torque can no longer flip the
+lever); and the cluster reassembles in one exit compartment.  The entity is
+transmitted iff the lever tilted right.
 
 Randomness enters in exactly two places, both served by the trial's own
 counter-indexed stream (see :mod:`deltamachine.rng`):
 
-* draws ``0 .. K-2`` shuffle the spheres (Fisher-Yates, one bounded index
-  per position, taken modulo the remaining range — bias below 2**-57);
+* draws ``0 .. K-2`` define the queue: a Fisher-Yates shuffle in which draw
+  ``K-1-j`` picks the partner of position ``j``, taken modulo ``j + 1``
+  (bias below 2**-57).  Only the tranche's charge sum matters, so the
+  kernel runs the steps ``j = K-1 .. k`` and consumes draws ``0 .. K-1-k``;
 * draw ``K-1`` resolves an exactly balanced first tranche by fair coin
   (low bit set = tilt right).  Balance is impossible for odd ``k`` and the
   code asserts that instead of handling it.
 
-The outcome is therefore a pure function of ``(state, measurement, seed)``,
-and the vectorized ensemble path reproduces the scalar trial bit-for-bit.
-That stream contract is the same for both paths: draws ``0 .. K-2`` define
-the shuffle.  The scalar trial consumes all of them because its trace shows
-the whole queue; the vectorized kernel needs only the tranche's charge sum
-and so consumes only draws ``0 .. K-1-k`` (plus draw ``K-1`` on a tie).
+The outcome is therefore a pure function of ``(state, measurement, seed)``.
+One kernel, :func:`_transmitted_mask`, decides trials over an array of
+per-trial seeds: :func:`run_ensemble` feeds it chunks of child seeds, and
+:func:`run_trial` replays any single trial of an ensemble through it.
 """
 
 from __future__ import annotations
@@ -44,126 +44,30 @@ from .spheres import (
 )
 
 
-@dataclass(frozen=True)
-class Sphere:
-    """One constituent sphere: unit charge and a trial-unique id."""
-
-    charge: int
-    id: int
-
-    def __post_init__(self) -> None:
-        if self.charge not in (1, -1):
-            raise ValueError("charge must be +1 or -1")
-
-
-class Tilt(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 class Outcome(Enum):
     TRANSMITTED = "transmitted"
     REFLECTED = "reflected"
 
 
-class MachinePhase(Enum):
-    ASSEMBLED = "assembled"
-    DISASSEMBLED = "disassembled"
-    DECIDING = "deciding"
-    SETTLED = "settled"
-    REASSEMBLED = "reassembled"
+def _charges(state: ElectricState) -> np.ndarray:
+    """The cluster's sphere charges in canonical order, positive first."""
+    return np.repeat(np.array([1, -1], np.int8), (state.k_plus, state.k_minus))
 
 
-PHASE_ORDER = tuple(MachinePhase)
+def run_trial(state: ElectricState, meas: KMeasurement, seed: int) -> Outcome:
+    """Replay one seeded trial; deterministic in ``(state, meas, seed)``.
 
-
-@dataclass(frozen=True)
-class PhaseRecord:
-    """One phase of a trial, with the payload relevant to that phase.
-
-    Each of the five phases is entered exactly once per trial, so a full
-    trace is five records; the only O(K) payload is the shutter queue.
-    ``routed`` counts spheres delivered to the tilted side and has reached
-    K by the time the machine settles.
-    """
-
-    phase: MachinePhase
-    queue: tuple[Sphere, ...] | None = None
-    tranche: tuple[Sphere, ...] | None = None
-    tilt: Tilt | None = None
-    routed: int | None = None
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one trial; ``result`` is transmitted iff the lever tilted right."""
-
-    result: Outcome
-    tie_broken: bool
-    trace: tuple[PhaseRecord, ...] | None = None
-
-
-def spheres_for_state(state: ElectricState) -> tuple[Sphere, ...]:
-    """Canonical sphere labelling: ids 0..K-1, positive charges first."""
-    positive = tuple(Sphere(charge=1, id=i) for i in range(state.k_plus))
-    negative = tuple(
-        Sphere(charge=-1, id=state.k_plus + i) for i in range(state.k_minus)
-    )
-    return positive + negative
-
-
-def _shuffled_ids(total: int, seed: int) -> list[int]:
-    """Fisher-Yates ordering driven by draws 0..total-2 of the trial stream."""
-    order = list(range(total))
-    for j in range(total - 1, 0, -1):
-        r = rng.draw(seed, total - 1 - j) % (j + 1)
-        order[j], order[r] = order[r], order[j]
-    return order
-
-
-def run_trial(
-    state: ElectricState,
-    meas: KMeasurement,
-    seed: int,
-    *,
-    record_trace: bool = False,
-) -> TrialOutcome:
-    """Run one seeded trial; deterministic in ``(state, meas, seed)``.
-
-    ``seed`` is any integer, reduced modulo 2**64; ``bool``, float and
-    ``str`` seeds raise ``TypeError``.
+    Trial ``i`` of ``run_ensemble(state, meas, n, s)`` is
+    ``run_trial(state, meas, substream_seed(s, i))``.  ``seed`` is any
+    integer, reduced modulo 2**64; ``bool``, float and ``str`` seeds raise
+    ``TypeError``.
     """
     _require_valid(state, meas)
-    total = state.total
-    k = meas.k
     seed = as_int(seed, "seed") & rng.MASK64
-
-    spheres = spheres_for_state(state)
-    queue = tuple(spheres[i] for i in _shuffled_ids(total, seed))
-    tranche = queue[:k]
-    charge_sum = sum(s.charge for s in tranche)
-
-    if charge_sum == 0:
-        assert k % 2 == 0, "balanced tranche with odd tranche size"
-        tie_broken = True
-        tilt = Tilt.RIGHT if rng.coin(rng.draw(seed, total - 1)) else Tilt.LEFT
-    else:
-        tie_broken = False
-        tilt = Tilt.RIGHT if charge_sum > 0 else Tilt.LEFT
-
-    # Remaining tranches only follow the tilt; no further randomness.
-    trace: tuple[PhaseRecord, ...] | None = None
-    if record_trace:
-        trace = (
-            PhaseRecord(phase=MachinePhase.ASSEMBLED),
-            PhaseRecord(phase=MachinePhase.DISASSEMBLED, queue=queue),
-            PhaseRecord(phase=MachinePhase.DECIDING, tranche=tranche),
-            PhaseRecord(phase=MachinePhase.SETTLED, tilt=tilt, routed=total),
-            PhaseRecord(phase=MachinePhase.REASSEMBLED, tilt=tilt),
-        )
-
-    result = Outcome.TRANSMITTED if tilt is Tilt.RIGHT else Outcome.REFLECTED
-    return TrialOutcome(result=result, tie_broken=tie_broken, trace=trace)
+    trial_seeds = np.array([seed], dtype=np.uint64)
+    if _transmitted_mask(_charges(state), meas.k, trial_seeds)[0]:
+        return Outcome.TRANSMITTED
+    return Outcome.REFLECTED
 
 
 #: Shuffle draws the kernel takes from the RNG in one call (128 KiB).  A
@@ -176,12 +80,12 @@ _DRAWS_PER_BLOCK = 1 << 14
 def _transmitted_mask(
     charges: np.ndarray, k: int, trial_seeds: np.ndarray
 ) -> np.ndarray:
-    """Vectorized replica of the trial kernel over many per-trial seeds.
+    """The trial kernel: which of the trials with these seeds transmit.
 
     The outcome depends only on the multiset of charges in the first ``k``
     queue positions, so only the shuffle steps ``j = K-1 .. k`` run: after
     step ``k`` the later steps merely permute positions inside the tranche.
-    Each step carries the one value the scalar swap moves into the live
+    Each step carries the one value the Fisher-Yates swap moves into the live
     prefix (position ``j`` into position ``r``); the value swapped out to
     position ``j >= k`` is final, outside the tranche and never read again,
     so it is not written.  The trials share one flat row-major buffer, and a
@@ -232,20 +136,18 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run ``n_trials`` independent trials with counter-derived per-trial seeds.
 
-    Trial ``i`` uses ``substream_seed(seed, i)`` and is bit-identical to
-    ``run_trial(state, meas, substream_seed(seed, i))``; the aggregate is
-    reproducible and order-independent.
+    Trial ``i`` uses ``substream_seed(seed, i)``, so
+    ``run_trial(state, meas, substream_seed(seed, i))`` replays it; the
+    aggregate is reproducible and order-independent.
     """
     _require_valid(state, meas)
-    total = state.total
-    # The charges of spheres_for_state(state), positive first, without the objects.
-    charges = np.repeat(np.array([1, -1], np.int8), (state.k_plus, state.k_minus))
+    charges = _charges(state)
     return run_counted(
         n_trials,
         seed,
         lambda trial_seeds: _transmitted_mask(charges, meas.k, trial_seeds),
         z=z,
-        trial_bytes=total + TRIAL_BYTES,
+        trial_bytes=state.total + TRIAL_BYTES,
     )
 
 

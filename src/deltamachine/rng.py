@@ -12,8 +12,9 @@ Child streams (per-trial seeds, per-table-cell seeds) are derived with
 the same splitting rule used by splittable-generator designs.
 
 Seeds and draws are unsigned 64-bit values; arbitrary Python ints are reduced
-modulo 2**64 on entry.  The ensemble entry points (``run_counted``,
-``run_trial``, ``empirical_table``) accept any integer, numpy integers
+modulo 2**64 on entry.  The seeded entry points (``run_ensemble``,
+``simulate_elastic`` and ``empirical_table``, all through ``run_counted``,
+and the one-trial replay ``run_trial``) accept any integer, numpy integers
 included, and raise ``TypeError`` for ``bool``, float and ``str`` seeds, so
 the seed a result records is always the stream that produced it.
 """
@@ -55,20 +56,10 @@ def substream_seed(seed: int, index: int) -> int:
     return draw(seed, index)
 
 
-def unit_double(u64: int) -> float:
-    """Map a 64-bit draw to a double in [0, 1) using its top 53 bits."""
-    return (u64 >> 11) * 2.0 ** -53
-
-
-def coin(u64: int) -> bool:
-    """Fair-coin convention: low bit set means the 'positive' outcome."""
-    return bool(u64 & 1)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized equivalents.  These replicate the scalar arithmetic exactly on
-# uint64 arrays (numpy unsigned arithmetic wraps mod 2**64), which is what
-# lets ensembles run chunked/vectorized while matching per-trial replay.
+# uint64 arrays (numpy unsigned arithmetic wraps mod 2**64), so a chunk of
+# streams gives the same draws as each stream on its own.
 # ---------------------------------------------------------------------------
 
 
@@ -114,4 +105,5 @@ def substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def unit_doubles(u64: np.ndarray) -> np.ndarray:
+    """Map 64-bit draws to doubles in [0, 1) using their top 53 bits."""
     return (u64 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

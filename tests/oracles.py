@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own code paths: probabilities come
 from literal enumeration of every possible first tranche, never from the
-closed-form sums under test, and rows are classified on ``Fraction`` values
-straight from the criteria, never on the integer counts the library uses.
+closed-form sums under test, rows are classified on ``Fraction`` values
+straight from the criteria, never on the integer counts the library uses,
+and single trials run the full scalar shuffle on a separate transcription
+of the splitmix64 stream, never the library's truncated array kernels.
 """
 
 from __future__ import annotations
@@ -78,3 +80,61 @@ def reference_verdict(
     ]
     indeterminate = [("NonClassicalIndeterminism", (i, K - i)) for i in fractional]
     return "Intermediate", zeros + indeterminate, not zeros
+
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def reference_mix(z: int) -> int:
+    """Independent transcription of the splitmix64 finalizer constants."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_draw(seed: int, index: int) -> int:
+    """Draw ``index`` of the counter-mode stream with ``seed``."""
+    return reference_mix(seed + (index + 1) * GOLDEN)
+
+
+def unit_double(u64: int) -> float:
+    """A 64-bit draw as a double in [0, 1), from its top 53 bits."""
+    return (u64 >> 11) * 2.0**-53
+
+
+def coin(u64: int) -> bool:
+    """Fair coin: low bit set means the positive outcome."""
+    return bool(u64 & 1)
+
+
+def sphere_trial(k_plus: int, k_minus: int, k: int, seed: int) -> bool:
+    """One sphere-machine trial with the full shuffle; True if transmitted.
+
+    Fisher-Yates over all K positions, with draw ``K-1-j`` taken modulo
+    ``j + 1`` at position ``j``; the first ``k`` positions are the tranche,
+    and a balanced tranche takes the low bit of draw ``K-1``.
+    """
+    charges = [1] * k_plus + [-1] * k_minus
+    total = len(charges)
+    for j in range(total - 1, 0, -1):
+        r = reference_draw(seed, total - 1 - j) % (j + 1)
+        charges[j], charges[r] = charges[r], charges[j]
+    charge_sum = sum(charges[:k])
+    if charge_sum == 0:
+        return coin(reference_draw(seed, total - 1))
+    return charge_sum > 0
+
+
+def elastic_trial(c: float, eps: float, seed: int) -> bool:
+    """One breakable-band trial; True if the particle goes to the + pole.
+
+    Draw 0 breaks the band at ``-eps + 2 eps u``; the particle at ``c``
+    goes up when the break is below it, and a break exactly at ``c`` takes
+    the low bit of draw 1.
+    """
+    at = -eps + 2.0 * eps * unit_double(reference_draw(seed, 0))
+    if at == c:
+        return coin(reference_draw(seed, 1))
+    return at < c

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from deltamachine import elastic, rng
 from deltamachine.elastic import (
     ElasticExperiment,
     epsilon_probabilities,
@@ -71,6 +73,23 @@ class TestElasticExperiment:
         with pytest.raises(ValueError):
             ElasticExperiment.from_vectors([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.5)
 
+    @pytest.mark.parametrize("state", [[math.nan, 0.0, 1.0], [math.inf, 0.0, 0.0]])
+    def test_from_vectors_rejects_non_finite_components(self, state):
+        with pytest.raises(ValueError, match="finite"):
+            ElasticExperiment.from_vectors(state, [0.0, 0.0, 1.0], 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            ElasticExperiment.from_vectors([0.0, 0.0, 1.0], state, 0.5)
+
+    def test_from_vectors_huge_components_do_not_overflow(self):
+        exp = ElasticExperiment.from_vectors([1e308, 0.0, 1e308], [0.0, 0.0, 1.0], 0.5)
+        assert exp.cos_theta == 0.7071067811865475
+
+    def test_from_vectors_tiny_components_do_not_underflow(self):
+        exp = ElasticExperiment.from_vectors([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0], 0.5)
+        assert exp.cos_theta == 1.0
+        exp = ElasticExperiment.from_vectors([0.0, 5e-324, 0.0], [0.0, -3.0, 0.0], 0.5)
+        assert exp.cos_theta == -1.0
+
 
 class TestEpsilonProbabilities:
     def test_fully_breakable_reduces_to_quantum(self):
@@ -136,6 +155,43 @@ class TestEpsilonProbabilities:
                 direct = epsilon_probabilities(ElasticExperiment(theta, eps))
                 mirrored = epsilon_probabilities(ElasticExperiment(math.pi - theta, eps))
                 assert abs(direct.p_plus - mirrored.p_minus) <= 1e-12
+
+
+class TestKernelParity:
+    """The vectorized band-breaking kernel against a scalar trial per seed."""
+
+    SEEDS = rng.substream_seeds(2024, 0, 64)
+
+    def check(self, c, eps, seeds=SEEDS):
+        got = elastic._plus_mask(c, eps, seeds)
+        assert got.tolist() == [oracles.elastic_trial(c, eps, s) for s in seeds.tolist()], (c, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 1.0])
+    def test_grid(self, eps):
+        for c in (-1.0, -0.5, -0.05, 0.0, 0.05, 0.5, 1.0):
+            self.check(c, eps)
+
+    def test_knife_edge_is_the_coin_of_draw_one(self):
+        # eps = 0 and c = 0: every break lands on the particle.
+        self.check(0.0, 0.0)
+        plus = elastic._plus_mask(0.0, 0.0, self.SEEDS).tolist()
+        coins = [oracles.coin(oracles.reference_draw(s, 1)) for s in self.SEEDS.tolist()]
+        assert plus == coins and 0 < sum(plus) < len(plus)
+
+    def test_exact_tie_inside_the_breakable_segment(self):
+        # Place the particle exactly on the break point of one seed.
+        eps, seed = 0.5, int(self.SEEDS[5])
+        c = -eps + 2.0 * eps * oracles.unit_double(oracles.reference_draw(seed, 0))
+        self.check(c, eps)
+        # This seed's coin is heads, so only the tie rule makes the trial go up.
+        assert oracles.coin(oracles.reference_draw(seed, 1))
+        assert elastic._plus_mask(c, eps, self.SEEDS[5:6]).tolist() == [True]
+
+    def test_unit_doubles_matches_reference(self):
+        values = np.array([0, 1, (1 << 11) - 1, 1 << 11, 2**63, rng.MASK64], dtype=np.uint64)
+        got = rng.unit_doubles(values).tolist()
+        assert got == [oracles.unit_double(v) for v in values.tolist()]
+        assert got[0] == got[1] == got[2] == 0.0 and got[-1] < 1.0
 
 
 class TestSimulateElastic:

@@ -43,6 +43,9 @@ def test_exact_and_scatter_commands_never_import_numpy():
         no_numpy("import deltamachine")
         from deltamachine import cli
         no_numpy("import deltamachine.cli")
+        # The default seed reads os.urandom; secrets would pull in hashlib.
+        for name in ("secrets", "hashlib"):
+            assert name not in sys.modules, f"{name} imported by import deltamachine.cli"
 
         commands = (
             ["tables", "--K", "5", "--golden"],

@@ -1,4 +1,4 @@
-"""Event-level machine simulation: determinism, traces, statistics."""
+"""Sphere-machine simulation: kernel parity, replay, chunking, statistics."""
 
 import math
 from fractions import Fraction
@@ -6,21 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from deltamachine import ensemble as ensemble_mod
 from deltamachine import machine as machine_mod
 from deltamachine import rng
 from deltamachine.ensemble import normal_half_width
-from deltamachine.machine import (
-    MachinePhase,
-    Outcome,
-    PHASE_ORDER,
-    Sphere,
-    Tilt,
-    empirical_table,
-    run_ensemble,
-    run_trial,
-    spheres_for_state,
-)
+from deltamachine.machine import Outcome, empirical_table, run_ensemble, run_trial
 from deltamachine.spheres import (
     ElectricState,
     KMeasurement,
@@ -29,38 +20,21 @@ from deltamachine.spheres import (
 )
 
 
-class TestSphere:
-    def test_rejects_neutral_charge(self):
-        with pytest.raises(ValueError):
-            Sphere(charge=0, id=1)
-
-    def test_state_labelling(self):
-        spheres = spheres_for_state(ElectricState(2, 3))
-        assert [s.charge for s in spheres] == [1, 1, -1, -1, -1]
-        assert sorted(s.id for s in spheres) == list(range(5))
-
-
 class TestRunTrial:
     def test_all_negative_always_reflects(self):
         for seed in range(25):
-            out = run_trial(ElectricState(0, 5), KMeasurement(1), seed)
-            assert out.result is Outcome.REFLECTED
-            assert not out.tie_broken
+            assert run_trial(ElectricState(0, 5), KMeasurement(1), seed) is Outcome.REFLECTED
 
     def test_all_positive_always_transmits(self):
         for seed in range(25):
-            out = run_trial(ElectricState(5, 0), KMeasurement(3), seed)
-            assert out.result is Outcome.TRANSMITTED
+            assert run_trial(ElectricState(5, 0), KMeasurement(3), seed) is Outcome.TRANSMITTED
 
-    def test_balanced_pair_always_tie_broken(self):
+    def test_balanced_pair_is_the_coin_of_draw_one(self):
+        # Every tranche of (1, 1) with k = 2 is balanced: draw K-1 decides.
         for seed in range(50):
-            out = run_trial(ElectricState(1, 1), KMeasurement(2), seed)
-            assert out.tie_broken
-
-    def test_odd_tranches_never_tie(self):
-        for seed in range(200):
-            out = run_trial(ElectricState(3, 4), KMeasurement(3), seed)
-            assert not out.tie_broken
+            transmitted = run_trial(ElectricState(1, 1), KMeasurement(2), seed) is Outcome.TRANSMITTED
+            assert transmitted == oracles.coin(oracles.reference_draw(seed, 1))
+            assert transmitted == oracles.sphere_trial(1, 1, 2, seed)
 
     def test_rejects_oversized_tranche(self):
         with pytest.raises(ValueError):
@@ -69,61 +43,46 @@ class TestRunTrial:
     def test_deterministic_in_seed(self):
         state, meas = ElectricState(3, 2), KMeasurement(2)
         for seed in (0, 7, 2**63 + 11):
-            a = run_trial(state, meas, seed, record_trace=True)
-            b = run_trial(state, meas, seed, record_trace=True)
-            assert a == b
-
-    def test_trace_off_by_default(self):
-        assert run_trial(ElectricState(2, 1), KMeasurement(1), 5).trace is None
+            assert run_trial(state, meas, seed) is run_trial(state, meas, seed)
 
 
-class TestTrace:
-    def trial(self, kp=3, km=2, k=2, seed=11):
-        return run_trial(
-            ElectricState(kp, km), KMeasurement(k), seed, record_trace=True
-        )
+class TestReplay:
+    """Trial i of an ensemble is run_trial on child seed i, at any chunking."""
 
-    def test_phases_in_order_exactly_once(self):
-        trace = self.trial().trace
-        assert tuple(r.phase for r in trace) == PHASE_ORDER
+    CELLS = [(3, 2, 2), (4, 3, 3), (2, 2, 4), (10, 6, 5), (1, 0, 1)]
 
-    def test_queue_is_permutation_of_cluster(self):
-        out = self.trial(seed=99)
-        queue = out.trace[1].queue
-        assert sorted(s.id for s in queue) == list(range(5))
-        assert sum(s.charge for s in queue) == 1
+    def check(self, monkeypatch, kp, km, k):
+        n, master = 300, 20261018
+        masks = []
+        kernel = machine_mod._transmitted_mask
 
-    def test_first_tranche_is_queue_head(self):
-        out = self.trial(k=3, seed=4)
-        assert out.trace[2].tranche == out.trace[1].queue[:3]
+        def spy(charges, k, trial_seeds):
+            masks.append(kernel(charges, k, trial_seeds))
+            return masks[-1]
 
-    def test_settled_routes_every_sphere(self):
-        out = self.trial(seed=21)
-        settled = out.trace[3]
-        assert settled.phase is MachinePhase.SETTLED
-        assert settled.routed == 5
-        assert out.trace[4].tilt is settled.tilt
+        monkeypatch.setattr(machine_mod, "_transmitted_mask", spy)
+        state, meas = ElectricState(kp, km), KMeasurement(k)
+        result = run_ensemble(state, meas, n, master)
+        monkeypatch.setattr(machine_mod, "_transmitted_mask", kernel)
+        chunk = ensemble_mod.CHUNK_BYTES // (state.total + ensemble_mod.TRIAL_BYTES)
+        assert len(masks) == -(-n // chunk)
+        trials = np.concatenate(masks).tolist()
+        assert sum(trials) == result.transmitted
+        replayed = [
+            run_trial(state, meas, rng.substream_seed(master, i)) is Outcome.TRANSMITTED
+            for i in range(n)
+        ]
+        assert replayed == trials
 
-    def test_result_matches_tilt(self):
-        for seed in range(40):
-            out = self.trial(seed=seed)
-            tilt = out.trace[3].tilt
-            expected = Outcome.TRANSMITTED if tilt is Tilt.RIGHT else Outcome.REFLECTED
-            assert out.result is expected
+    @pytest.mark.parametrize("kp, km, k", CELLS)
+    def test_default_chunks(self, monkeypatch, kp, km, k):
+        self.check(monkeypatch, kp, km, k)
 
-    def test_replay_first_tranche_decides_outcome(self):
-        # Independent replay: the first tranche's majority must explain the
-        # recorded tilt; balanced tranches must carry the tie flag.
-        for kp, km, k in [(3, 2, 2), (2, 2, 2), (4, 3, 3), (1, 1, 2), (5, 3, 4)]:
-            for seed in range(60):
-                out = self.trial(kp, km, k, seed)
-                charge = sum(s.charge for s in out.trace[2].tranche)
-                if charge > 0:
-                    assert out.trace[3].tilt is Tilt.RIGHT and not out.tie_broken
-                elif charge < 0:
-                    assert out.trace[3].tilt is Tilt.LEFT and not out.tie_broken
-                else:
-                    assert out.tie_broken
+    @pytest.mark.parametrize("kp, km, k", CELLS)
+    def test_small_chunks(self, monkeypatch, kp, km, k):
+        # 41 to 59 trials per chunk: 6 to 8 chunks, the last one partial.
+        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 41 * (16 + ensemble_mod.TRIAL_BYTES))
+        self.check(monkeypatch, kp, km, k)
 
 
 class TestRunEnsemble:
@@ -132,9 +91,7 @@ class TestRunEnsemble:
         n = 500
         result = run_ensemble(state, meas, n, master)
         scalar = sum(
-            run_trial(state, meas, rng.substream_seed(master, i)).result
-            is Outcome.TRANSMITTED
-            for i in range(n)
+            oracles.sphere_trial(3, 2, 2, rng.substream_seed(master, i)) for i in range(n)
         )
         assert result.transmitted == scalar
 
@@ -187,10 +144,11 @@ class TestRunEnsemble:
     def test_balanced_full_tranche_frequency(self):
         # K+ = K- with k = K: every trial is a tie and the coin is fair.
         result = run_ensemble(ElectricState(2, 2), KMeasurement(4), 50_000, 77)
-        for seed in range(30):
-            assert run_trial(
-                ElectricState(2, 2), KMeasurement(4), rng.substream_seed(77, seed)
-            ).tie_broken
+        for i in range(30):
+            seed = rng.substream_seed(77, i)
+            coin = oracles.coin(oracles.reference_draw(seed, 3))
+            assert oracles.sphere_trial(2, 2, 4, seed) == coin
+            assert (run_trial(ElectricState(2, 2), KMeasurement(4), seed) is Outcome.TRANSMITTED) == coin
         assert abs(float(result.frequency) - 0.5) <= normal_half_width(0.5, 50_000, 4.0)
 
 
@@ -200,13 +158,9 @@ class TestKernelParity:
     SEEDS = rng.substream_seeds(2024, 0, 32)
 
     def check(self, kp, km, k):
-        state = ElectricState(kp, km)
-        charges = np.array([s.charge for s in spheres_for_state(state)], dtype=np.int8)
+        charges = np.array([1] * kp + [-1] * km, dtype=np.int8)
         got = machine_mod._transmitted_mask(charges, k, self.SEEDS)
-        expected = [
-            run_trial(state, KMeasurement(k), int(seed)).result is Outcome.TRANSMITTED
-            for seed in self.SEEDS
-        ]
+        expected = [oracles.sphere_trial(kp, km, k, seed) for seed in self.SEEDS.tolist()]
         assert got.tolist() == expected, (kp, km, k)
 
     @pytest.mark.parametrize("K", range(1, 13))

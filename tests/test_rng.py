@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 
 from deltamachine import rng
+from oracles import reference_mix
 
 MASK = rng.MASK64
-
-
-def reference_mix(z: int) -> int:
-    # Independent transcription of the splitmix64 finalizer constants.
-    z &= MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-    return z ^ (z >> 31)
 
 
 class TestScalar:
@@ -30,13 +23,6 @@ class TestScalar:
     def test_seed_reduced_mod_2_64(self):
         assert rng.draw(MASK + 1 + 5, 0) == rng.draw(5, 0)
         assert rng.draw(-1, 3) == rng.draw(MASK, 3)
-
-    def test_unit_double_range(self):
-        assert rng.unit_double(0) == 0.0
-        assert 0.0 <= rng.unit_double(MASK) < 1.0
-
-    def test_coin_uses_low_bit(self):
-        assert rng.coin(1) and not rng.coin(2)
 
 
 class TestVectorParity:
@@ -72,12 +58,6 @@ class TestVectorParity:
         assert block.shape == (4, 4)
         for i, row in enumerate(block.tolist()):
             assert row == [rng.draw(s, 7 + i) for s in seeds.tolist()]
-
-    def test_unit_doubles_matches_scalar(self):
-        values = np.array([0, 1 << 11, MASK], dtype=np.uint64)
-        vec = rng.unit_doubles(values)
-        for raw, got in zip(values.tolist(), vec.tolist()):
-            assert got == rng.unit_double(raw)
 
 
 class TestStreamStructure:
