@@ -73,6 +73,7 @@ def run_counted(
         raise ValueError("n_trials must be a positive integer")
     if not math.isfinite(z) or z < 0.0:
         raise ValueError("z must be a nonnegative finite real")
+    z = float(z) + 0.0  # -0.0 becomes 0.0, so no result carries a minus sign
     trial_bytes = as_int(trial_bytes, "trial_bytes")
     if trial_bytes < 1:
         raise ValueError("trial_bytes must be a positive integer")
@@ -89,6 +90,6 @@ def run_counted(
         transmitted=count,
         frequency=freq,
         half_width=normal_half_width(float(freq), n_trials, z),
-        z=float(z),
+        z=z,
         seed=seed,
     )

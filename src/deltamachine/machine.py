@@ -198,4 +198,4 @@ def empirical_table(
             cell_seed = rng.substream_seed(seed, cell_index)
             entries.append((state, run_ensemble(state, meas, n_trials, cell_seed, z=z)))
         rows.append(EmpiricalRow(k=row.k, entries=tuple(entries)))
-    return EmpiricalTable(K=K, n_trials=n_trials, seed=seed, z=float(z), rows=tuple(rows))
+    return EmpiricalTable(K=K, n_trials=n_trials, seed=seed, z=float(z) + 0.0, rows=tuple(rows))

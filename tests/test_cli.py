@@ -380,6 +380,22 @@ class TestConvergence:
             assert float(record["abs_error"]) == entry["abs_error"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--kp", "2", "--km", "1", "--k", "1", "--n", "20", "--seed", "3"),
+        ("epsilon", "--theta", "0.8", "--eps", "0.6", "--n", "20", "--seed", "3"),
+        ("convergence", "--kp", "2", "--km", "1", "--k", "1", "--seed", "3", "--schedule", "10,20"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_zero_z_prints_as_zero(capsys, argv, fmt):
+    negative = run_cli(capsys, *argv, "--z", "-0", "--format", fmt)
+    positive = run_cli(capsys, *argv, "--z", "0", "--format", fmt)
+    assert negative == positive and negative[0] == 0
+
+
 class TestOutputDestinations:
     def test_output_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "table.json"

@@ -2,7 +2,8 @@
 
 numpy costs more start-up time than the rest of the package together, so
 only the simulation modules and the array functions load it.  The package
-namespace stays complete: its numpy-backed names resolve on first access.
+namespace stays complete: ``import deltamachine`` loads no submodule, and
+every public name resolves on first access.
 """
 
 import importlib
@@ -40,7 +41,11 @@ def test_exact_and_scatter_commands_never_import_numpy():
             assert "numpy" not in sys.modules, f"numpy imported by {where}"
 
         import deltamachine
-        no_numpy("import deltamachine")
+        loaded = [m for m in sys.modules if m.startswith("deltamachine.")]
+        assert not loaded, f"import deltamachine loaded {loaded}"
+        from deltamachine import ElectricState
+        assert "deltamachine.spheres" in sys.modules
+        no_numpy("from deltamachine import ElectricState")
         from deltamachine import cli
         no_numpy("import deltamachine.cli")
         # The default seed reads os.urandom; secrets would pull in hashlib.
@@ -77,7 +82,8 @@ def test_submodules_resolve_after_a_bare_import():
         import deltamachine
 
         assert deltamachine.run_ensemble is deltamachine.machine.run_ensemble
-        for name in ("machine", "elastic", "ensemble", "rng"):
+        modules = ("machine", "elastic", "ensemble", "rng", "spheres", "regimes", "scattering")
+        for name in modules:
             module = getattr(deltamachine, name)
             assert module is importlib.import_module(f"deltamachine.{name}"), name
         """
@@ -92,6 +98,10 @@ class TestNamespace:
         if not defining.startswith("deltamachine."):
             defining = "deltamachine.spheres"  # a constant or a type alias
         assert getattr(importlib.import_module(defining), name) is value
+        assert vars(deltamachine)[name] is value  # cached after first use
+
+    def test_all_is_sorted_without_duplicates(self):
+        assert deltamachine.__all__ == sorted(set(deltamachine.__all__))
 
     def test_dir_lists_every_public_name(self):
         assert set(deltamachine.__all__) <= set(dir(deltamachine))

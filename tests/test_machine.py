@@ -136,6 +136,12 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="z must be"):
             run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 0, z=z)
 
+    def test_negative_zero_z_is_zero(self):
+        r = run_ensemble(ElectricState(2, 1), KMeasurement(1), 20, 3, z=-0.0)
+        assert r == run_ensemble(ElectricState(2, 1), KMeasurement(1), 20, 3, z=0.0)
+        assert math.copysign(1, r.half_width) == 1 and math.copysign(1, r.z) == 1
+        assert math.copysign(1, empirical_table(2, 10, 3, z=-0.0).z) == 1
+
     def test_numpy_integer_trial_count(self):
         result = run_ensemble(ElectricState(2, 1), KMeasurement(1), np.int64(500), 7)
         assert result == run_ensemble(ElectricState(2, 1), KMeasurement(1), 500, 7)
