@@ -71,7 +71,13 @@ def run_counted(
     n_trials = as_int(n_trials, "n_trials")
     if n_trials < 1:
         raise ValueError("n_trials must be a positive integer")
-    if not math.isfinite(z) or z < 0.0:
+    if isinstance(z, (bool, np.bool_)):
+        raise TypeError("z must be a real number, not bool")
+    try:
+        finite = math.isfinite(z)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite or z < 0.0:
         raise ValueError("z must be a nonnegative finite real")
     z = float(z) + 0.0  # -0.0 becomes 0.0, so no result carries a minus sign
     trial_bytes = as_int(trial_bytes, "trial_bytes")

@@ -22,7 +22,9 @@ counter-indexed stream (see :mod:`deltamachine.rng`):
 The outcome is therefore a pure function of ``(state, measurement, seed)``.
 One kernel, :func:`_transmitted_mask`, decides trials over an array of
 per-trial seeds: :func:`run_ensemble` feeds it chunks of child seeds, and
-:func:`run_trial` replays any single trial of an ensemble through it.
+:func:`run_trial` replays any single trial of an ensemble through it.  It
+holds a cluster of up to 64 spheres as one 64-bit word per trial and a
+larger one as a row of bytes; both replay the same shuffle steps.
 """
 
 from __future__ import annotations
@@ -76,29 +78,23 @@ def run_trial(state: ElectricState, meas: KMeasurement, seed: int) -> Outcome:
 #: slower, as they leave the cache.
 _DRAWS_PER_BLOCK = 1 << 14
 
+#: Largest cluster held as one ``uint64`` word per trial (bit ``p`` set iff
+#: position ``p`` holds a positive sphere); larger ones hold a byte per sphere.
+_WORD_BITS = 64
+_U64_1 = np.uint64(1)
 
-def _transmitted_mask(
-    charges: np.ndarray, k: int, trial_seeds: np.ndarray
-) -> np.ndarray:
-    """The trial kernel: which of the trials with these seeds transmit.
 
-    The outcome depends only on the multiset of charges in the first ``k``
-    queue positions, so only the shuffle steps ``j = K-1 .. k`` run: after
-    step ``k`` the later steps merely permute positions inside the tranche.
-    Each step carries the one value the Fisher-Yates swap moves into the live
-    prefix (position ``j`` into position ``r``); the value swapped out to
-    position ``j >= k`` is final, outside the tranche and never read again,
-    so it is not written.  The trials share one flat row-major buffer, and a
-    step is one gather (column ``j``) and one scatter (offsets ``rows + r``).
-    The draws of consecutive steps come from one RNG call per block of
-    ``_DRAWS_PER_BLOCK // m`` steps (see :func:`rng.advanced_seeds`).
-    """
-    total = charges.size
-    m = trial_seeds.size
-    flat = np.tile(charges, m)
-    rows = np.arange(0, m * total, total, dtype=np.int64)
-    columns = flat.reshape(m, total)
-    per_block = max(1, _DRAWS_PER_BLOCK // m)
+def _trial_bytes(total: int) -> int:
+    """Working set of one trial in bytes: a word and the two temporaries of a
+    step, or one byte per sphere; plus the seed, draw and index words."""
+    return (3 * 8 if total <= _WORD_BITS else total) + TRIAL_BYTES
+
+
+def _step_blocks(total: int, k: int, trial_seeds: np.ndarray):
+    """Yield ``(top, partners)`` for the steps ``j = K-1 .. k``: row ``i`` holds
+    each trial's partner ``r <= j`` of step ``j = top - i``.  One RNG call serves
+    ``_DRAWS_PER_BLOCK // m`` steps (see :func:`rng.advanced_seeds`)."""
+    per_block = max(1, _DRAWS_PER_BLOCK // trial_seeds.size)
     block_seeds = rng.advanced_seeds(trial_seeds, min(per_block, total - k))
     for first in range(0, total - k, per_block):
         # Row i holds draw first + i, the draw of step j = K-1-first-i.
@@ -112,16 +108,64 @@ def _transmitted_mask(
             np.floor_divide(draw, span, out=out)
         quotient *= spans[:, None]
         draws -= quotient
-        dest = draws.view(np.int64)  # remainders < j + 1: same bits
+        yield total - 1 - first, draws
+
+
+def _word_tranche_sums(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> np.ndarray:
+    """Tranche charge sums of words: step ``j`` copies bit ``j`` into bit
+    ``r`` by a delta swap (Knuth, TAOCP 4A 7.1.3) of six array operations."""
+    word = sum(1 << p for p in np.flatnonzero(charges > 0).tolist())
+    x = np.full(trial_seeds.size, word, dtype=np.uint64)
+    t, u = np.empty_like(x), np.empty_like(x)
+    for top, partners in _step_blocks(charges.size, k, trial_seeds):
+        for i, r in enumerate(partners):
+            np.right_shift(x, r, out=t)
+            np.right_shift(x, np.uint64(top - i), out=u)
+            t ^= u
+            t &= _U64_1
+            t <<= r
+            x ^= t
+    x &= np.uint64((1 << k) - 1)
+    return 2 * np.bitwise_count(x).astype(np.int16) - k
+
+
+def _row_tranche_sums(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> np.ndarray:
+    """Tranche charge sums of byte rows: per step, a gather of column ``j``
+    and a scatter to the offsets ``rows + r`` of one flat buffer."""
+    total, m = charges.size, trial_seeds.size
+    flat = np.tile(charges, m)
+    rows = np.arange(0, m * total, total, dtype=np.int64)
+    columns = flat.reshape(m, total)
+    for top, partners in _step_blocks(total, k, trial_seeds):
+        dest = partners.view(np.int64)  # partners < j + 1: same bits
         dest += rows
         for i, row_dest in enumerate(dest):
-            flat[row_dest] = columns[:, total - 1 - first - i]
-    charge_sum = columns[:, :k].sum(axis=1, dtype=np.int32)
+            flat[row_dest] = columns[:, top - i]
+    return columns[:, :k].sum(axis=1, dtype=np.int32)
+
+
+def _transmitted_mask(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> np.ndarray:
+    """The trial kernel: which of the trials with these seeds transmit.
+
+    The outcome depends only on the multiset of charges in the first ``k``
+    queue positions, so only the shuffle steps ``j = K-1 .. k`` run: after
+    step ``k`` the later steps merely permute positions inside the tranche.
+    Each step carries the one value the Fisher-Yates swap moves into the live
+    prefix (position ``j`` into position ``r``); the value swapped out to
+    position ``j >= k`` is final, outside the tranche and never read again,
+    so it is not written.  ``K`` alone picks the representation (see
+    ``_WORD_BITS``); both take the same draws and give the same sums.
+    """
+    total = charges.size
+    if total <= _WORD_BITS:
+        charge_sum = _word_tranche_sums(charges, k, trial_seeds)
+    else:
+        charge_sum = _row_tranche_sums(charges, k, trial_seeds)
     transmitted = charge_sum > 0
     tie = charge_sum == 0
     if tie.any():
         assert k % 2 == 0, "balanced tranche with odd tranche size"
-        coins = rng.draws_at(trial_seeds[tie], total - 1) & np.uint64(1)
+        coins = rng.draws_at(trial_seeds[tie], total - 1) & _U64_1
         transmitted[tie] = coins == 1
     return transmitted
 
@@ -147,7 +191,7 @@ def run_ensemble(
         seed,
         lambda trial_seeds: _transmitted_mask(charges, meas.k, trial_seeds),
         z=z,
-        trial_bytes=state.total + TRIAL_BYTES,
+        trial_bytes=_trial_bytes(state.total),
     )
 
 

@@ -246,3 +246,10 @@ class TestSimulateElastic:
     def test_rejects_bad_z(self, z):
         with pytest.raises(ValueError, match="z must be"):
             simulate_elastic(ElasticExperiment(1.0, 0.5), 10, 1, z=z)
+
+    def test_rejects_int_beyond_float_and_bool_z(self):
+        with pytest.raises(ValueError, match="z must be"):
+            simulate_elastic(ElasticExperiment(1.0, 0.5), 10, 1, z=10**400)
+        for z in (True, np.True_):
+            with pytest.raises(TypeError, match="z must be"):
+                simulate_elastic(ElasticExperiment(1.0, 0.5), 10, 1, z=z)

@@ -64,7 +64,7 @@ class TestReplay:
         state, meas = ElectricState(kp, km), KMeasurement(k)
         result = run_ensemble(state, meas, n, master)
         monkeypatch.setattr(machine_mod, "_transmitted_mask", kernel)
-        chunk = ensemble_mod.CHUNK_BYTES // (state.total + ensemble_mod.TRIAL_BYTES)
+        chunk = ensemble_mod.CHUNK_BYTES // machine_mod._trial_bytes(state.total)
         assert len(masks) == -(-n // chunk)
         trials = np.concatenate(masks).tolist()
         assert sum(trials) == result.transmitted
@@ -80,7 +80,8 @@ class TestReplay:
 
     @pytest.mark.parametrize("kp, km, k", CELLS)
     def test_small_chunks(self, monkeypatch, kp, km, k):
-        # 41 to 59 trials per chunk: 6 to 8 chunks, the last one partial.
+        # 35 trials per chunk (56 bytes per word trial): 9 chunks, the last
+        # one partial.
         monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 41 * (16 + ensemble_mod.TRIAL_BYTES))
         self.check(monkeypatch, kp, km, k)
 
@@ -136,6 +137,14 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="z must be"):
             run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 0, z=z)
 
+    def test_rejects_int_beyond_float_and_bool_z(self):
+        with pytest.raises(ValueError, match="z must be"):
+            run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 1, z=10**400)
+        for z in (True, np.True_):
+            with pytest.raises(TypeError, match="z must be"):
+                run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 1, z=z)
+        assert run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 1, z=2).z == 2.0
+
     def test_negative_zero_z_is_zero(self):
         r = run_ensemble(ElectricState(2, 1), KMeasurement(1), 20, 3, z=-0.0)
         assert r == run_ensemble(ElectricState(2, 1), KMeasurement(1), 20, 3, z=0.0)
@@ -175,11 +184,26 @@ class TestKernelParity:
             for k in range(1, K + 1):
                 self.check(kp, K - kp, k)
 
-    @pytest.mark.parametrize("K", [64, 256])
+    @pytest.mark.parametrize("K", [63, 64, 65, 256])
     def test_truncation_boundary_and_ties(self, K):
-        for kp in (K // 2 - 1, K // 2):
+        # K <= 64 runs on one word per trial, K > 64 on byte rows; K+ = K
+        # at K = 64 is the all-ones word.
+        for kp in (0, K // 2 - 1, K // 2, K):
             for k in (1, 2, K - 1, K):
                 self.check(kp, K - kp, k)
+
+    def test_word_and_byte_kernels_agree(self):
+        # The byte kernel is the reference: on any charge order, not only
+        # the canonical positive-first one, both give the same tranche sums.
+        gen = np.random.default_rng(64)
+        for _ in range(40):
+            K = int(gen.integers(1, 65))
+            charges = np.where(gen.random(K) < gen.random(), 1, -1).astype(np.int8)
+            k = int(gen.integers(1, K + 1))
+            seeds = rng.substream_seeds(int(gen.integers(2**63)), 0, 200)
+            words = machine_mod._word_tranche_sums(charges, k, seeds)
+            rows = machine_mod._row_tranche_sums(charges, k, seeds)
+            assert words.tolist() == rows.tolist(), (charges.tolist(), k)
 
     @pytest.mark.parametrize("block", [1, 3 * 32])
     def test_draw_blocks_invisible(self, monkeypatch, block):
