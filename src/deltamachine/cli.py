@@ -70,6 +70,16 @@ def _parse_ceiling(spec: str) -> int:
         ) from None
 
 
+def _parse_z(spec: str) -> float:
+    try:
+        z = float(spec)
+    except ValueError:
+        z = math.nan
+    if not (math.isfinite(z) and z >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative finite real, got {spec!r}")
+    return z + 0.0  # -0 reads as 0, so no report carries a minus sign
+
+
 # -- rendering ---------------------------------------------------------------
 
 
@@ -173,8 +183,8 @@ def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
     from .machine import run_ensemble
 
     state, meas, payload = _cell_payload(args, "simulate")
-    result = run_ensemble(state, meas, args.n, args.seed, z=args.z)
-    payload["result"] = serialize.ensemble_payload(result)
+    result = run_ensemble(state, meas, args.n, args.seed)
+    payload["result"] = serialize.ensemble_payload(result, args.z)
     return payload
 
 
@@ -247,8 +257,8 @@ def _cmd_epsilon(args: argparse.Namespace) -> dict[str, Any]:
     experiment = ElasticExperiment(theta=args.theta, epsilon=args.eps)
     simulation = None
     if args.n is not None:
-        result = simulate_elastic(experiment, args.n, args.seed, z=args.z)
-        simulation = serialize.ensemble_payload(result)
+        result = simulate_elastic(experiment, args.n, args.seed)
+        simulation = serialize.ensemble_payload(result, args.z)
     return {
         "command": "epsilon",
         "theta": experiment.theta,
@@ -321,8 +331,8 @@ def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:
     payload["schedule"] = list(args.schedule)
     payload["series"] = []
     for n in args.schedule:
-        result = run_ensemble(state, meas, n, args.seed, z=args.z)
-        entry = serialize.ensemble_payload(result)
+        result = run_ensemble(state, meas, n, args.seed)
+        entry = serialize.ensemble_payload(result, args.z)
         entry["abs_error"] = abs(float(result.frequency) - payload["expected"]["decimal"])
         payload["series"].append(entry)
     return payload
@@ -376,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     cell.add_argument("--k", type=int, required=True, help="tranche size")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=int.from_bytes(os.urandom(8), "little"), help="master seed (default: random, recorded in the report)")
-    seeded.add_argument("--z", type=float, default=DEFAULT_Z, help="confidence level for the half-width")
+    seeded.add_argument("--z", type=_parse_z, default=DEFAULT_Z, help="confidence level for the half-width")
 
     p = sub.add_parser("tables", parents=[table, output], help="exact transmission-probability table")
     p.add_argument("--golden", action="store_true", help="check against the frozen reference tables (K in 2..7)")

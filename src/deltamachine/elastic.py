@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .ensemble import DEFAULT_Z, EnsembleResult, run_counted
+from .ensemble import EnsembleResult, run_counted
+from .spheres import as_real
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,19 @@ class ElasticExperiment:
     projection: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        t = float(self.theta)
-        e = float(self.epsilon)
+        t = as_real(self.theta, "theta")
+        e = as_real(self.epsilon, "epsilon")
         if not math.isfinite(t) or not 0.0 <= t <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
         if not math.isfinite(e) or not 0.0 <= e <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "epsilon", e)
+        object.__setattr__(self, "theta", t + 0.0)  # -0.0 becomes 0.0
+        object.__setattr__(self, "epsilon", e + 0.0)
         if self.projection is not None:
-            c = float(self.projection)
+            c = as_real(self.projection, "projection")
             if not math.isfinite(c) or not -1.0 <= c <= 1.0:
                 raise ValueError("projection must lie in [-1, 1]")
-            object.__setattr__(self, "projection", c)
+            object.__setattr__(self, "projection", c + 0.0)
 
     @property
     def cos_theta(self) -> float:
@@ -105,7 +106,7 @@ class OutcomePair:
 
 def quantum_spin_probabilities(theta: float) -> OutcomePair:
     """Ideal-spin outcome probabilities ((1 + cos t)/2, (1 - cos t)/2)."""
-    t = float(theta)
+    t = as_real(theta, "theta")
     if not math.isfinite(t) or not 0.0 <= t <= math.pi:
         raise ValueError("theta must lie in [0, pi]")
     c = math.cos(t)
@@ -151,23 +152,14 @@ def _plus_mask(c: float, eps: float, trial_seeds: np.ndarray) -> np.ndarray:
 
 
 def simulate_elastic(
-    experiment: ElasticExperiment,
-    n_trials: int,
-    seed: int,
-    *,
-    z: float = DEFAULT_Z,
+    experiment: ElasticExperiment, n_trials: int, seed: int
 ) -> EnsembleResult:
     """Seeded ensemble of band-breaking trials; counts the +u outcomes.
 
     Same reproducibility contract as the sphere machine: trial ``i`` owns
-    the child stream ``substream_seed(seed, i)``, and the count is stored in
-    the ``transmitted`` slot of the shared result type.
+    the child stream ``substream_seed(seed, i)``, and the count fills the
+    ``transmitted`` slot of the shared result type, which holds no interval.
     """
     c = experiment.cos_theta
     eps = experiment.epsilon
-    return run_counted(
-        n_trials,
-        seed,
-        lambda trial_seeds: _plus_mask(c, eps, trial_seeds),
-        z=z,
-    )
+    return run_counted(n_trials, seed, lambda trial_seeds: _plus_mask(c, eps, trial_seeds))

@@ -6,11 +6,12 @@ trial ``i`` of an ensemble owns the counter-indexed child stream
 order and chunking, and any single trial can be replayed in isolation.
 Trial ``i`` of a sphere-machine ensemble is
 ``machine.run_trial(state, meas, substream_seed(master_seed, i))``.
+An ensemble returns counts only; the report (:mod:`deltamachine.serialize`)
+adds any interval around its frequency.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -18,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .interval import DEFAULT_Z, normal_half_width
 from .spheres import as_int
 
 #: Working-set budget of one vectorized chunk, in bytes.  A chunk holds
@@ -33,19 +33,15 @@ TRIAL_BYTES = 32
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Aggregate of a seeded ensemble of yes/no trials.
+    """Count of a seeded ensemble of yes/no trials.
 
-    ``frequency`` is the exact ratio ``transmitted / n_trials``; the
-    half-width is the normal-approximation interval ``z * sqrt(p(1-p)/n)``
-    at the recorded ``z`` computed from the empirical frequency.  ``seed``
+    ``frequency`` is the exact ratio ``transmitted / n_trials``.  ``seed``
     and ``generator`` pin down the exact bit stream for reproducibility.
     """
 
     n_trials: int
     transmitted: int
     frequency: Fraction
-    half_width: float
-    z: float
     seed: int
     generator: str = rng.GENERATOR_NAME
 
@@ -55,31 +51,21 @@ def run_counted(
     seed: int,
     success_mask: Callable[[np.ndarray], np.ndarray],
     *,
-    z: float = DEFAULT_Z,
     trial_bytes: int = TRIAL_BYTES,
 ) -> EnsembleResult:
-    """Run ``n_trials`` counter-seeded trials and aggregate the successes.
+    """Run ``n_trials`` counter-seeded trials and count the successes.
 
     ``success_mask`` maps an array of per-trial seeds to a boolean array.
     ``trial_bytes`` is the working set of one trial in ``success_mask``;
     chunks of ``max(1, CHUNK_BYTES // trial_bytes)`` trials keep memory
     bounded.  Because per-trial seeds depend only on ``(seed, trial_index)``,
-    the aggregate is identical for any chunking or evaluation order.
+    the count is identical for any chunking or evaluation order.
     ``seed`` is any integer, reduced modulo 2**64 and recorded as such;
     ``bool``, float and ``str`` seeds raise ``TypeError``.
     """
     n_trials = as_int(n_trials, "n_trials")
     if n_trials < 1:
         raise ValueError("n_trials must be a positive integer")
-    if isinstance(z, (bool, np.bool_)):
-        raise TypeError("z must be a real number, not bool")
-    try:
-        finite = math.isfinite(z)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite or z < 0.0:
-        raise ValueError("z must be a nonnegative finite real")
-    z = float(z) + 0.0  # -0.0 becomes 0.0, so no result carries a minus sign
     trial_bytes = as_int(trial_bytes, "trial_bytes")
     if trial_bytes < 1:
         raise ValueError("trial_bytes must be a positive integer")
@@ -90,12 +76,9 @@ def run_counted(
         m = min(chunk, n_trials - start)
         trial_seeds = rng.substream_seeds(seed, start, m)
         count += int(np.count_nonzero(success_mask(trial_seeds)))
-    freq = Fraction(count, n_trials)
     return EnsembleResult(
         n_trials=n_trials,
         transmitted=count,
-        frequency=freq,
-        half_width=normal_half_width(float(freq), n_trials, z),
-        z=z,
+        frequency=Fraction(count, n_trials),
         seed=seed,
     )

@@ -1,7 +1,7 @@
-"""The interval reported with every ensemble frequency.
+"""The report's interval around every ensemble frequency.
 
-Kept free of numpy, so the command-line front end can declare its ``--z``
-default without loading the simulation layer.
+Ensembles return counts only; ``serialize.ensemble_payload`` adds this
+interval at level ``z``.  The command line's ``--z`` default lives here too.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import rng
-from .ensemble import DEFAULT_Z, TRIAL_BYTES, EnsembleResult, run_counted
+from .ensemble import TRIAL_BYTES, EnsembleResult, run_counted
 from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
@@ -171,18 +171,13 @@ def _transmitted_mask(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> n
 
 
 def run_ensemble(
-    state: ElectricState,
-    meas: KMeasurement,
-    n_trials: int,
-    seed: int,
-    *,
-    z: float = DEFAULT_Z,
+    state: ElectricState, meas: KMeasurement, n_trials: int, seed: int
 ) -> EnsembleResult:
     """Run ``n_trials`` independent trials with counter-derived per-trial seeds.
 
     Trial ``i`` uses ``substream_seed(seed, i)``, so
     ``run_trial(state, meas, substream_seed(seed, i))`` replays it; the
-    aggregate is reproducible and order-independent.
+    count is reproducible and order-independent.
     """
     _require_valid(state, meas)
     charges = _charges(state)
@@ -190,7 +185,6 @@ def run_ensemble(
         n_trials,
         seed,
         lambda trial_seeds: _transmitted_mask(charges, meas.k, trial_seeds),
-        z=z,
         trial_bytes=_trial_bytes(state.total),
     )
 
@@ -208,7 +202,6 @@ class EmpiricalTable:
     K: int
     n_trials: int
     seed: int
-    z: float
     rows: tuple[EmpiricalRow, ...]
 
     def row(self, k: int) -> EmpiricalRow:
@@ -223,10 +216,9 @@ def empirical_table(
     n_trials: int,
     seed: int,
     *,
-    z: float = DEFAULT_Z,
     ceiling: int = DEFAULT_TABLE_CEILING,
 ) -> EmpiricalTable:
-    """Run an ensemble for every cell of the exact table's (k, state) grid.
+    """Ensemble counts for every cell of the exact table's (k, state) grid.
 
     Cell (k, K+) uses the child seed ``substream_seed(seed, (k-1)*(K+1)+K+)``
     so the whole table is reproducible from the single master seed.
@@ -240,6 +232,6 @@ def empirical_table(
         for state, _ in row.entries:
             cell_index = (row.k - 1) * (K + 1) + state.k_plus
             cell_seed = rng.substream_seed(seed, cell_index)
-            entries.append((state, run_ensemble(state, meas, n_trials, cell_seed, z=z)))
+            entries.append((state, run_ensemble(state, meas, n_trials, cell_seed)))
         rows.append(EmpiricalRow(k=row.k, entries=tuple(entries)))
-    return EmpiricalTable(K=K, n_trials=n_trials, seed=seed, z=float(z) + 0.0, rows=tuple(rows))
+    return EmpiricalTable(K=K, n_trials=n_trials, seed=seed, rows=tuple(rows))

@@ -30,6 +30,8 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .spheres import as_real
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -53,7 +55,7 @@ class ScatteringConfig:
     coupling: float = 1.0
 
     def __post_init__(self) -> None:
-        c = float(self.coupling)
+        c = as_real(self.coupling, "coupling")
         if not math.isfinite(c) or c <= 0.0:
             raise ValueError("coupling must be a positive finite real")
         # kappa^2 = E / coupling^2: a square that underflows divides by zero,
@@ -80,7 +82,7 @@ class ScatteringAmplitudes:
 
 def _kappa_squared(energy: float, config: ScatteringConfig) -> tuple[float, float]:
     """``(E, kappa^2)``; E must be finite and nonnegative, and kappa^2 finite."""
-    e = float(energy)
+    e = energy if type(energy) is float else as_real(energy, "energy")
     if not math.isfinite(e):
         raise ValueError("energy must be finite")
     if e < 0.0:
@@ -225,6 +227,7 @@ class WavePacket:
         span: float = 6.0,
     ) -> "WavePacket":
         """Normalized Gaussian density of the given width, clipped to E >= 0."""
+        center, width = as_real(center, "center"), as_real(width, "width")
         if not (math.isfinite(center) and center >= 0.0):
             raise ValueError("center must be a nonnegative finite real")
         if not (math.isfinite(width) and width > 0.0):

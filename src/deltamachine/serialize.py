@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
+from .interval import normal_half_width
 from .regimes import RegimeVerdict, Witness
 from .spheres import ProbabilityTable
 
@@ -66,13 +67,14 @@ def table_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]
 # -- ensembles ----------------------------------------------------------------
 
 
-def ensemble_payload(result: EnsembleResult) -> dict[str, Any]:
+def ensemble_payload(result: EnsembleResult, z: float) -> dict[str, Any]:
+    """The ensemble's counts and stream, with the normal half-width at level ``z``."""
     return {
         "n_trials": result.n_trials,
         "transmitted": result.transmitted,
         "frequency": fraction_payload(result.frequency),
-        "half_width": result.half_width,
-        "z": result.z,
+        "half_width": normal_half_width(float(result.frequency), result.n_trials, z),
+        "z": z,
         "seed": result.seed,
         "generator": result.generator,
     }

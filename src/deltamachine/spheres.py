@@ -55,6 +55,13 @@ def as_int(value: object, what: str) -> int:
         raise TypeError(f"{what} must be an integer") from None
 
 
+def as_real(value: object, what: str) -> float:
+    """``value`` as a ``float``; ``bool``, ``str`` and ``bytes`` raise ``TypeError``."""
+    if isinstance(value, (bool, str, bytes, bytearray)):
+        raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ElectricState:
     """Prepared charge state of the cluster: counts of +1 and -1 spheres.

@@ -22,7 +22,7 @@ from deltamachine.elastic import (
     epsilon_probabilities,
     simulate_elastic,
 )
-from deltamachine.ensemble import normal_half_width
+from deltamachine.interval import normal_half_width
 from deltamachine.machine import empirical_table
 from deltamachine.regimes import Regime, WitnessKind, classify_table
 from deltamachine.rng import substream_seed
@@ -114,7 +114,7 @@ def test_criterion_05_monte_carlo_convergence(capsys):
     n = 100_000
     for K in (3, 5, 7):
         exact = probability_table(K)
-        empirical = empirical_table(K, n, substream_seed(MASTER_SEED, K), z=4.0)
+        empirical = empirical_table(K, n, substream_seed(MASTER_SEED, K))
         for exact_row, emp_row in zip(exact.rows, empirical.rows):
             for (state, p), (_, res) in zip(exact_row.entries, emp_row.entries):
                 pf = float(p)

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from deltamachine import cli, golden
-from deltamachine.spheres import probability_table
+from deltamachine import cli, golden, regimes, serialize
+from deltamachine.regimes import Regime, RegimeVerdict, Witness, WitnessKind
+from deltamachine.spheres import ElectricState, probability_table
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -315,6 +316,24 @@ class TestClassify:
         }
         assert payload["notes"] == {str(k): None for k in range(1, 6)}
 
+    def test_note_renders_in_every_format(self):
+        # classify_table produces no note for small K (see test_regimes), so
+        # a hand-built verdict carries it through the payload and renderers.
+        verdict = RegimeVerdict(
+            verdict=Regime.INTERMEDIATE,
+            witnesses=(Witness(WitnessKind.NON_CLASSICAL_INDETERMINISM, ElectricState(1, 2)),),
+            note=regimes._UNDECIDED_NOTE,
+        )
+        payload = {"command": "classify", "K": 3, **serialize.verdicts_payload({2: verdict})}
+        assert cli._classify_text(payload) == (
+            "regime classification, K = 3\n"
+            "k=2: Intermediate  [NonClassicalIndeterminism(1/2)]"
+            f"  note: {regimes._UNDECIDED_NOTE}\n"
+        )
+        header, rows = serialize.classify_csv_rows(payload)
+        assert header[-1] == "note"
+        assert rows == [[2, "Intermediate", "NonClassicalIndeterminism(1/2)", regimes._UNDECIDED_NOTE]]
+
     def test_text_lists_witnesses(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--K", "5")
         assert code == 0
@@ -393,6 +412,32 @@ class TestConvergence:
 def test_negative_zero_z_prints_as_zero(capsys, argv, fmt):
     negative = run_cli(capsys, *argv, "--z", "-0", "--format", fmt)
     positive = run_cli(capsys, *argv, "--z", "0", "--format", fmt)
+    assert negative == positive and negative[0] == 0
+
+
+@pytest.mark.parametrize("z", ["-1", "nan", "inf", "1e400", "abc"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--kp", "2", "--km", "1", "--k", "1", "--n", "20", "--seed", "3"),
+        ("convergence", "--kp", "2", "--km", "1", "--k", "1", "--seed", "3", "--schedule", "10"),
+        ("epsilon", "--theta", "1", "--eps", "0.5", "--n", "20", "--seed", "3"),
+        # No ensemble runs without --n, and --z is still checked.
+        ("epsilon", "--theta", "1", "--eps", "0.5"),
+    ],
+    ids=["simulate", "convergence", "epsilon", "epsilon-closed-form"],
+)
+def test_bad_z_is_usage_error(capsys, argv, z):
+    code, out, err = run_cli(capsys, *argv, "--z", z)
+    assert (code, out) == (2, "")
+    assert "--z" in err and "usage:" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_negative_zero_angle_and_fraction_print_as_zero(capsys, fmt):
+    argv = ("epsilon", "--n", "5", "--seed", "1", "--format", fmt)
+    negative = run_cli(capsys, *argv, "--theta", "-0", "--eps", "-0")
+    positive = run_cli(capsys, *argv, "--theta", "0", "--eps", "0")
     assert negative == positive and negative[0] == 0
 
 

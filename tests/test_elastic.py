@@ -13,7 +13,7 @@ from deltamachine.elastic import (
     quantum_spin_probabilities,
     simulate_elastic,
 )
-from deltamachine.ensemble import normal_half_width
+from deltamachine.interval import normal_half_width
 
 
 class TestQuantumSpin:
@@ -43,6 +43,11 @@ class TestQuantumSpin:
         with pytest.raises(ValueError):
             quantum_spin_probabilities(math.pi + 0.1)
 
+    @pytest.mark.parametrize("theta", ["1", b"1", True])
+    def test_rejects_non_real_angle(self, theta):
+        with pytest.raises(TypeError, match="theta must be a real number"):
+            quantum_spin_probabilities(theta)
+
 
 class TestElasticExperiment:
     def test_validation(self):
@@ -56,6 +61,30 @@ class TestElasticExperiment:
             ElasticExperiment(float("nan"), 0.5)
         with pytest.raises(ValueError):
             ElasticExperiment(0.5, 0.5, projection=1.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"theta": "1.0", "epsilon": 0.5}, "theta"),
+            ({"theta": True, "epsilon": 0.5}, "theta"),
+            ({"theta": 1.0, "epsilon": b"0.5"}, "epsilon"),
+            ({"theta": 1.0, "epsilon": 0.5, "projection": False}, "projection"),
+        ],
+    )
+    def test_rejects_non_real_inputs(self, kwargs, name):
+        with pytest.raises(TypeError, match=f"{name} must be a real number"):
+            ElasticExperiment(**kwargs)
+
+    def test_accepts_ints_and_numpy_floats(self):
+        exp = ElasticExperiment(np.float64(1.0), 1, projection=np.float32(0.5))
+        assert (exp.theta, exp.epsilon, exp.cos_theta) == (1.0, 1.0, 0.5)
+        assert {type(v) for v in (exp.theta, exp.epsilon, exp.projection)} == {float}
+
+    def test_negative_zero_inputs_are_zero(self):
+        exp = ElasticExperiment(-0.0, -0.0, projection=-0.0)
+        assert exp == ElasticExperiment(0.0, 0.0, projection=0.0)
+        for value in (exp.theta, exp.epsilon, exp.projection, exp.cos_theta):
+            assert math.copysign(1, value) == 1
 
     def test_from_vectors_reduces_via_dot(self):
         exp = ElasticExperiment.from_vectors([0.0, 0.0, 2.0], [0.0, 0.0, 5.0], 0.3)
@@ -242,14 +271,3 @@ class TestSimulateElastic:
         with pytest.raises(ValueError):
             simulate_elastic(ElasticExperiment(1.0, 0.5), 0, 1)
 
-    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
-    def test_rejects_bad_z(self, z):
-        with pytest.raises(ValueError, match="z must be"):
-            simulate_elastic(ElasticExperiment(1.0, 0.5), 10, 1, z=z)
-
-    def test_rejects_int_beyond_float_and_bool_z(self):
-        with pytest.raises(ValueError, match="z must be"):
-            simulate_elastic(ElasticExperiment(1.0, 0.5), 10, 1, z=10**400)
-        for z in (True, np.True_):
-            with pytest.raises(TypeError, match="z must be"):
-                simulate_elastic(ElasticExperiment(1.0, 0.5), 10, 1, z=z)

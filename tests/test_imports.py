@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import deltamachine
-from deltamachine import cli, ensemble, interval
+from deltamachine import cli, ensemble, interval, serialize
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -122,5 +122,8 @@ class TestNamespace:
         args = cli.build_parser().parse_args(
             ["simulate", "--kp", "1", "--km", "1", "--k", "1", "--n", "1"]
         )
-        assert args.z == ensemble.DEFAULT_Z
-        assert ensemble.DEFAULT_Z is interval.DEFAULT_Z
+        assert args.z is interval.DEFAULT_Z
+        # The report's modules read the interval; the simulation layer holds none.
+        assert serialize.normal_half_width is interval.normal_half_width
+        for name in ("DEFAULT_Z", "normal_half_width"):
+            assert not hasattr(ensemble, name), name

@@ -1,6 +1,7 @@
 """Sphere-machine simulation: kernel parity, replay, chunking, statistics."""
 
-import math
+import inspect
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 import oracles
 from deltamachine import ensemble as ensemble_mod
 from deltamachine import machine as machine_mod
-from deltamachine import rng
-from deltamachine.ensemble import normal_half_width
+from deltamachine import elastic, rng
+from deltamachine.interval import normal_half_width
 from deltamachine.machine import Outcome, empirical_table, run_ensemble, run_trial
 from deltamachine.spheres import (
     ElectricState,
@@ -109,14 +110,22 @@ class TestRunEnsemble:
         assert full == chunked
 
     def test_result_fields(self):
-        r = run_ensemble(ElectricState(2, 1), KMeasurement(1), 1000, 9, z=2.5)
+        r = run_ensemble(ElectricState(2, 1), KMeasurement(1), 1000, 9)
+        assert [f.name for f in fields(r)] == [
+            "n_trials", "transmitted", "frequency", "seed", "generator"
+        ]
         assert r.n_trials == 1000
         assert r.frequency == Fraction(r.transmitted, 1000)
-        assert r.z == 2.5
         assert r.generator == rng.GENERATOR_NAME
         assert r.seed == 9
-        p = float(r.frequency)
-        assert r.half_width == pytest.approx(2.5 * math.sqrt(p * (1 - p) / 1000))
+
+    @pytest.mark.parametrize(
+        "function",
+        [ensemble_mod.run_counted, run_ensemble, elastic.simulate_elastic, empirical_table],
+    )
+    def test_simulations_take_no_interval_level(self, function):
+        # The interval and its level z belong to the report (serialize).
+        assert "z" not in inspect.signature(function).parameters
 
     def test_deterministic_state_is_exact(self):
         assert run_ensemble(ElectricState(0, 3), KMeasurement(2), 100, 5).frequency == 0
@@ -131,25 +140,6 @@ class TestRunEnsemble:
             ensemble_mod.run_counted(True, 0, lambda seeds: seeds % 2 == 0)
         with pytest.raises(TypeError):
             ensemble_mod.run_counted(10.0, 0, lambda seeds: seeds % 2 == 0)
-
-    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf])
-    def test_rejects_bad_z(self, z):
-        with pytest.raises(ValueError, match="z must be"):
-            run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 0, z=z)
-
-    def test_rejects_int_beyond_float_and_bool_z(self):
-        with pytest.raises(ValueError, match="z must be"):
-            run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 1, z=10**400)
-        for z in (True, np.True_):
-            with pytest.raises(TypeError, match="z must be"):
-                run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 1, z=z)
-        assert run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 1, z=2).z == 2.0
-
-    def test_negative_zero_z_is_zero(self):
-        r = run_ensemble(ElectricState(2, 1), KMeasurement(1), 20, 3, z=-0.0)
-        assert r == run_ensemble(ElectricState(2, 1), KMeasurement(1), 20, 3, z=0.0)
-        assert math.copysign(1, r.half_width) == 1 and math.copysign(1, r.z) == 1
-        assert math.copysign(1, empirical_table(2, 10, 3, z=-0.0).z) == 1
 
     def test_numpy_integer_trial_count(self):
         result = run_ensemble(ElectricState(2, 1), KMeasurement(1), np.int64(500), 7)
@@ -274,7 +264,7 @@ class TestStatisticalAgreement:
     @pytest.mark.parametrize("K", [1, 2, 4, 6])
     def test_even_and_tiny_sizes(self, K):
         n = 100_000
-        table = empirical_table(K, n, 1905 + K, z=4.0)
+        table = empirical_table(K, n, 1905 + K)
         exact = probability_table(K)
         for exact_row, emp_row in zip(exact.rows, table.rows):
             for (state, p), (_, res) in zip(exact_row.entries, emp_row.entries):
@@ -291,7 +281,7 @@ class TestStatisticalAgreement:
 
     def test_three_sphere_table_at_three_sigma(self):
         n = 100_000
-        emp = empirical_table(3, n, 42, z=3.0)
+        emp = empirical_table(3, n, 42)
         exact = probability_table(3)
         for exact_row, emp_row in zip(exact.rows, emp.rows):
             for (state, p), (_, res) in zip(exact_row.entries, emp_row.entries):
@@ -311,6 +301,10 @@ class TestEmpiricalTable:
         a = empirical_table(5, 300, 11)
         b = empirical_table(5, 300, 11)
         assert a == b
+
+    def test_holds_counts_and_no_interval(self):
+        table = empirical_table(2, 10, 5)
+        assert [f.name for f in fields(table)] == ["K", "n_trials", "seed", "rows"]
 
     def test_geometry_matches_exact_table(self):
         table = empirical_table(4, 10, 2)

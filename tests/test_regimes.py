@@ -167,6 +167,16 @@ class TestClassifyTable:
         # the deterministic verdict takes precedence.
         assert classify_table(1)[1].verdict is Regime.CLASSICAL
 
+    def test_tables_carry_no_note(self):
+        # Every Intermediate row of a table has a transmission zero at K+ = 1,
+        # so the undecided note appears only on hand-built rows.
+        for K in range(1, 41):
+            for k, verdict in classify_table(K).items():
+                assert verdict.note is None, (K, k)
+                if verdict.verdict is Regime.INTERMEDIATE:
+                    zeros = verdict.witnesses_of(WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION)
+                    assert zeros[0].state == ElectricState(1, K - 1), (K, k)
+
     def test_two_sphere_rows_take_tie_precedence_over_born(self):
         verdicts = classify_table(2)
         assert [v.verdict for v in verdicts.values()] == [

@@ -35,6 +35,21 @@ class TestAmplitudes:
             (v, math.copysign(1.0, v)) for v in pointwise
         ]
 
+    @pytest.mark.parametrize("energy", ["4", b"4", True])
+    def test_rejects_non_real_energy(self, energy):
+        for function in (amplitudes, transmission_probability, reflection_probability):
+            with pytest.raises(TypeError, match="energy must be a real number"):
+                function(energy)
+
+    def test_int_and_numpy_energies_equal_floats(self):
+        assert amplitudes(4) == amplitudes(np.float64(4.0)) == amplitudes(4.0)
+        assert transmission_probability(np.float32(0.5)) == transmission_probability(0.5)
+
+    @pytest.mark.parametrize("coupling", [True, "1.5", b"1.5"])
+    def test_rejects_non_real_coupling(self, coupling):
+        with pytest.raises(TypeError, match="coupling must be a real number"):
+            ScatteringConfig(coupling=coupling)
+
     def test_zero_energy_totally_reflects_with_phase_flip(self):
         amp = amplitudes(0.0)
         assert amp.transmission == 0
@@ -183,6 +198,13 @@ class TestWavePacket:
             WavePacket([0.0, 1.0], [1.0, -0.5])
         with pytest.raises(ValueError):
             WavePacket([0.0, float("nan")], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "center, width, name", [(True, 0.1, "center"), ("4", 0.1, "center"), (4.0, b"1", "width")]
+    )
+    def test_gaussian_rejects_non_real_parameters(self, center, width, name):
+        with pytest.raises(TypeError, match=f"{name} must be a real number"):
+            WavePacket.gaussian(center, width)
 
     def test_gaussian_is_normalized(self):
         packet = WavePacket.gaussian(4.0, 0.01)
