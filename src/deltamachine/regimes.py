@@ -18,12 +18,6 @@ fractional probability certifies non-classicality.
 Degenerate tiny-K rows can satisfy several criteria at once; the verdict
 precedence is Classical > ClassicalWithTie > Quantum > Intermediate
 (determinism is the strongest, most falsifiable property).
-
-Every criterion is decided on integers.  A cell P = num / den, with
-den > 0 and the pair reduced or not, is fractional iff 0 < num < den, the
-balanced half iff 2 num = den, the Born value iff num K = K+ den, and a
-transmission zero iff num = 0.  :func:`classify_table` reads the odd-row
-subset counts of the table builder directly and never forms a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
     ProbabilityTableRow,
-    _odd_rows,
     _table_size,
     probability_table,
 )
@@ -88,12 +81,11 @@ _UNDECIDED_NOTE = (
     "realizability by some other 1-D potential is not decided here"
 )
 
-_CLASSICAL = RegimeVerdict(
-    verdict=Regime.CLASSICAL, witnesses=(Witness(WitnessKind.ALL_DETERMINISTIC),)
-)
-_QUANTUM = RegimeVerdict(
-    verdict=Regime.QUANTUM, witnesses=(Witness(WitnessKind.MATCHES_BORN_RULE),)
-)
+_CLASSICAL = RegimeVerdict(Regime.CLASSICAL, (Witness(WitnessKind.ALL_DETERMINISTIC),))
+_QUANTUM = RegimeVerdict(Regime.QUANTUM, (Witness(WitnessKind.MATCHES_BORN_RULE),))
+
+#: The witnesses built so far, by kind and K+; the rows of one table share it.
+_Cache = dict[WitnessKind, dict[int, Witness]]
 
 
 def _validated_entries(
@@ -144,10 +136,7 @@ def wronskian_witnesses(row: ProbabilityTableRow) -> tuple[ElectricState, ...]:
 
 
 def _witnesses(
-    cache: dict[WitnessKind, dict[int, Witness]],
-    kind: WitnessKind,
-    k_plus: Iterable[int],
-    total: int,
+    cache: _Cache, kind: WitnessKind, k_plus: Iterable[int], total: int
 ) -> tuple[Witness, ...]:
     """Witnesses of ``kind`` for the states K+ in ``k_plus``, built once each."""
     known = cache.setdefault(kind, {})
@@ -160,50 +149,41 @@ def _witnesses(
     return tuple(found)
 
 
-def _row_verdict(
-    cells: Sequence[tuple[int, int]],
-    cache: dict[WitnessKind, dict[int, Witness]],
-) -> RegimeVerdict:
-    """Verdict of a row whose cell K+ = i is P = num / den, ``cells[i]``.
-
-    Each pair must have den > 0 and 0 <= num <= den; it need not be reduced.
-    ``cache`` holds the witnesses built so far; the rows of one table share
-    it, so each (kind, state) has one :class:`Witness`.
-    """
-    total = len(cells) - 1
-    fractional = [i for i, (num, den) in enumerate(cells) if 0 < num < den]
-    if not fractional:
-        return _CLASSICAL
-
-    if total % 2 == 0 and fractional == [total // 2]:
-        num, den = cells[total // 2]
-        if 2 * num == den:
-            return RegimeVerdict(
-                verdict=Regime.CLASSICAL_WITH_TIE,
-                witnesses=_witnesses(
-                    cache,
-                    WitnessKind.DETERMINISTIC_EXCEPT_BALANCED_HALF,
-                    fractional,
-                    total,
-                ),
-            )
-
-    # Born value K+/K, cross-multiplied; at K+ = K it is 1.
-    if all(num * total == i * den for i, (num, den) in enumerate(cells)):
-        return _QUANTUM
-
-    zeros = [i for i, (num, _) in enumerate(cells) if i and num == 0]
-    zero_witnesses = _witnesses(
-        cache, WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION, zeros, total
+def _tie(cache: _Cache, total: int) -> RegimeVerdict:
+    """ClassicalWithTie, witnessed by the balanced state K+ = K/2 of an even K."""
+    witnesses = _witnesses(
+        cache, WitnessKind.DETERMINISTIC_EXCEPT_BALANCED_HALF, [total // 2], total
     )
-    indeterminism_witnesses = _witnesses(
+    return RegimeVerdict(Regime.CLASSICAL_WITH_TIE, witnesses)
+
+
+def _intermediate(
+    cache: _Cache, zeros: Iterable[int], fractional: Iterable[int], total: int
+) -> RegimeVerdict:
+    """Intermediate, with zero witnesses at K+ in ``zeros`` (each >= 1) and
+    indeterminism witnesses at ``fractional``; the note iff no zero exists."""
+    zero = _witnesses(cache, WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION, zeros, total)
+    witnesses = zero + _witnesses(
         cache, WitnessKind.NON_CLASSICAL_INDETERMINISM, fractional, total
     )
-    return RegimeVerdict(
-        verdict=Regime.INTERMEDIATE,
-        witnesses=zero_witnesses + indeterminism_witnesses,
-        note=None if zero_witnesses else _UNDECIDED_NOTE,
-    )
+    note = None if zero else _UNDECIDED_NOTE
+    return RegimeVerdict(Regime.INTERMEDIATE, witnesses, note)
+
+
+def _row_verdict(probabilities: Sequence[Fraction]) -> RegimeVerdict:
+    """Verdict of a row whose cell K+ = i is ``probabilities[i]``, in [0, 1]."""
+    total = len(probabilities) - 1
+    fractional = [i for i, p in enumerate(probabilities) if 0 < p < 1]
+    if not fractional:
+        return _CLASSICAL
+    half = total // 2
+    if total % 2 == 0 and fractional == [half] and 2 * probabilities[half] == 1:
+        return _tie({}, total)
+    # Born value K+/K, cross-multiplied; at K+ = K it is 1.
+    if all(p * total == i for i, p in enumerate(probabilities)):
+        return _QUANTUM
+    zeros = [i for i, p in enumerate(probabilities) if i and p == 0]
+    return _intermediate({}, zeros, fractional, total)
 
 
 def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
@@ -215,8 +195,7 @@ def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
     a probability that is not finite or lies outside [0, 1] raises
     ``ValueError``.
     """
-    entries = _validated_entries(row)
-    return _row_verdict([(p.numerator, p.denominator) for _, p in entries], {})
+    return _row_verdict([p for _, p in _validated_entries(row)])
 
 
 def classify_table(
@@ -224,13 +203,35 @@ def classify_table(
 ) -> dict[int, RegimeVerdict]:
     """Classify every row k = 1..K of the exact transmission table.
 
-    No table is built: each odd row of :func:`~deltamachine.spheres._odd_rows`
-    is classified on its integer cells (num, den), and the even row k + 1,
-    which equals row k, shares its verdict.  The rows share one
+    No cell is computed, because the determinism threshold fixes every
+    verdict.  An odd first tranche k tilts right iff it holds at least
+    h = (k + 1) / 2 positive spheres, so cell K+ is 0 if K+ < h, 1 if
+    K- < h, and fractional iff h <= K+ <= K - h.  Hence, for odd k:
+
+    * k = K: no cell is fractional.  Classical.
+    * k = K - 1, K even: only K+ = K/2 = K- is, at 1/2 by the charge swap
+      P(K+, K-) = 1 - P(K-, K+).  ClassicalWithTie.
+    * k = 1: P = K+/K, the Born values.  Quantum.
+    * otherwise 3 <= k <= K - 2, so 2 <= h <= K - h: the zeros K+ = 1..h-1
+      and the fractional cells K+ = h..K-h both exist.  Intermediate, and
+      never with the note.
+
+    The cases go in verdict precedence (K = 1 is Classical, K = 2 a tie).
+    Row k + 1 equals row k and shares its verdict, and the rows share one
     :class:`Witness` per state and kind.  The verdicts equal those of
     :func:`classify_row` on the rows of :func:`probability_table`.
     """
     K = _table_size(K, ceiling)
-    cache: dict[WitnessKind, dict[int, Witness]] = {}
-    odd = [_row_verdict(cells, cache) for cells in _odd_rows(K)]
+    cache: _Cache = {}
+    odd = []
+    for k in range(1, K + 1, 2):
+        h = (k + 1) // 2
+        if k == K:
+            odd.append(_CLASSICAL)
+        elif k == K - 1:
+            odd.append(_tie(cache, K))
+        elif k == 1:
+            odd.append(_QUANTUM)
+        else:
+            odd.append(_intermediate(cache, range(1, h), range(h, K - h + 1), K))
     return {k: odd[(k - 1) // 2] for k in range(1, K + 1)}

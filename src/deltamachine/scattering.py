@@ -127,6 +127,16 @@ def reflection_probability(
     return 1.0 / (1.0 + k2)
 
 
+def _real_array(values: object, what: str) -> np.ndarray:
+    """``values`` as float64; str, bytes, bool or complex arrays raise ``TypeError``."""
+    import numpy as np
+
+    a = np.asarray(values)
+    if a.dtype.kind in "USbc":
+        raise TypeError(f"{what} must be real numbers, not {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def transmission_curve(
     energies: np.ndarray, config: ScatteringConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
@@ -136,9 +146,7 @@ def transmission_curve(
     bit for bit: both evaluate the same IEEE operations.  The one energy
     rule is checked at the extremes, with the scalar functions' errors.
     """
-    import numpy as np
-
-    e = np.asarray(energies, dtype=np.float64) + 0.0  # -0.0 becomes 0.0
+    e = _real_array(energies, "energies") + 0.0  # -0.0 becomes 0.0
     if e.size:
         # NaN reaches both, +-inf and negatives one, and kappa^2 grows with E
         _kappa_squared(e.min(), config)
@@ -185,8 +193,8 @@ class WavePacket:
     def __init__(self, energies, weights) -> None:
         import numpy as np
 
-        e = np.asarray(energies, dtype=np.float64)
-        w = np.asarray(weights, dtype=np.float64)
+        e = _real_array(energies, "energies")
+        w = _real_array(weights, "weights")
         if e.ndim != 1 or w.ndim != 1 or e.size != w.size or e.size == 0:
             raise ValueError("energies and weights must be equal-length 1-D arrays")
         if not np.all(np.isfinite(e)) or not np.all(np.isfinite(w)):

@@ -18,16 +18,14 @@ from which on every cell is exactly 0 or 1, so about half of the cells are
 shared constants and never computed.  Columns with K+ > K/2 follow from
 the charge-swap identity P(K+, K-) = 1 - P(K-, K+), and each even row k
 equals the odd row k - 1.  ``_odd_rows`` lays out the odd rows with every
-cell in place: as ``Fraction``s for the table builder, and as integer
-(num, den) pairs that the regime classifier reads directly.  The table
-builder never calls the closed form, so the two check each other.
+cell in place as a ``Fraction``.  The table builder never calls the closed
+form, so the two check each other.
 Floats never enter; rendering a value as a decimal is presentation-side only.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -56,8 +54,9 @@ def as_int(value: object, what: str) -> int:
 
 
 def as_real(value: object, what: str) -> float:
-    """``value`` as a ``float``; ``bool``, ``str`` and ``bytes`` raise ``TypeError``."""
-    if isinstance(value, (bool, str, bytes, bytearray)):
+    """``value`` as a ``float``; any bool, ``str`` or ``bytes`` raises ``TypeError``."""
+    numpy_bool = getattr(getattr(value, "dtype", None), "kind", None) == "b"
+    if numpy_bool or isinstance(value, (bool, str, bytes, bytearray)):
         raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
     return float(value)
 
@@ -254,37 +253,29 @@ def _table_size(K: object, ceiling: object) -> int:
     return K
 
 
-def _odd_rows(
-    K: int,
-    cell: Callable[[int, int], object] | None = None,
-    certain: tuple[object, object] = ((0, 1), (1, 1)),
-) -> list[tuple[object, ...]]:
-    """The odd rows k = 1, 3, ... of the K table, every cell in place.
+#: Table cells at and above the determinism threshold, shared by every table.
+_CERTAIN = (Fraction(0), Fraction(1))
+
+
+def _odd_rows(K: int) -> list[tuple[Fraction, ...]]:
+    """The odd rows k = 1, 3, ... of the K table, every cell a ``Fraction``.
 
     Row k is a tuple over K+ = 0..K.  A column K+ <= K/2 holds
     P = S / C(K, k) from :func:`_odd_counts` below its determinism
-    threshold 2 K+ + 1, and ``certain[0]`` (P = 0) from there on.  A column
+    threshold 2 K+ + 1, and ``_CERTAIN[0]`` (P = 0) from there on.  A column
     K+ > K/2 is the swap of column K - K+: an odd tranche never ties, so
     P(K+, K-) = 1 - P(K-, K+), which is (C - S) / C below the threshold and
-    ``certain[1]`` (P = 1) from there on.  A computed cell is the pair
-    ``(num, den)``, not reduced, or ``cell(num, den)`` when ``cell`` is
-    given.  Cells are converted before the columns are padded, so the
-    certain cells, about half the table, are never visited one by one.
+    ``_CERTAIN[1]`` (P = 1) from there on.  The certain cells, about half
+    the table, are padded in, never visited one by one.
     """
     n_odd = (K + 1) // 2
-    low = [_odd_counts(i, K - i) for i in range(K // 2 + 1)]
-    high = [[(c - s, c) for s, c in cells] for cells in reversed(low[:n_odd])]
-    if cell is not None:
-        low = [[cell(n, d) for n, d in cells] for cells in low]
-        high = [[cell(n, d) for n, d in cells] for cells in high]
-    zero, one = certain
-    low = [cells + [zero] * (n_odd - len(cells)) for cells in low]
-    high = [cells + [one] * (n_odd - len(cells)) for cells in high]
+    zero, one = _CERTAIN
+    counts = [_odd_counts(i, K - i) for i in range(K // 2 + 1)]
+    low = [[Fraction(s, c) for s, c in col] for col in counts]
+    high = [[Fraction(c - s, c) for s, c in col] for col in reversed(counts[:n_odd])]
+    low = [col + [zero] * (n_odd - len(col)) for col in low]
+    high = [col + [one] * (n_odd - len(col)) for col in high]
     return list(zip(*low, *high))
-
-
-#: Table cells at and above the determinism threshold, shared by every table.
-_CERTAIN = (Fraction(0), Fraction(1))
 
 
 def probability_table(
@@ -294,15 +285,13 @@ def probability_table(
 
     Rows run over tranche sizes k = 1..K, columns over states K+ = 0..K
     (equivalently over increasing energy label K+/K-).  The odd rows come
-    from :func:`_odd_rows`, which runs the recurrence of :func:`_odd_counts`
-    only up to each column's determinism threshold 2 min(K+, K-) + 1.  The
-    cells from there on, about half the table, are the shared constants
-    ``Fraction(0)`` and ``Fraction(1)``; every computed cell is one
-    ``Fraction``.  Row k + 1 of an odd k shares row k's entries, the
-    pairwise equality P(k + 1) = P(k).
+    from :func:`_odd_rows`, which computes each column only below its
+    determinism threshold 2 min(K+, K-) + 1 and shares ``_CERTAIN`` from
+    there on.  Row k + 1 of an odd k shares row k's entries, the pairwise
+    equality P(k + 1) = P(k).
     """
     K = _table_size(K, ceiling)
     states = tuple(ElectricState(i, K - i) for i in range(K + 1))
-    odd = [tuple(zip(states, row)) for row in _odd_rows(K, Fraction, _CERTAIN)]
+    odd = [tuple(zip(states, row)) for row in _odd_rows(K)]
     rows = [ProbabilityTableRow(k=k, entries=odd[(k - 1) // 2]) for k in range(1, K + 1)]
     return ProbabilityTable(K=K, rows=tuple(rows))

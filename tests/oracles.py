@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: probabilities come
 from literal enumeration of every possible first tranche, never from the
 closed-form sums under test, rows are classified on ``Fraction`` values
-straight from the criteria, never on the integer counts the library uses,
-and single trials run the full scalar shuffle on a separate transcription
+straight from the criteria, never from the determinism threshold the
+library's table classifier uses, and single trials run the full scalar shuffle on a separate transcription
 of the splitmix64 stream, never the library's truncated array kernels.
 """
 

@@ -75,6 +75,13 @@ class TestElasticExperiment:
         with pytest.raises(TypeError, match=f"{name} must be a real number"):
             ElasticExperiment(**kwargs)
 
+    @pytest.mark.parametrize("flag", [np.True_, np.array(True)])
+    def test_rejects_numpy_bools(self, flag):
+        with pytest.raises(TypeError, match="theta must be a real number"):
+            ElasticExperiment(flag, 0.5)
+        with pytest.raises(TypeError, match="epsilon must be a real number"):
+            ElasticExperiment(1.0, flag)
+
     def test_accepts_ints_and_numpy_floats(self):
         exp = ElasticExperiment(np.float64(1.0), 1, projection=np.float32(0.5))
         assert (exp.theta, exp.epsilon, exp.cos_theta) == (1.0, 1.0, 0.5)

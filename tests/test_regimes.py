@@ -212,12 +212,13 @@ def plain_verdict(verdict):
 
 
 class TestClassifyTableFastPath:
-    """``classify_table`` reads integer subset counts and builds no table;
-    it must agree with ``classify_row`` on the rows of ``probability_table``,
-    which validates and converts every entry."""
+    """``classify_table`` derives its verdicts from the determinism
+    threshold and reads no cell; it must agree with ``classify_row`` on the
+    rows of ``probability_table``, which validates and converts every
+    entry."""
 
     def test_matches_classify_row(self):
-        for K in range(1, 41):
+        for K in range(1, 65):
             table = probability_table(K)
             verdicts = classify_table(K)
             assert list(verdicts) == list(range(1, K + 1))
@@ -231,6 +232,12 @@ class TestClassifyTableFastPath:
         assert list(verdicts) == list(range(1, K + 1))
         for k, verdict in verdicts.items():
             assert verdict == classify_row(table.row(k))
+
+    def test_no_verdict_carries_the_note(self):
+        # Every Intermediate row has a transmission zero above threshold.
+        for K in range(1, 257):
+            for verdict in classify_table(K, ceiling=K).values():
+                assert verdict.note is None
 
     def test_builds_no_table(self, monkeypatch):
         expected = classify_table(64)

@@ -41,6 +41,18 @@ class TestAmplitudes:
             with pytest.raises(TypeError, match="energy must be a real number"):
                 function(energy)
 
+    @pytest.mark.parametrize("energy", [np.True_, np.array(True)])
+    def test_rejects_numpy_bool_energy(self, energy):
+        with pytest.raises(TypeError, match="energy must be a real number"):
+            transmission_probability(energy)
+
+    @pytest.mark.parametrize(
+        "energies", [["4", "1"], [1, "4"], [b"4"], [True, False], np.array([1j])]
+    )
+    def test_curve_rejects_non_real_entries(self, energies):
+        with pytest.raises(TypeError, match="energies must be real numbers"):
+            transmission_curve(energies)
+
     def test_int_and_numpy_energies_equal_floats(self):
         assert amplitudes(4) == amplitudes(np.float64(4.0)) == amplitudes(4.0)
         assert transmission_probability(np.float32(0.5)) == transmission_probability(0.5)
@@ -198,6 +210,15 @@ class TestWavePacket:
             WavePacket([0.0, 1.0], [1.0, -0.5])
         with pytest.raises(ValueError):
             WavePacket([0.0, float("nan")], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "entries", [["4", "1"], [1, "4"], [b"4", b"1"], [True, False], [1j, 2j]]
+    )
+    def test_rejects_non_real_entries(self, entries):
+        with pytest.raises(TypeError, match="energies must be real numbers"):
+            WavePacket(entries, [1.0, 1.0])
+        with pytest.raises(TypeError, match="weights must be real numbers"):
+            WavePacket([0.0, 1.0], entries)
 
     @pytest.mark.parametrize(
         "center, width, name", [(True, 0.1, "center"), ("4", 0.1, "center"), (4.0, b"1", "width")]
