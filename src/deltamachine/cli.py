@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage or validation error (an unwritable output
 path included), 3 golden-table mismatch.
 Every randomized command reports its seed and generator name, so any
 published number can be reproduced bit-for-bit; when no seed is given a
-fresh one is drawn and printed in the report header.
+fresh one is drawn and reported.  The text report of an ensemble command
+(``simulate``, ``epsilon``, ``convergence``) is a title over its CSV grid.
 
 Environment overrides (these two only): ``DELTAMACHINE_OUTPUT`` for the
 default output path, ``DELTAMACHINE_TABLE_CEILING`` for the largest K the
@@ -26,7 +27,7 @@ import json
 import math
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import serialize
 from .golden import GOLDEN_SIZES, golden_table
@@ -103,6 +104,19 @@ def _grid_text(header: list[str], rows: list[list[str]]) -> str:
     for r in rows:
         lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
     return "\n".join(lines) + "\n"
+
+
+def _titled_csv(title: str, csv_rows: Callable) -> tuple[Callable, Callable]:
+    """The renderers of a command whose text report is ``title`` over its CSV grid.
+
+    The grid shows every CSV value as ``str``, so text and CSV carry the same digits.
+    """
+
+    def render_text(payload: dict[str, Any]) -> str:
+        header, rows = csv_rows(payload)
+        return f"{title}\n" + _grid_text(header, [[str(v) for v in row] for row in rows])
+
+    return render_text, csv_rows
 
 
 def _fraction_text(payload: dict[str, Any]) -> str:
@@ -188,21 +202,6 @@ def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
     return payload
 
 
-def _simulate_text(payload: dict[str, Any]) -> str:
-    expected, result = payload["expected"], payload["result"]
-    return (
-        "sphere-machine ensemble\n"
-        f"seed={result['seed']} generator={result['generator']} z={result['z']}\n"
-        f"k_plus={payload['k_plus']} k_minus={payload['k_minus']} k={payload['k']} "
-        f"n_trials={result['n_trials']}\n"
-        f"expected    = {_fraction_text(expected)} = {expected['decimal']!r}\n"
-        f"transmitted = {result['transmitted']}\n"
-        f"frequency   = {_fraction_text(result['frequency'])} = "
-        f"{result['frequency']['decimal']!r}\n"
-        f"half_width  = {result['half_width']!r}\n"
-    )
-
-
 # -- scatter -----------------------------------------------------------------
 
 
@@ -269,25 +268,6 @@ def _cmd_epsilon(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _epsilon_text(payload: dict[str, Any]) -> str:
-    pair, sim = payload["closed_form"], payload["simulation"]
-    text = (
-        "elastic-band measurement\n"
-        f"theta={payload['theta']!r} epsilon={payload['epsilon']!r} "
-        f"cos_theta={payload['cos_theta']!r}\n"
-        f"closed form: p_plus={pair['p_plus']!r} p_minus={pair['p_minus']!r}\n"
-    )
-    if sim is not None:
-        text += (
-            f"simulation: seed={sim['seed']} generator={sim['generator']} "
-            f"z={sim['z']}\n"
-            f"n_trials={sim['n_trials']} plus_outcomes={sim['transmitted']} "
-            f"frequency={sim['frequency']['decimal']!r} "
-            f"half_width={sim['half_width']!r}\n"
-        )
-    return text
-
-
 # -- classify ----------------------------------------------------------------
 
 
@@ -338,28 +318,6 @@ def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:
     return payload
 
 
-def _convergence_text(payload: dict[str, Any]) -> str:
-    series, expected = payload["series"], payload["expected"]
-    grid_header = ["n_trials", "frequency", "abs_error", "half_width"]
-    text_rows = [
-        [
-            str(e["n_trials"]),
-            f"{e['frequency']['decimal']:.6f}",
-            f"{e['abs_error']:.6f}",
-            f"{e['half_width']:.6f}",
-        ]
-        for e in series
-    ]
-    return (
-        "frequency convergence, sphere-machine ensemble\n"
-        f"seed={series[0]['seed']} generator={series[0]['generator']} "
-        f"z={series[0]['z']}\n"
-        f"k_plus={payload['k_plus']} k_minus={payload['k_minus']} k={payload['k']} "
-        f"expected={_fraction_text(expected)}={expected['decimal']!r}\n"
-        + _grid_text(grid_header, text_rows)
-    )
-
-
 # -- parser / entry point ----------------------------------------------------
 
 
@@ -386,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     cell.add_argument("--k", type=int, required=True, help="tranche size")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=int.from_bytes(os.urandom(8), "little"), help="master seed (default: random, recorded in the report)")
-    seeded.add_argument("--z", type=_parse_z, default=DEFAULT_Z, help="confidence level for the half-width")
+    seeded.add_argument("--z", type=_parse_z, default=DEFAULT_Z, help="level z of the Wilson interval")
 
     p = sub.add_parser("tables", parents=[table, output], help="exact transmission-probability table")
     p.add_argument("--golden", action="store_true", help="check against the frozen reference tables (K in 2..7)")
@@ -426,11 +384,13 @@ _DISPATCH = {
 #: Each command's text report and CSV rows, both functions of its payload.
 _RENDERERS = {
     "tables": (_tables_text, serialize.table_csv_rows),
-    "simulate": (_simulate_text, serialize.simulate_csv_rows),
+    "simulate": _titled_csv("sphere-machine ensemble", serialize.simulate_csv_rows),
     "scatter": (_scatter_text, serialize.scatter_csv_rows),
-    "epsilon": (_epsilon_text, serialize.epsilon_csv_rows),
+    "epsilon": _titled_csv("elastic-band measurement", serialize.epsilon_csv_rows),
     "classify": (_classify_text, serialize.classify_csv_rows),
-    "convergence": (_convergence_text, serialize.convergence_csv_rows),
+    "convergence": _titled_csv(
+        "frequency convergence, sphere-machine ensemble", serialize.convergence_csv_rows
+    ),
 }
 
 

@@ -1,17 +1,37 @@
 """The report's interval around every ensemble frequency.
 
-Ensembles return counts only; ``serialize.ensemble_payload`` adds this
-interval at level ``z``.  The command line's ``--z`` default lives here too.
+Ensembles return counts only; ``serialize.ensemble_payload`` adds the Wilson
+score interval at level ``z`` (Wilson, JASA 1927; Brown, Cai & DasGupta,
+Statistical Science 2001).  Unlike the normal approximation it lies in
+[0, 1] by construction and keeps a nonzero width when every trial agrees.
+The command line's ``--z`` default lives here too.
 """
 
 from __future__ import annotations
 
 import math
 
-#: Default confidence level ``z`` of the half-width.
+#: Default level ``z`` of the interval.
 DEFAULT_Z = 3.0
 
 
-def normal_half_width(p: float, n_trials: int, z: float) -> float:
-    """Half-width of the normal-approximation interval at level z."""
-    return z * math.sqrt(p * (1.0 - p) / n_trials)
+def wilson_interval(transmitted: int, n_trials: int, z: float) -> tuple[float, float]:
+    """``(lower, upper)`` of the Wilson score interval at level ``z``.
+
+    The bounds are ``(x + z²/2 ± z·sqrt(x(n−x)/n + z²/4)) / (n + z²)`` for
+    ``x`` of ``n`` trials, scaled by ``1/z²`` where ``z² > n``.  Every finite
+    ``z >= 0`` gives finite bounds with ``0 <= lower <= x/n <= upper <= 1``
+    (``[x/n, x/n]`` at ``z`` = 0); any other ``z`` raises ``ValueError``.
+    """
+    if not (math.isfinite(z) and z >= 0.0):
+        raise ValueError(f"z must be a nonnegative finite real, got {z!r}")
+    x, n = transmitted, n_trials
+    variance = x * (n - x) / n  # n p(1 - p), exact integers rounded once
+    z2 = z * z
+    if z2 <= n:
+        centre, spread, total = x + z2 / 2, z * math.sqrt(variance + z2 / 4), n + z2
+    else:  # 1/z² is 0 where z² overflows, and the bounds reach 0 and 1
+        w = 1.0 / z2
+        centre, spread, total = x * w + 0.5, math.sqrt(variance * w + 0.25), n * w + 1.0
+    p = x / n
+    return min(max((centre - spread) / total, 0.0), p), max(min((centre + spread) / total, 1.0), p)

@@ -128,10 +128,12 @@ def reflection_probability(
 
 
 def _real_array(values: object, what: str) -> np.ndarray:
-    """``values`` as float64; str, bytes, bool or complex arrays raise ``TypeError``."""
+    """``values`` as float64; str, bytes, bool or complex entries raise ``TypeError``."""
     import numpy as np
 
     a = np.asarray(values)
+    if a.dtype.kind == "O":  # each entry passes the scalar entries' check
+        return np.array([as_real(v, what) for v in a.flat]).reshape(a.shape)
     if a.dtype.kind in "USbc":
         raise TypeError(f"{what} must be real numbers, not {a.dtype}")
     return a.astype(np.float64, copy=False)

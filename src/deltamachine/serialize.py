@@ -5,7 +5,9 @@ Every exact value is carried as integers: a rational as a ``{"num", "den"}``
 pair plus an advisory ``decimal`` field, a sphere state as its
 ``(k_plus, k_minus)`` counts.  Every command's CSV header and rows are built
 here from its JSON payload (the ``*_csv_rows`` functions), so the two formats
-always carry identical values.
+always carry identical values.  The ensemble commands' text reports are
+these CSV grids too.  Every ensemble payload carries the Wilson interval as
+``lower`` and ``upper``, computed once, in :func:`ensemble_payload`.
 
 The module loads no numpy: the simulation result types it reads
 (``EnsembleResult``, ``OutcomePair``) and ``ScatteringAmplitudes`` are
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .interval import normal_half_width
+from .interval import wilson_interval
 from .regimes import RegimeVerdict, Witness
 from .spheres import ProbabilityTable
 
@@ -68,12 +70,14 @@ def table_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]
 
 
 def ensemble_payload(result: EnsembleResult, z: float) -> dict[str, Any]:
-    """The ensemble's counts and stream, with the normal half-width at level ``z``."""
+    """The ensemble's counts and stream, with the Wilson interval at level ``z``."""
+    lower, upper = wilson_interval(result.transmitted, result.n_trials, z)
     return {
         "n_trials": result.n_trials,
         "transmitted": result.transmitted,
         "frequency": fraction_payload(result.frequency),
-        "half_width": normal_half_width(float(result.frequency), result.n_trials, z),
+        "lower": lower,
+        "upper": upper,
         "z": z,
         "seed": result.seed,
         "generator": result.generator,
@@ -90,7 +94,8 @@ def _ensemble_csv_record(payload: dict[str, Any], **extra: Any) -> dict[str, Any
         "n_trials": payload["n_trials"],
         "transmitted": payload["transmitted"],
         **_fraction_columns("frequency", payload["frequency"]),
-        "half_width": payload["half_width"],
+        "lower": payload["lower"],
+        "upper": payload["upper"],
         **extra,
         "z": payload["z"],
         "seed": payload["seed"],
@@ -98,20 +103,31 @@ def _ensemble_csv_record(payload: dict[str, Any], **extra: Any) -> dict[str, Any
     }
 
 
-def simulate_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    record = {
+def _cell_csv_record(
+    payload: dict[str, Any], ensemble: dict[str, Any], **extra: Any
+) -> dict[str, Any]:
+    """The sphere cell and its exact value, then the ensemble's columns."""
+    return {
         "k_plus": payload["k_plus"],
         "k_minus": payload["k_minus"],
         "k": payload["k"],
         **_fraction_columns("expected", payload["expected"]),
-        **_ensemble_csv_record(payload["result"]),
+        **_ensemble_csv_record(ensemble, **extra),
     }
-    return list(record), [list(record.values())]
+
+
+def _csv_records(records: list[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
+    return list(records[0]), [list(record.values()) for record in records]
+
+
+def simulate_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    return _csv_records([_cell_csv_record(payload, payload["result"])])
 
 
 def convergence_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    records = [_ensemble_csv_record(e, abs_error=e["abs_error"]) for e in payload["series"]]
-    return list(records[0]), [list(record.values()) for record in records]
+    return _csv_records(
+        [_cell_csv_record(payload, e, abs_error=e["abs_error"]) for e in payload["series"]]
+    )
 
 
 # -- outcome pairs -------------------------------------------------------------
@@ -126,12 +142,13 @@ def epsilon_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]
     record = {
         "theta": payload["theta"],
         "epsilon": payload["epsilon"],
+        "cos_theta": payload["cos_theta"],
         "p_plus": payload["closed_form"]["p_plus"],
         "p_minus": payload["closed_form"]["p_minus"],
     }
     if payload["simulation"] is not None:
         record.update(_ensemble_csv_record(payload["simulation"]))
-    return list(record), [list(record.values())]
+    return _csv_records([record])
 
 
 # -- scattering ---------------------------------------------------------------

@@ -6,10 +6,13 @@ closed-form sums under test, rows are classified on ``Fraction`` values
 straight from the criteria, never from the determinism threshold the
 library's table classifier uses, and single trials run the full scalar shuffle on a separate transcription
 of the splitmix64 stream, never the library's truncated array kernels.
+The statistical tests accept a seeded frequency within ``normal_half_width``
+of the exact probability.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,6 +39,11 @@ def enumerated_transmission(k_plus: int, k_minus: int, k: int) -> Fraction:
 def born_transmission(k_plus: int, total: int) -> Fraction:
     """Lattice Born value K+/K."""
     return Fraction(k_plus, total)
+
+
+def normal_half_width(p: float, n_trials: int, z: float) -> float:
+    """Half-width of the normal-approximation interval at level z."""
+    return z * math.sqrt(p * (1.0 - p) / n_trials)
 
 
 def cubic_tranche_transmission(k_plus: int, total: int) -> Fraction:

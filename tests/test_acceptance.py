@@ -22,7 +22,6 @@ from deltamachine.elastic import (
     epsilon_probabilities,
     simulate_elastic,
 )
-from deltamachine.interval import normal_half_width
 from deltamachine.machine import empirical_table
 from deltamachine.regimes import Regime, WitnessKind, classify_table
 from deltamachine.rng import substream_seed
@@ -41,7 +40,12 @@ from deltamachine.spheres import (
     transmission_probability_exact,
 )
 
-from oracles import born_transmission, cubic_tranche_transmission, enumerated_transmission
+from oracles import (
+    born_transmission,
+    cubic_tranche_transmission,
+    enumerated_transmission,
+    normal_half_width,
+)
 
 MASTER_SEED = 20260811
 

@@ -200,7 +200,8 @@ class TestSimulate:
         record = dict(zip(header, rows[0]))
         assert int(record["transmitted"]) == payload["result"]["transmitted"]
         assert int(record["frequency_num"]) == payload["result"]["frequency"]["num"]
-        assert float(record["half_width"]) == payload["result"]["half_width"]
+        assert float(record["lower"]) == payload["result"]["lower"]
+        assert float(record["upper"]) == payload["result"]["upper"]
 
 
 class TestScatter:
@@ -293,8 +294,10 @@ class TestEpsilon:
         header, rows = parse_csv(csv_out)
         record = dict(zip(header, rows[0]))
         assert float(record["p_plus"]) == payload["closed_form"]["p_plus"]
+        assert float(record["cos_theta"]) == payload["cos_theta"]
         assert int(record["transmitted"]) == payload["simulation"]["transmitted"]
-        assert float(record["half_width"]) == payload["simulation"]["half_width"]
+        assert float(record["lower"]) == payload["simulation"]["lower"]
+        assert float(record["upper"]) == payload["simulation"]["upper"]
 
 
 class TestClassify:
@@ -342,14 +345,16 @@ class TestClassify:
 
 
 class TestConvergence:
-    def test_series_shrinks_half_width(self, capsys):
+    def test_series_shrinks_interval(self, capsys):
         code, out, _ = run_cli(
             capsys, "convergence", "--kp", "2", "--km", "1", "--k", "1",
             "--seed", "3", "--schedule", "100,1000,10000", "--format", "json",
         )
         assert code == 0
-        payload = parse_json(out)
-        widths = [e["half_width"] for e in payload["series"]]
+        series = parse_json(out)["series"]
+        for e in series:
+            assert 0.0 <= e["lower"] <= e["frequency"]["decimal"] <= e["upper"] <= 1.0
+        widths = [e["upper"] - e["lower"] for e in series]
         assert widths[0] > widths[1] > widths[2]
 
     def test_prefix_consistency(self, capsys):
@@ -431,6 +436,39 @@ def test_bad_z_is_usage_error(capsys, argv, z):
     code, out, err = run_cli(capsys, *argv, "--z", z)
     assert (code, out) == (2, "")
     assert "--z" in err and "usage:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--kp", "2", "--km", "1", "--k", "1", "--n", "500", "--seed", "4"),
+        ("epsilon", "--theta", "0.8", "--eps", "0.6", "--n", "500", "--seed", "3"),
+        ("epsilon", "--theta", "0.8", "--eps", "0.6"),
+        ("convergence", "--kp", "3", "--km", "1", "--k", "2", "--seed", "6", "--schedule", "50,200"),
+    ],
+    ids=["simulate", "epsilon", "epsilon-closed-form", "convergence"],
+)
+def test_ensemble_text_is_the_csv_grid(capsys, argv):
+    code, text, _ = run_cli(capsys, *argv)
+    _, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    title, *grid = text.splitlines()
+    assert code == 0 and title.endswith(("ensemble", "measurement"))
+    assert [line.split() for line in grid] == list(csv.reader(io.StringIO(csv_out)))
+
+
+@pytest.mark.parametrize(
+    "argv, lower, upper",
+    [
+        # Every trial agrees, yet the exact p is 1/201: the interval keeps a width.
+        (("--kp", "1", "--km", "200", "--n", "50", "--seed", "3"), 0.0, 9 / 59),
+        # A z far beyond any confidence level still bounds a probability.
+        (("--kp", "2", "--km", "1", "--n", "3", "--seed", "1", "--z", "1e308"), 0.0, 1.0),
+    ],
+)
+def test_interval_stays_honest_at_the_edges(capsys, argv, lower, upper):
+    code, out, _ = run_cli(capsys, "simulate", "--k", "1", *argv, "--format", "json")
+    result = parse_json(out)["result"]
+    assert code == 0 and (result["lower"], result["upper"]) == (lower, upper)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import normal_half_width
 from deltamachine import elastic, rng
 from deltamachine.elastic import (
     ElasticExperiment,
@@ -13,7 +14,6 @@ from deltamachine.elastic import (
     quantum_spin_probabilities,
     simulate_elastic,
 )
-from deltamachine.interval import normal_half_width
 
 
 class TestQuantumSpin:

@@ -124,6 +124,8 @@ class TestNamespace:
         )
         assert args.z is interval.DEFAULT_Z
         # The report's modules read the interval; the simulation layer holds none.
-        assert serialize.normal_half_width is interval.normal_half_width
-        for name in ("DEFAULT_Z", "normal_half_width"):
+        assert serialize.wilson_interval is interval.wilson_interval
+        for name in ("DEFAULT_Z", "wilson_interval"):
             assert not hasattr(ensemble, name), name
+        # One interval: the normal half-width is a test oracle, not a report field.
+        assert not hasattr(interval, "normal_half_width")

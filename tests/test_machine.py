@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import normal_half_width
 from deltamachine import ensemble as ensemble_mod
 from deltamachine import machine as machine_mod
 from deltamachine import elastic, rng
-from deltamachine.interval import normal_half_width
 from deltamachine.machine import Outcome, empirical_table, run_ensemble, run_trial
 from deltamachine.spheres import (
     ElectricState,

@@ -53,6 +53,15 @@ class TestAmplitudes:
         with pytest.raises(TypeError, match="energies must be real numbers"):
             transmission_curve(energies)
 
+    @pytest.mark.parametrize("entries", [["4", 1], [1, b"4"], [True], [1.0, np.True_]])
+    def test_curve_rejects_non_real_object_entries(self, entries):
+        with pytest.raises(TypeError, match="energies must be a real number"):
+            transmission_curve(np.array(entries, dtype=object))
+
+    def test_curve_takes_object_arrays_of_reals(self):
+        curve = transmission_curve(np.array([4.0, 1], dtype=object))
+        assert curve.dtype == np.float64 and curve.tolist() == [0.8, 0.5]
+
     def test_int_and_numpy_energies_equal_floats(self):
         assert amplitudes(4) == amplitudes(np.float64(4.0)) == amplitudes(4.0)
         assert transmission_probability(np.float32(0.5)) == transmission_probability(0.5)
@@ -219,6 +228,21 @@ class TestWavePacket:
             WavePacket(entries, [1.0, 1.0])
         with pytest.raises(TypeError, match="weights must be real numbers"):
             WavePacket([0.0, 1.0], entries)
+
+    @pytest.mark.parametrize("entries", [["4", 1], [1, True]])
+    def test_rejects_non_real_object_entries(self, entries):
+        entries = np.array(entries, dtype=object)
+        with pytest.raises(TypeError, match="energies must be a real number"):
+            WavePacket(entries, [1.0, 1.0])
+        with pytest.raises(TypeError, match="weights must be a real number"):
+            WavePacket([0.0, 1.0], entries)
+
+    def test_object_arrays_of_reals_equal_floats(self):
+        packet = WavePacket(np.array([0, 2.0], dtype=object), np.array([1, 0.0], dtype=object))
+        floats = WavePacket([0.0, 2.0], [1.0, 0.0])
+        assert packet.energies.tolist() == floats.energies.tolist()
+        assert packet.weights.tolist() == floats.weights.tolist()
+        assert wavepacket_transmission(packet) == wavepacket_transmission(floats)
 
     @pytest.mark.parametrize(
         "center, width, name", [(True, 0.1, "center"), ("4", 0.1, "center"), (4.0, b"1", "width")]

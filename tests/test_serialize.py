@@ -7,7 +7,6 @@ never tolerances.
 """
 
 import json
-import math
 from dataclasses import fields
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ import pytest
 
 from deltamachine import serialize
 from deltamachine.elastic import ElasticExperiment, epsilon_probabilities
-from deltamachine.interval import normal_half_width
+from deltamachine.interval import wilson_interval
 from deltamachine.machine import run_ensemble
 from deltamachine.regimes import classify_row, classify_table
 from deltamachine.scattering import (
@@ -75,14 +74,14 @@ def test_ensemble_payload_is_exact():
     result = run_ensemble(ElectricState(2, 1), KMeasurement(1), 1000, 42)
     payload = through_json(serialize.ensemble_payload(result, 2.5))
     assert list(payload) == [
-        "n_trials", "transmitted", "frequency", "half_width", "z", "seed", "generator"
+        "n_trials", "transmitted", "frequency", "lower", "upper", "z", "seed", "generator"
     ]
     frequency = payload.pop("frequency")
     assert Fraction(frequency["num"], frequency["den"]) == result.frequency
     # The report adds the interval: the library result carries counts only.
-    p = float(result.frequency)
-    assert payload.pop("half_width") == normal_half_width(p, 1000, 2.5)
-    assert normal_half_width(p, 1000, 2.5) == pytest.approx(2.5 * math.sqrt(p * (1 - p) / 1000))
+    lower, upper = payload.pop("lower"), payload.pop("upper")
+    assert (lower, upper) == wilson_interval(result.transmitted, 1000, 2.5)
+    assert 0.0 < lower < frequency["decimal"] < upper < 1.0
     assert payload.pop("z") == 2.5
     assert set(payload) | {"frequency"} == {field.name for field in fields(result)}
     for name, value in payload.items():
