@@ -30,11 +30,9 @@ if TYPE_CHECKING:
 
 
 def fraction_payload(value: Fraction) -> dict[str, Any]:
-    return {
-        "num": value.numerator,
-        "den": value.denominator,
-        "decimal": float(value),
-    }
+    """``num``/``den`` in lowest terms, and ``decimal``, their correctly rounded quotient."""
+    num, den = value.numerator, value.denominator
+    return {"num": num, "den": den, "decimal": num / den}
 
 
 def _fraction_columns(name: str, payload: dict[str, Any]) -> dict[str, Any]:
@@ -45,14 +43,21 @@ def _fraction_columns(name: str, payload: dict[str, Any]) -> dict[str, Any]:
 
 
 def table_payload(table: ProbabilityTable) -> dict[str, Any]:
+    """The table's states and rows; an even row shares its odd row's cell list.
+
+    Row k + 1 of an odd k holds row k's ``entries`` tuple, so that row's
+    cells are built once and the same list serves both rows.
+    """
     states = [
         {"k_plus": s.k_plus, "k_minus": s.k_minus, "energy": s.energy_label}
         for s, _ in table.rows[0].entries
     ]
-    rows = [
-        {"k": row.k, "cells": [fraction_payload(p) for _, p in row.entries]}
-        for row in table.rows
-    ]
+    rows, entries, cells = [], None, None
+    for row in table.rows:
+        if row.entries is not entries:
+            entries = row.entries
+            cells = [fraction_payload(p) for _, p in entries]
+        rows.append({"k": row.k, "cells": cells})
     return {"command": "tables", "K": table.K, "states": states, "rows": rows}
 
 

@@ -18,8 +18,10 @@ from which on every cell is exactly 0 or 1, so about half of the cells are
 shared constants and never computed.  Columns with K+ > K/2 follow from
 the charge-swap identity P(K+, K-) = 1 - P(K-, K+), and each even row k
 equals the odd row k - 1.  ``_odd_rows`` lays out the odd rows with every
-cell in place as a ``Fraction``.  The table builder never calls the closed
-form, so the two check each other.
+cell in place as a ``Fraction``.  Each count S / C is reduced by one gcd,
+which reduces its charge swap (C - S) / C as well, and :func:`_reduced`
+wraps both lowest-terms pairs without normalizing them again.  The table
+builder never calls the closed form, so the two check each other.
 Floats never enter; rendering a value as a decimal is presentation-side only.
 """
 
@@ -28,10 +30,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
-#: Exact probability values are reduced rationals in [0, 1]; the stdlib
-#: ``Fraction`` already guarantees lowest terms and a positive denominator.
+#: Exact probability values are reduced rationals in [0, 1]: ``Fraction``s in
+#: lowest terms with a positive denominator.  The table builder reduces each
+#: count once and keeps lowest terms through :func:`_reduced`.
 ExactProbability = Fraction
 
 #: Largest K accepted by the table builders unless overridden.  Purely an
@@ -257,6 +260,18 @@ def _table_size(K: object, ceiling: object) -> int:
 _CERTAIN = (Fraction(0), Fraction(1))
 
 
+def _reduced(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for ints already in lowest terms, ``den > 0``.
+
+    Sets the two slots of ``Fraction`` directly, skipping the constructor's
+    type dispatch and its gcd; the caller guarantees what that gcd gives.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
 def _odd_rows(K: int) -> list[tuple[Fraction, ...]]:
     """The odd rows k = 1, 3, ... of the K table, every cell a ``Fraction``.
 
@@ -265,17 +280,24 @@ def _odd_rows(K: int) -> list[tuple[Fraction, ...]]:
     threshold 2 K+ + 1, and ``_CERTAIN[0]`` (P = 0) from there on.  A column
     K+ > K/2 is the swap of column K - K+: an odd tranche never ties, so
     P(K+, K-) = 1 - P(K-, K+), which is (C - S) / C below the threshold and
-    ``_CERTAIN[1]`` (P = 1) from there on.  The certain cells, about half
-    the table, are padded in, never visited one by one.
+    ``_CERTAIN[1]`` (P = 1) from there on.  Both cells of a count are
+    reduced once, by g = gcd(S, C), which is gcd(C - S, C) too, and built
+    in lowest terms by :func:`_reduced`.  The certain cells, about half the
+    table, are padded in, never visited one by one.
     """
     n_odd = (K + 1) // 2
     zero, one = _CERTAIN
-    counts = [_odd_counts(i, K - i) for i in range(K // 2 + 1)]
-    low = [[Fraction(s, c) for s, c in col] for col in counts]
-    high = [[Fraction(c - s, c) for s, c in col] for col in reversed(counts[:n_odd])]
-    low = [col + [zero] * (n_odd - len(col)) for col in low]
-    high = [col + [one] * (n_odd - len(col)) for col in high]
-    return list(zip(*low, *high))
+    low, high = [], []
+    for i in range(K // 2 + 1):
+        cells, swaps = [], []
+        for s, c in _odd_counts(i, K - i):
+            g = gcd(s, c)
+            num, den = s // g, c // g
+            cells.append(_reduced(num, den))
+            swaps.append(_reduced(den - num, den))
+        low.append(cells + [zero] * (n_odd - len(cells)))
+        high.append(swaps + [one] * (n_odd - len(swaps)))
+    return list(zip(*low, *reversed(high[:n_odd])))
 
 
 def probability_table(

@@ -61,6 +61,21 @@ def test_table_payload_is_exact():
         assert cells == list(library_row.probabilities())
 
 
+@pytest.mark.parametrize("K", [*range(1, 65), 256])
+def test_table_payload_cells_match_the_library(K):
+    table = probability_table(K, ceiling=K)
+    payload = serialize.table_payload(table)
+    # Every cell up to K = 64; at K = 256, a spread of rows and columns.
+    step = 1 if K <= 64 else 13
+    for row, library_row in zip(payload["rows"][::step], table.rows[::step]):
+        for cell, (_, p) in zip(row["cells"][::step], library_row.entries[::step]):
+            assert (cell["num"], cell["den"]) == (p.numerator, p.denominator)
+            assert cell["decimal"] == float(p)
+    # Row k + 1 of an odd k shares row k's entries, and so its cells.
+    for k in range(1, K, 2):
+        assert payload["rows"][k]["cells"] is payload["rows"][k - 1]["cells"]
+
+
 def test_table_csv_values_match_payload():
     table = probability_table(3)
     header, rows = serialize.table_csv_rows(serialize.table_payload(table))

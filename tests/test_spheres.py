@@ -1,6 +1,8 @@
 """Exact-probability module: frozen values, oracle equivalence, invariants."""
 
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from deltamachine.spheres import (
     _CERTAIN,
     ElectricState,
     KMeasurement,
+    _reduced,
     determinism_threshold,
     probability_table,
     reflection_probability_exact,
@@ -332,3 +335,39 @@ class TestTableSharing:
                 if row.k >= determinism_threshold(state):
                     assert p in (0, 1)
                     assert p is _CERTAIN[0] or p is _CERTAIN[1]
+
+
+def assert_plain_fraction(p, num, den):
+    """``p`` is indistinguishable from the normalized ``Fraction(num, den)``."""
+    ref = Fraction(num, den)
+    assert type(p) is Fraction
+    assert type(p.numerator) is type(p.denominator) is int
+    assert (p.numerator, p.denominator) == (ref.numerator, ref.denominator)
+    assert p == ref and hash(p) == hash(ref) and repr(p) == repr(ref)
+    copy = pickle.loads(pickle.dumps(p))
+    assert (copy.numerator, copy.denominator) == (ref.numerator, ref.denominator)
+
+
+class TestLowestTerms:
+    """The table builder skips ``Fraction``'s normalization, so its cells must
+    already be in lowest terms with a positive denominator."""
+
+    @pytest.mark.parametrize(
+        ("num", "den"),
+        [(0, 1), (1, 1), (1, 2), (-3, 4), (22, 35), (2**70 + 1, 3**45), (3**45, 2**70 + 1)],
+    )
+    def test_reduced_is_the_normalized_fraction(self, num, den):
+        p = _reduced(num, den)
+        assert_plain_fraction(p, num, den)
+        assert str(p) == str(Fraction(num, den))
+        assert float(p) == num / den
+        assert p + 1 == Fraction(num + den, den) and 1 - p == Fraction(den - num, den)
+        assert p * den == num and (p < 1) == (num < den)
+
+    @pytest.mark.parametrize("K", [*range(1, 41), 64, 65, 128])
+    def test_every_cell_is_in_lowest_terms(self, K):
+        for row in probability_table(K, ceiling=K).rows[::2]:
+            for _, p in row.entries:
+                num, den = p.numerator, p.denominator
+                assert den > 0 and gcd(num, den) == 1
+                assert_plain_fraction(p, num, den)
