@@ -15,26 +15,35 @@ a usage error before any command runs.
 
 The simulation commands (``simulate``, ``epsilon``, ``convergence``) import
 their numpy-backed modules when they run, so the other commands start
-without loading numpy.
+without loading numpy.  ``json`` and ``csv`` are imported by the generic
+renderers, when one runs.
+
+``scatter`` evaluates each energy once, into a row of its CSV columns, and
+writes every format from per-row templates: the JSON is the bytes of
+``json.dumps(indent=2)`` (``%r`` writes a finite float as ``json`` does, and
+a non-finite value sends the document through ``json`` itself), the CSV the
+bytes of ``csv.writer``, and the text a ``%``-format per column, right-aligned.
+``--grid`` takes at most :data:`MAX_GRID_POINTS` points.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
+from itertools import chain
 from typing import Any, Callable
 
 from . import serialize
 from .golden import GOLDEN_SIZES, golden_table
 from .interval import DEFAULT_Z
 from .regimes import classify_table
-from .scattering import (
+# scatter calls amplitudes and _jump_residual; bench/tracing.py also wraps
+# the three scalar functions here by name.
+from .scattering import (  # noqa: F401
     ScatteringConfig,
+    _jump_residual,
     amplitudes,
     jump_condition_residual,
     reflection_probability,
@@ -85,10 +94,15 @@ def _parse_z(spec: str) -> float:
 
 
 def _render_json(payload: dict[str, Any]) -> str:
+    import json
+
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -106,7 +120,20 @@ def _grid_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _titled_csv(title: str, csv_rows: Callable) -> tuple[Callable, Callable]:
+def _formats(render_text: Callable, csv_rows: Callable) -> dict[str, Callable]:
+    """The renderer of each format, for a command whose payload is its JSON document.
+
+    ``_render_json`` and ``_render_csv`` are looked up at each call, so a
+    wrapper set on the module attribute (``bench/tracing.py``) sees it.
+    """
+    return {
+        "json": lambda payload: _render_json(payload),
+        "csv": lambda payload: _render_csv(*csv_rows(payload)),
+        "text": render_text,
+    }
+
+
+def _titled_csv(title: str, csv_rows: Callable) -> dict[str, Callable]:
     """The renderers of a command whose text report is ``title`` over its CSV grid.
 
     The grid shows every CSV value as ``str``, so text and CSV carry the same digits.
@@ -116,7 +143,7 @@ def _titled_csv(title: str, csv_rows: Callable) -> tuple[Callable, Callable]:
         header, rows = csv_rows(payload)
         return f"{title}\n" + _grid_text(header, [[str(v) for v in row] for row in rows])
 
-    return render_text, csv_rows
+    return _formats(render_text, csv_rows)
 
 
 def _fraction_text(payload: dict[str, Any]) -> str:
@@ -204,6 +231,9 @@ def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
 
 # -- scatter -----------------------------------------------------------------
 
+#: The most points ``--grid`` accepts, ten times the benchmark's grid.
+MAX_GRID_POINTS = 100_000
+
 
 def _parse_grid(spec: str) -> list[float]:
     try:
@@ -213,37 +243,88 @@ def _parse_grid(spec: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected LO:HI:N, got {spec!r}") from None
     if n < 2 or not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise argparse.ArgumentTypeError("expected finite LO < HI and N >= 2")
+    if n > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"N is at most {MAX_GRID_POINTS}, got {n}")
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
 def _cmd_scatter(args: argparse.Namespace) -> dict[str, Any]:
+    """One row of ``serialize.SCATTER_COLUMNS`` per energy, from one ``amplitudes`` call.
+
+    The probabilities are ``transmission_probability`` and
+    ``reflection_probability``'s operations on the same kappa^2, so every
+    value equals its library function's bit for bit.
+    """
     energies: list[float] = (args.E or []) + (args.grid or [])
     if not energies:
         raise ValueError("scatter requires --E and/or --grid")
     config = ScatteringConfig(coupling=args.coupling)
+    c2 = config.coupling * config.coupling
+    rows = []
+    for e in energies:
+        amp = amplitudes(e, config)
+        k2 = amp.energy / c2
+        t, r = amp.transmission, amp.reflection
+        rows.append((
+            amp.energy, t.real, t.imag, r.real, r.imag,
+            k2 / (1.0 + k2), 1.0 / (1.0 + k2), _jump_residual(amp, config),
+        ))
+    return {"command": "scatter", "coupling": config.coupling, "rows": rows}
 
-    points = [
-        serialize.scatter_point_payload(
-            amplitudes(e, config),
-            transmission_probability(e, config),
-            reflection_probability(e, config),
-            jump_condition_residual(e, config),
-        )
-        for e in energies
-    ]
-    return {"command": "scatter", "coupling": config.coupling, "points": points}
+
+# A point of ``json.dumps(document, indent=2)``: ``%r`` writes a float as
+# ``float.__repr__``, which is what ``json`` writes for a finite float.
+_SCATTER_JSON_POINT = """\
+    {
+      "energy": %r,
+      "transmission": {
+        "re": %r,
+        "im": %r
+      },
+      "reflection": {
+        "re": %r,
+        "im": %r
+      },
+      "p_transmission": %r,
+      "p_reflection": %r,
+      "jump_residual": %r
+    }"""
+
+_SCATTER_CSV_ROW = ",".join(["%r"] * len(serialize.SCATTER_COLUMNS)) + "\n"
+
+_SCATTER_TEXT_HEADER = ("energy", "T_re", "T_im", "R_re", "R_im", "P_tr", "P_re", "residual")
+_SCATTER_TEXT_CELLS = "%g %.12g %.12g %.12g %.12g %.12g %.12g %.3g"
+
+
+def _scatter_json(payload: dict[str, Any]) -> str:
+    """``json.dumps(serialize.scatter_json_payload(payload), indent=2)``, newline-ended."""
+    rows = payload["rows"]
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        # json writes NaN and Infinity, which float.__repr__ does not
+        return _render_json(serialize.scatter_json_payload(payload))
+    points = ",\n".join([_SCATTER_JSON_POINT % row for row in rows])
+    return (
+        f'{{\n  "command": "scatter",\n  "coupling": {payload["coupling"]!r},\n'
+        f'  "points": [\n{points}\n  ]\n}}\n'
+    )
+
+
+def _scatter_csv(payload: dict[str, Any]) -> str:
+    """What ``csv.writer`` writes: no float repr needs quoting."""
+    header, rows = serialize.scatter_csv_rows(payload)
+    return ",".join(header) + "\n" + "".join([_SCATTER_CSV_ROW % row for row in rows])
 
 
 def _scatter_text(payload: dict[str, Any]) -> str:
-    # The text grid shows the CSV columns, each in its own number format.
+    """The CSV columns, each in its own number format, right-aligned."""
     _, rows = serialize.scatter_csv_rows(payload)
-    specs = ("g", ".12g", ".12g", ".12g", ".12g", ".12g", ".12g", ".3g")
-    grid_header = ["energy", "T_re", "T_im", "R_re", "R_im", "P_tr", "P_re", "residual"]
-    text_rows = [[format(v, spec) for v, spec in zip(row, specs)] for row in rows]
+    cells = [_SCATTER_TEXT_HEADER] + [(_SCATTER_TEXT_CELLS % row).split() for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    line = "  ".join(f"%{w}s" for w in widths) + "\n"
     return (
         f"delta-potential scattering, coupling = {payload['coupling']:g} "
-        "(multiples of sqrt(2 hbar^2 / m))\n" + _grid_text(grid_header, text_rows)
+        "(multiples of sqrt(2 hbar^2 / m))\n" + "".join([line % tuple(c) for c in cells])
     )
 
 
@@ -381,13 +462,13 @@ _DISPATCH = {
     "convergence": _cmd_convergence,
 }
 
-#: Each command's text report and CSV rows, both functions of its payload.
+#: Each command's renderer of each format, all functions of its payload.
 _RENDERERS = {
-    "tables": (_tables_text, serialize.table_csv_rows),
+    "tables": _formats(_tables_text, serialize.table_csv_rows),
     "simulate": _titled_csv("sphere-machine ensemble", serialize.simulate_csv_rows),
-    "scatter": (_scatter_text, serialize.scatter_csv_rows),
+    "scatter": {"json": _scatter_json, "csv": _scatter_csv, "text": _scatter_text},
     "epsilon": _titled_csv("elastic-band measurement", serialize.epsilon_csv_rows),
-    "classify": (_classify_text, serialize.classify_csv_rows),
+    "classify": _formats(_classify_text, serialize.classify_csv_rows),
     "convergence": _titled_csv(
         "frequency convergence, sphere-machine ensemble", serialize.convergence_csv_rows
     ),
@@ -421,13 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     # Free the parsed inputs (a --grid list among them) before rendering.
     del args
 
-    render_text, csv_rows = _RENDERERS[command]
-    if fmt == "json":
-        rendered = _render_json(payload)
-    elif fmt == "csv":
-        rendered = _render_csv(*csv_rows(payload))
-    else:
-        rendered = render_text(payload)
+    rendered = _RENDERERS[command][fmt](payload)
     try:
         _write_output(output, rendered)
     except OSError as exc:

@@ -168,7 +168,11 @@ def jump_condition_residual(
     Zero analytically; below :data:`IDENTITY_TOL` in double precision.
     Raises ``ValueError`` where ``2 E`` overflows.
     """
-    amp = amplitudes(energy, config)
+    return _jump_residual(amplitudes(energy, config), config)
+
+
+def _jump_residual(amp: ScatteringAmplitudes, config: ScatteringConfig) -> float:
+    """The jump residual of amplitudes already computed at ``config``."""
     two_e = 2.0 * amp.energy
     if not math.isfinite(two_e):
         raise ValueError(

@@ -9,15 +9,18 @@ always carry identical values.  The ensemble commands' text reports are
 these CSV grids too.  Every ensemble payload carries the Wilson interval as
 ``lower`` and ``upper``, computed once, in :func:`ensemble_payload`.
 
+A ``scatter`` payload is the exception to that order: it holds each point
+as its CSV row, and :func:`scatter_json_payload` builds the JSON document
+from the rows.
+
 The module loads no numpy: the simulation result types it reads
-(``EnsembleResult``, ``OutcomePair``) and ``ScatteringAmplitudes`` are
-imported for the annotations only.
+(``EnsembleResult``, ``OutcomePair``) are imported for the annotations only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .interval import wilson_interval
 from .regimes import RegimeVerdict, Witness
@@ -26,7 +29,6 @@ from .spheres import ProbabilityTable
 if TYPE_CHECKING:
     from .elastic import OutcomePair
     from .ensemble import EnsembleResult
-    from .scattering import ScatteringAmplitudes
 
 
 def fraction_payload(value: Fraction) -> dict[str, Any]:
@@ -158,40 +160,35 @@ def epsilon_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]
 
 # -- scattering ---------------------------------------------------------------
 
+#: The CSV header of ``scatter``; a scatter payload holds one row per point,
+#: its values in this order.
+SCATTER_COLUMNS = ("energy", "t_re", "t_im", "r_re", "r_im", "p_tr", "p_re", "jump_residual")
 
-def _complex_payload(z: complex) -> dict[str, float]:
-    return {"re": z.real, "im": z.imag}
 
-
-def scatter_point_payload(
-    amp: ScatteringAmplitudes, p_tr: float, p_re: float, residual: float
-) -> dict[str, Any]:
+def scatter_point_payload(row: Sequence[float]) -> dict[str, Any]:
+    """The JSON object of one point, from its row of :data:`SCATTER_COLUMNS`."""
+    energy, t_re, t_im, r_re, r_im, p_tr, p_re, residual = row
     return {
-        "energy": amp.energy,
-        "transmission": _complex_payload(amp.transmission),
-        "reflection": _complex_payload(amp.reflection),
+        "energy": energy,
+        "transmission": {"re": t_re, "im": t_im},
+        "reflection": {"re": r_re, "im": r_im},
         "p_transmission": p_tr,
         "p_reflection": p_re,
         "jump_residual": residual,
     }
 
 
-def scatter_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    header = ["energy", "t_re", "t_im", "r_re", "r_im", "p_tr", "p_re", "jump_residual"]
-    rows = [
-        [
-            p["energy"],
-            p["transmission"]["re"],
-            p["transmission"]["im"],
-            p["reflection"]["re"],
-            p["reflection"]["im"],
-            p["p_transmission"],
-            p["p_reflection"],
-            p["jump_residual"],
-        ]
-        for p in payload["points"]
-    ]
-    return header, rows
+def scatter_json_payload(payload: dict[str, Any]) -> dict[str, Any]:
+    """The JSON document of a scatter payload: its rows become point objects."""
+    return {
+        "command": "scatter",
+        "coupling": payload["coupling"],
+        "points": [scatter_point_payload(row) for row in payload["rows"]],
+    }
+
+
+def scatter_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[tuple[float, ...]]]:
+    return list(SCATTER_COLUMNS), payload["rows"]
 
 
 # -- regime verdicts -----------------------------------------------------------

@@ -7,7 +7,8 @@ straight from the criteria, never from the determinism threshold the
 library's table classifier uses, and single trials run the full scalar shuffle on a separate transcription
 of the splitmix64 stream, never the library's truncated array kernels.
 The statistical tests accept a seeded frequency within ``normal_half_width``
-of the exact probability.
+of the exact probability.  The ``scatter`` text report is checked against
+``scatter_text``, the column formatter it replaced.
 """
 
 from __future__ import annotations
@@ -146,3 +147,18 @@ def elastic_trial(c: float, eps: float, seed: int) -> bool:
     if at == c:
         return coin(reference_draw(seed, 1))
     return at < c
+
+
+def scatter_text(coupling: float, rows: list[tuple[float, ...]]) -> str:
+    """The ``scatter`` text report: each CSV column in its own format, right-aligned."""
+    specs = ("g", ".12g", ".12g", ".12g", ".12g", ".12g", ".12g", ".3g")
+    header = ["energy", "T_re", "T_im", "R_re", "R_im", "P_tr", "P_re", "residual"]
+    cells = [[format(v, spec) for v, spec in zip(row, specs)] for row in rows]
+    widths = [max(len(header[i]), *(len(r[i]) for r in cells)) for i in range(len(header))]
+    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
+    for r in cells:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
+    return (
+        f"delta-potential scattering, coupling = {coupling:g} "
+        "(multiples of sqrt(2 hbar^2 / m))\n" + "\n".join(lines) + "\n"
+    )

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,16 @@ import pytest
 
 from deltamachine import cli, golden, regimes, serialize
 from deltamachine.regimes import Regime, RegimeVerdict, Witness, WitnessKind
+from deltamachine.scattering import (
+    ScatteringAmplitudes,
+    ScatteringConfig,
+    amplitudes,
+    jump_condition_residual,
+    reflection_probability,
+    transmission_probability,
+)
 from deltamachine.spheres import ElectricState, probability_table
+from oracles import scatter_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -264,6 +274,143 @@ class TestScatter:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+
+def _edge_couplings():
+    """The smallest and the largest coupling whose square is a normal, finite double."""
+    lo = math.sqrt(sys.float_info.min)
+    while lo * lo < sys.float_info.min:
+        lo = math.nextafter(lo, math.inf)
+    hi = math.sqrt(sys.float_info.max)
+    while hi * hi > sys.float_info.max:
+        hi = math.nextafter(hi, 0.0)
+    return lo, hi
+
+
+def _scatter_case(coupling, energies=(0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300), grid=None):
+    """``(argv, coupling, library rows)``; only the energies valid at ``coupling``.
+
+    A row holds the public functions' values in the CSV column order.
+    """
+    config = ScatteringConfig(coupling)
+    valid = []
+    for e in energies:
+        try:
+            jump_condition_residual(e, config)  # every energy check, 2 E included
+        except ValueError:
+            continue
+        valid.append(e)
+    argv = ["scatter", "--coupling", repr(coupling)]
+    argv += [arg for e in valid for arg in ("--E", repr(e))]
+    if grid is not None:
+        argv += ["--grid", grid]
+        valid += cli._parse_grid(grid)
+    rows = []
+    for e in valid:
+        amp = amplitudes(e, config)
+        t, r = amp.transmission, amp.reflection
+        rows.append((
+            amp.energy, t.real, t.imag, r.real, r.imag,
+            transmission_probability(e, config),
+            reflection_probability(e, config),
+            jump_condition_residual(e, config),
+        ))
+    return argv, config.coupling, rows
+
+
+SCATTER_CASES = {
+    "coupling=1": _scatter_case(1.0),
+    "coupling=1.5": _scatter_case(1.5),
+    "smallest coupling": _scatter_case(_edge_couplings()[0]),
+    "largest coupling": _scatter_case(_edge_couplings()[1]),
+    "grid to 1e300": _scatter_case(1.0, (0.0, -0.0), "0:1e300:1000"),
+    "subnormal grid": _scatter_case(1.0, (0.0, -0.0), "5e-324:1e-300:50"),
+}
+
+
+def test_edge_couplings_drop_only_out_of_range_energies():
+    counts = {name: len(case[2]) for name, case in SCATTER_CASES.items()}
+    assert counts["coupling=1"] == counts["largest coupling"] == 6
+    assert counts["smallest coupling"] == 5  # kappa^2 = 1e300 / coupling^2 overflows
+
+
+class TestScatterWriters:
+    """Each format's writer equals the generic renderer over the library's values."""
+
+    @pytest.fixture(params=list(SCATTER_CASES), autouse=True)
+    def case(self, request):
+        self.argv, self.coupling, self.rows = SCATTER_CASES[request.param]
+
+    def test_point_values_are_the_library_values(self):
+        payload = cli._cmd_scatter(cli.build_parser().parse_args(self.argv))
+        assert {type(v) for row in payload["rows"] for v in row} == {float}
+        # float.hex tells -0.0 from 0.0
+        assert [[v.hex() for v in row] for row in payload["rows"]] == [
+            [v.hex() for v in row] for row in self.rows
+        ]
+
+    def test_json_is_json_dumps(self, capsys):
+        document = {
+            "command": "scatter",
+            "coupling": self.coupling,
+            "points": [
+                {
+                    "energy": e,
+                    "transmission": {"re": t_re, "im": t_im},
+                    "reflection": {"re": r_re, "im": r_im},
+                    "p_transmission": p_tr,
+                    "p_reflection": p_re,
+                    "jump_residual": residual,
+                }
+                for e, t_re, t_im, r_re, r_im, p_tr, p_re, residual in self.rows
+            ],
+        }
+        code, out, _ = run_cli(capsys, *self.argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(document, indent=2) + "\n"
+
+    def test_csv_is_csv_writer(self, capsys):
+        payload = cli._cmd_scatter(cli.build_parser().parse_args(self.argv))
+        header, rows = serialize.scatter_csv_rows(payload)
+        assert header == list(serialize.SCATTER_COLUMNS)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        code, out, _ = run_cli(capsys, *self.argv, "--format", "csv")
+        assert code == 0
+        assert out == buf.getvalue()
+
+    def test_text_is_the_column_formatter(self, capsys):
+        code, out, _ = run_cli(capsys, *self.argv, "--format", "text")
+        assert code == 0
+        assert out == scatter_text(self.coupling, self.rows)
+
+
+def test_non_finite_scatter_values_fall_back_to_json_dumps(capsys, monkeypatch):
+    def unbounded(energy, config):
+        amp = amplitudes(energy, config)
+        return ScatteringAmplitudes(complex(math.inf, 0.0), amp.reflection, amp.energy)
+
+    monkeypatch.setattr(cli, "amplitudes", unbounded)
+    argv = ["scatter", "--E", "1", "--E", "4"]
+    payload = cli._cmd_scatter(cli.build_parser().parse_args(argv))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and '"re": Infinity' in out
+    assert out == json.dumps(serialize.scatter_json_payload(payload), indent=2) + "\n"
+
+
+class TestGridLimit:
+    def test_limit_is_ten_benchmark_grids(self):
+        assert cli.MAX_GRID_POINTS == 100_000
+
+    def test_grid_above_the_limit_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
+        code, out, _ = run_cli(capsys, "scatter", "--grid", "0:1:5", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 6
+        code, out, err = run_cli(capsys, "scatter", "--grid", "0:1:6")
+        assert code == 2 and out == ""
+        assert "--grid" in err and "at most 5" in err and "usage:" in err
 
 
 class TestEpsilon:

@@ -75,6 +75,34 @@ def test_exact_and_scatter_commands_never_import_numpy():
     )
 
 
+def test_json_and_csv_load_only_with_their_generic_renderers():
+    run_fresh(
+        """
+        import contextlib, io, sys
+
+        # Compared with the modules loaded before, so that a .pth file that
+        # imports one of them at start-up cannot fail the check.
+        before = set(sys.modules)
+
+        def not_loaded(where):
+            for name in ("json", "csv"):
+                assert name in before or name not in sys.modules, f"{name} imported by {where}"
+
+        from deltamachine import cli
+        not_loaded("import deltamachine.cli")
+        argv = ["scatter", "--E", "0", "--E", "1", "--grid", "0.1:10:50"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for fmt in ("text", "json", "csv"):
+                assert cli.main([*argv, "--format", fmt]) == 0
+                not_loaded(f"scatter --format {fmt}")
+            # Every other command renders JSON and CSV with the modules.
+            assert cli.main(["tables", "--K", "3", "--format", "json"]) == 0
+            assert cli.main(["tables", "--K", "3", "--format", "csv"]) == 0
+        assert {"json", "csv"} <= set(sys.modules)
+        """
+    )
+
+
 def test_submodules_resolve_after_a_bare_import():
     run_fresh(
         """

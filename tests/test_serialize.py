@@ -108,7 +108,10 @@ def test_amplitudes_payload_is_exact():
     p_tr = transmission_probability(2.5)
     p_re = reflection_probability(2.5)
     residual = jump_condition_residual(2.5)
-    point = through_json(serialize.scatter_point_payload(amp, p_tr, p_re, residual))
+    t, r = amp.transmission, amp.reflection
+    row = (amp.energy, t.real, t.imag, r.real, r.imag, p_tr, p_re, residual)
+    assert len(row) == len(serialize.SCATTER_COLUMNS)
+    point = through_json(serialize.scatter_point_payload(row))
     assert point["energy"] == amp.energy
     for name in ("transmission", "reflection"):
         value = point[name]
