@@ -5,7 +5,8 @@ path included), 3 golden-table mismatch.
 Every randomized command reports its seed and generator name, so any
 published number can be reproduced bit-for-bit; when no seed is given a
 fresh one is drawn and reported.  The text report of an ensemble command
-(``simulate``, ``epsilon``, ``convergence``) is a title over its CSV grid.
+(``simulate``, ``epsilon``, ``convergence``) is a title over its CSV grid,
+and that grid's columns are its JSON payload, flattened.
 
 Environment overrides (these two only): ``DELTAMACHINE_OUTPUT`` for the
 default output path, ``DELTAMACHINE_TABLE_CEILING`` for the largest K the
@@ -21,9 +22,10 @@ renderers, when one runs.
 ``scatter`` evaluates each energy once, into a row of its CSV columns, and
 writes every format from per-row templates: the JSON is the bytes of
 ``json.dumps(indent=2)`` (``%r`` writes a finite float as ``json`` does, and
-a non-finite value sends the document through ``json`` itself), the CSV the
-bytes of ``csv.writer``, and the text a ``%``-format per column, right-aligned.
-``--grid`` takes at most :data:`MAX_GRID_POINTS` points.
+every value is finite), the CSV the bytes of ``csv.writer``, and the text a
+``%``-format per column, right-aligned by the same grid writer as every other
+text grid.  ``--grid`` takes at most :data:`MAX_GRID_POINTS` points, and its
+last point is HI itself.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ import argparse
 import math
 import os
 import sys
-from itertools import chain
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from . import serialize
 from .golden import GOLDEN_SIZES, golden_table
@@ -110,14 +111,12 @@ def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
     return buf.getvalue()
 
 
-def _grid_text(header: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    for r in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines) + "\n"
+def _grid_text(header: Sequence[str], rows: list[Sequence[str]]) -> str:
+    """``header`` over ``rows``, each column right-aligned to its widest cell."""
+    cells = [header, *rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    line = "  ".join(f"%{w}s" for w in widths) + "\n"
+    return "".join([line % tuple(c) for c in cells])
 
 
 def _formats(render_text: Callable, csv_rows: Callable) -> dict[str, Callable]:
@@ -246,7 +245,7 @@ def _parse_grid(spec: str) -> list[float]:
     if n > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"N is at most {MAX_GRID_POINTS}, got {n}")
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return [lo + i * step for i in range(n - 1)] + [hi]  # HI exactly, as numpy.linspace
 
 
 def _cmd_scatter(args: argparse.Namespace) -> dict[str, Any]:
@@ -255,6 +254,12 @@ def _cmd_scatter(args: argparse.Namespace) -> dict[str, Any]:
     The probabilities are ``transmission_probability`` and
     ``reflection_probability``'s operations on the same kappa^2, so every
     value equals its library function's bit for bit.
+
+    Every value is finite, so ``_scatter_json`` needs no ``NaN`` or
+    ``Infinity``: ``amplitudes`` checks kappa^2 and ``_jump_residual`` 2 E to
+    be finite, |T|, |R| <= 1 and both probabilities lie in [0, 1], and the
+    residual's products of sqrt(2 E), the coupling and the amplitudes stay
+    below about 1e155.
     """
     energies: list[float] = (args.E or []) + (args.grid or [])
     if not energies:
@@ -298,12 +303,9 @@ _SCATTER_TEXT_CELLS = "%g %.12g %.12g %.12g %.12g %.12g %.12g %.3g"
 
 
 def _scatter_json(payload: dict[str, Any]) -> str:
-    """``json.dumps(serialize.scatter_json_payload(payload), indent=2)``, newline-ended."""
-    rows = payload["rows"]
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        # json writes NaN and Infinity, which float.__repr__ does not
-        return _render_json(serialize.scatter_json_payload(payload))
-    points = ",\n".join([_SCATTER_JSON_POINT % row for row in rows])
+    """``json.dumps(indent=2)`` of the document whose points are
+    ``serialize.scatter_point_payload`` of each row, newline-ended."""
+    points = ",\n".join([_SCATTER_JSON_POINT % row for row in payload["rows"]])
     return (
         f'{{\n  "command": "scatter",\n  "coupling": {payload["coupling"]!r},\n'
         f'  "points": [\n{points}\n  ]\n}}\n'
@@ -319,12 +321,10 @@ def _scatter_csv(payload: dict[str, Any]) -> str:
 def _scatter_text(payload: dict[str, Any]) -> str:
     """The CSV columns, each in its own number format, right-aligned."""
     _, rows = serialize.scatter_csv_rows(payload)
-    cells = [_SCATTER_TEXT_HEADER] + [(_SCATTER_TEXT_CELLS % row).split() for row in rows]
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    line = "  ".join(f"%{w}s" for w in widths) + "\n"
     return (
         f"delta-potential scattering, coupling = {payload['coupling']:g} "
-        "(multiples of sqrt(2 hbar^2 / m))\n" + "".join([line % tuple(c) for c in cells])
+        "(multiples of sqrt(2 hbar^2 / m))\n"
+        + _grid_text(_SCATTER_TEXT_HEADER, [(_SCATTER_TEXT_CELLS % row).split() for row in rows])
     )
 
 
@@ -393,9 +393,8 @@ def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:
     payload["series"] = []
     for n in args.schedule:
         result = run_ensemble(state, meas, n, args.seed)
-        entry = serialize.ensemble_payload(result, args.z)
-        entry["abs_error"] = abs(float(result.frequency) - payload["expected"]["decimal"])
-        payload["series"].append(entry)
+        abs_error = abs(float(result.frequency) - payload["expected"]["decimal"])
+        payload["series"].append(serialize.ensemble_payload(result, args.z, abs_error=abs_error))
     return payload
 
 
@@ -465,9 +464,9 @@ _DISPATCH = {
 #: Each command's renderer of each format, all functions of its payload.
 _RENDERERS = {
     "tables": _formats(_tables_text, serialize.table_csv_rows),
-    "simulate": _titled_csv("sphere-machine ensemble", serialize.simulate_csv_rows),
+    "simulate": _titled_csv("sphere-machine ensemble", serialize.ensemble_csv_rows),
     "scatter": {"json": _scatter_json, "csv": _scatter_csv, "text": _scatter_text},
-    "epsilon": _titled_csv("elastic-band measurement", serialize.epsilon_csv_rows),
+    "epsilon": _titled_csv("elastic-band measurement", serialize.ensemble_csv_rows),
     "classify": _formats(_classify_text, serialize.classify_csv_rows),
     "convergence": _titled_csv(
         "frequency convergence, sphere-machine ensemble", serialize.convergence_csv_rows

@@ -5,13 +5,13 @@ Every exact value is carried as integers: a rational as a ``{"num", "den"}``
 pair plus an advisory ``decimal`` field, a sphere state as its
 ``(k_plus, k_minus)`` counts.  Every command's CSV header and rows are built
 here from its JSON payload (the ``*_csv_rows`` functions), so the two formats
-always carry identical values.  The ensemble commands' text reports are
-these CSV grids too.  Every ensemble payload carries the Wilson interval as
-``lower`` and ``upper``, computed once, in :func:`ensemble_payload`.
+always carry identical values.  An ensemble command's CSV row is its payload
+flattened by :func:`_record`, and its text report is that CSV grid.  Every
+ensemble payload carries the Wilson interval as ``lower`` and ``upper``,
+computed once, in :func:`ensemble_payload`.
 
-A ``scatter`` payload is the exception to that order: it holds each point
-as its CSV row, and :func:`scatter_json_payload` builds the JSON document
-from the rows.
+A ``scatter`` payload holds each point as its CSV row;
+:func:`scatter_point_payload` is the JSON object of one row.
 
 The module loads no numpy: the simulation result types it reads
 (``EnsembleResult``, ``OutcomePair``) are imported for the annotations only.
@@ -35,10 +35,6 @@ def fraction_payload(value: Fraction) -> dict[str, Any]:
     """``num``/``den`` in lowest terms, and ``decimal``, their correctly rounded quotient."""
     num, den = value.numerator, value.denominator
     return {"num": num, "den": den, "decimal": num / den}
-
-
-def _fraction_columns(name: str, payload: dict[str, Any]) -> dict[str, Any]:
-    return {f"{name}_{part}": payload[part] for part in ("num", "den", "decimal")}
 
 
 # -- probability tables ------------------------------------------------------
@@ -76,8 +72,11 @@ def table_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]
 # -- ensembles ----------------------------------------------------------------
 
 
-def ensemble_payload(result: EnsembleResult, z: float) -> dict[str, Any]:
-    """The ensemble's counts and stream, with the Wilson interval at level ``z``."""
+def ensemble_payload(result: EnsembleResult, z: float, **extra: Any) -> dict[str, Any]:
+    """The ensemble's counts and stream, with the Wilson interval at level ``z``.
+
+    The ``extra`` fields go between the interval and ``z``.
+    """
     lower, upper = wilson_interval(result.transmitted, result.n_trials, z)
     return {
         "n_trials": result.n_trials,
@@ -85,56 +84,43 @@ def ensemble_payload(result: EnsembleResult, z: float) -> dict[str, Any]:
         "frequency": fraction_payload(result.frequency),
         "lower": lower,
         "upper": upper,
+        **extra,
         "z": z,
         "seed": result.seed,
         "generator": result.generator,
     }
 
 
-def _ensemble_csv_record(payload: dict[str, Any], **extra: Any) -> dict[str, Any]:
-    """CSV columns of an ensemble payload.
+def _record(payload: dict[str, Any]) -> dict[str, Any]:
+    """The CSV columns of a payload, in its key order.
 
-    The ``extra`` columns go between the interval and the stream (``z``,
-    ``seed``, ``generator``) columns.
+    A rational ``{num, den, decimal}`` under ``key`` gives the columns
+    ``key_num``, ``key_den`` and ``key_decimal``; any other nested object
+    gives its own columns; ``command``, lists and ``None`` give none.
     """
-    return {
-        "n_trials": payload["n_trials"],
-        "transmitted": payload["transmitted"],
-        **_fraction_columns("frequency", payload["frequency"]),
-        "lower": payload["lower"],
-        "upper": payload["upper"],
-        **extra,
-        "z": payload["z"],
-        "seed": payload["seed"],
-        "generator": payload["generator"],
-    }
+    record: dict[str, Any] = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            if value.keys() == {"num", "den", "decimal"}:
+                record.update({f"{key}_{part}": v for part, v in value.items()})
+            else:
+                record.update(_record(value))
+        elif not (key == "command" or value is None or isinstance(value, list)):
+            record[key] = value
+    return record
 
 
-def _cell_csv_record(
-    payload: dict[str, Any], ensemble: dict[str, Any], **extra: Any
-) -> dict[str, Any]:
-    """The sphere cell and its exact value, then the ensemble's columns."""
-    return {
-        "k_plus": payload["k_plus"],
-        "k_minus": payload["k_minus"],
-        "k": payload["k"],
-        **_fraction_columns("expected", payload["expected"]),
-        **_ensemble_csv_record(ensemble, **extra),
-    }
-
-
-def _csv_records(records: list[dict[str, Any]]) -> tuple[list[str], list[list[Any]]]:
-    return list(records[0]), [list(record.values()) for record in records]
-
-
-def simulate_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    return _csv_records([_cell_csv_record(payload, payload["result"])])
+def ensemble_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    """The one row of ``simulate`` or ``epsilon``: the payload, flattened."""
+    record = _record(payload)
+    return list(record), [list(record.values())]
 
 
 def convergence_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    return _csv_records(
-        [_cell_csv_record(payload, e, abs_error=e["abs_error"]) for e in payload["series"]]
-    )
+    """One row per series entry: the cell's columns, then the entry's."""
+    cell = _record(payload)
+    records = [{**cell, **_record(entry)} for entry in payload["series"]]
+    return list(records[0]), [list(record.values()) for record in records]
 
 
 # -- outcome pairs -------------------------------------------------------------
@@ -142,20 +128,6 @@ def convergence_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[
 
 def outcome_pair_payload(pair: OutcomePair) -> dict[str, float]:
     return {"p_plus": pair.p_plus, "p_minus": pair.p_minus}
-
-
-def epsilon_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    """The closed form, followed by the ensemble columns when simulated."""
-    record = {
-        "theta": payload["theta"],
-        "epsilon": payload["epsilon"],
-        "cos_theta": payload["cos_theta"],
-        "p_plus": payload["closed_form"]["p_plus"],
-        "p_minus": payload["closed_form"]["p_minus"],
-    }
-    if payload["simulation"] is not None:
-        record.update(_ensemble_csv_record(payload["simulation"]))
-    return _csv_records([record])
 
 
 # -- scattering ---------------------------------------------------------------
@@ -175,15 +147,6 @@ def scatter_point_payload(row: Sequence[float]) -> dict[str, Any]:
         "p_transmission": p_tr,
         "p_reflection": p_re,
         "jump_residual": residual,
-    }
-
-
-def scatter_json_payload(payload: dict[str, Any]) -> dict[str, Any]:
-    """The JSON document of a scatter payload: its rows become point objects."""
-    return {
-        "command": "scatter",
-        "coupling": payload["coupling"],
-        "points": [scatter_point_payload(row) for row in payload["rows"]],
     }
 
 

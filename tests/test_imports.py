@@ -157,3 +157,20 @@ class TestNamespace:
             assert not hasattr(ensemble, name), name
         # One interval: the normal half-width is a test oracle, not a report field.
         assert not hasattr(interval, "normal_half_width")
+
+
+def test_every_traced_boundary_exists(monkeypatch):
+    """The benchmark tracer wraps module attributes by name; each must exist."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    if not (bench / "tracing.py").is_file():
+        pytest.skip("no bench/ directory")
+    monkeypatch.syspath_prepend(str(bench))
+    try:
+        boundaries = importlib.import_module("tracing")._boundaries()
+    finally:
+        sys.modules.pop("tracing", None)
+    for owner, attr, _, _ in boundaries:
+        if isinstance(owner, dict):
+            assert attr in owner, attr
+        else:
+            assert hasattr(owner, attr), f"{owner.__name__}.{attr}"

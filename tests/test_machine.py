@@ -1,6 +1,7 @@
 """Sphere-machine simulation: kernel parity, replay, chunking, statistics."""
 
 import inspect
+import math
 from dataclasses import fields
 from fractions import Fraction
 
@@ -194,6 +195,30 @@ class TestKernelParity:
             words = machine_mod._word_tranche_sums(charges, k, seeds)
             rows = machine_mod._row_tranche_sums(charges, k, seeds)
             assert words.tolist() == rows.tolist(), (charges.tolist(), k)
+
+    def test_every_partner_sequence_gives_the_exact_table(self, monkeypatch):
+        # One block holds every partner sequence r_j in [0, j], j = K-1 .. k,
+        # as the K!/k! columns of a mixed-radix count, so the share of
+        # transmitting columns (a tie counting one half) is the exact cell.
+        def every_sequence(total, k, trial_seeds):
+            index = np.arange(trial_seeds.size, dtype=np.uint64)
+            partners = np.empty((total - k, trial_seeds.size), dtype=np.uint64)
+            for i, j in enumerate(range(total - 1, k - 1, -1)):
+                index, partners[i] = np.divmod(index, np.uint64(j + 1))
+            yield total - 1, partners
+
+        monkeypatch.setattr(machine_mod, "_step_blocks", every_sequence)
+        for K in range(1, 9):
+            for k in range(1, K + 1):
+                seeds = np.zeros(math.perm(K, K - k), dtype=np.uint64)
+                for kp in range(K + 1):
+                    state = ElectricState(kp, K - kp)
+                    exact = transmission_probability_exact(state, KMeasurement(k))
+                    charges = machine_mod._charges(state)
+                    for kernel in (machine_mod._word_tranche_sums, machine_mod._row_tranche_sums):
+                        sums = kernel(charges, k, seeds)
+                        share = Fraction(2 * int((sums > 0).sum()) + int((sums == 0).sum()), 2 * seeds.size)
+                        assert share == exact, (kernel.__name__, kp, K - kp, k)
 
     @pytest.mark.parametrize("block", [1, 3 * 32])
     def test_draw_blocks_invisible(self, monkeypatch, block):

@@ -103,6 +103,36 @@ def test_ensemble_payload_is_exact():
         assert value == getattr(result, name), name
 
 
+def test_ensemble_payload_extra_fields_precede_z():
+    result = run_ensemble(ElectricState(2, 1), KMeasurement(1), 100, 42)
+    payload = serialize.ensemble_payload(result, 3.0, abs_error=0.25)
+    assert list(payload) == [
+        "n_trials", "transmitted", "frequency", "lower", "upper", "abs_error", "z", "seed",
+        "generator",
+    ]
+    assert payload["abs_error"] == 0.25
+
+
+def test_csv_record_flattens_the_payload():
+    payload = {
+        "command": "simulate",
+        "k": 1,
+        "expected": serialize.fraction_payload(Fraction(2, 3)),
+        "schedule": [10, 20],
+        "result": {"n": 10, "frequency": serialize.fraction_payload(Fraction(1, 2))},
+        "simulation": None,
+        "closed_form": {"p_plus": 0.75},
+    }
+    # command, lists and None give no column; order is the payload's
+    assert list(serialize._record(payload).items()) == [
+        ("k", 1),
+        ("expected_num", 2), ("expected_den", 3), ("expected_decimal", 2 / 3),
+        ("n", 10),
+        ("frequency_num", 1), ("frequency_den", 2), ("frequency_decimal", 0.5),
+        ("p_plus", 0.75),
+    ]
+
+
 def test_amplitudes_payload_is_exact():
     amp = amplitudes(2.5)
     p_tr = transmission_probability(2.5)
