@@ -490,24 +490,36 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     command, fmt, output = args.command, args.format, args.output
+    # An exact value can have more digits than CPython converts to a string
+    # by default (4300).  That limit guards the parsing of untrusted text,
+    # and argv is parsed by now, so it is lifted while the command renders
+    # its own ints, and restored for the caller.  Builds without the limit
+    # (before 3.10.7) have no get_int_max_str_digits.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
-        payload = _DISPATCH[command](args)
-    except GoldenMismatch as exc:
-        print(f"golden mismatch: {exc}", file=sys.stderr)
-        return EXIT_GOLDEN_MISMATCH
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # Free the parsed inputs (a --grid list among them) before rendering.
-    del args
+        try:
+            payload = _DISPATCH[command](args)
+        except GoldenMismatch as exc:
+            print(f"golden mismatch: {exc}", file=sys.stderr)
+            return EXIT_GOLDEN_MISMATCH
+        except (ValueError, TypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        # Free the parsed inputs (a --grid list among them) before rendering.
+        del args
 
-    rendered = _RENDERERS[command][fmt](payload)
-    try:
-        _write_output(output, rendered)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+        rendered = _RENDERERS[command][fmt](payload)
+        try:
+            _write_output(output, rendered)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        return EXIT_OK
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ precedence is Classical > ClassicalWithTie > Quantum > Intermediate
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -35,6 +34,7 @@ from .spheres import (
     ProbabilityTableRow,
     _table_size,
     probability_table,
+    value_type,
 )
 
 
@@ -53,13 +53,18 @@ class WitnessKind(Enum):
     NON_CLASSICAL_INDETERMINISM = "NonClassicalIndeterminism"
 
 
-@dataclass(frozen=True)
+@value_type
 class Witness:
+    __slots__ = ("kind", "state")
     kind: WitnessKind
-    state: ElectricState | None = None
+    state: ElectricState | None
+
+    def __init__(self, kind: WitnessKind, state: ElectricState | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "state", state)
 
 
-@dataclass(frozen=True)
+@value_type
 class RegimeVerdict:
     """Verdict plus the concrete witnesses justifying it.
 
@@ -68,9 +73,17 @@ class RegimeVerdict:
     such a row is not decided by this classifier, and ``note`` says so.
     """
 
+    __slots__ = ("verdict", "witnesses", "note")
     verdict: Regime
     witnesses: tuple[Witness, ...]
-    note: str | None = None
+    note: str | None
+
+    def __init__(
+        self, verdict: Regime, witnesses: tuple[Witness, ...], note: str | None = None
+    ) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "note", note)
 
     def witnesses_of(self, kind: WitnessKind) -> tuple[Witness, ...]:
         return tuple(w for w in self.witnesses if w.kind is kind)

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .spheres import as_real
+from .spheres import as_real, value_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,7 +42,7 @@ IDENTITY_TOL = 1e-12
 PACKET_NORM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@value_type
 class ScatteringConfig:
     """Delta-potential coupling, as a multiple of ``sqrt(2 hbar^2 / m)``.
 
@@ -52,10 +51,11 @@ class ScatteringConfig:
     machine-to-scattering correspondence.
     """
 
-    coupling: float = 1.0
+    __slots__ = ("coupling",)
+    coupling: float
 
-    def __post_init__(self) -> None:
-        c = as_real(self.coupling, "coupling")
+    def __init__(self, coupling: float = 1.0) -> None:
+        c = as_real(coupling, "coupling")
         if not math.isfinite(c) or c <= 0.0:
             raise ValueError("coupling must be a positive finite real")
         # kappa^2 = E / coupling^2: a square that underflows divides by zero,
@@ -71,13 +71,19 @@ class ScatteringConfig:
 DEFAULT_CONFIG = ScatteringConfig()
 
 
-@dataclass(frozen=True)
+@value_type
 class ScatteringAmplitudes:
     """Complex transmission/reflection amplitudes at one energy."""
 
+    __slots__ = ("transmission", "reflection", "energy")
     transmission: complex
     reflection: complex
     energy: float
+
+    def __init__(self, transmission: complex, reflection: complex, energy: float) -> None:
+        object.__setattr__(self, "transmission", transmission)
+        object.__setattr__(self, "reflection", reflection)
+        object.__setattr__(self, "energy", energy)
 
 
 def _kappa_squared(energy: float, config: ScatteringConfig) -> tuple[float, float]:

@@ -23,12 +23,21 @@ which reduces its charge swap (C - S) / C as well, and :func:`_reduced`
 wraps both lowest-terms pairs without normalizing them again.  The table
 builder never calls the closed form, so the two check each other.
 Floats never enter; rendering a value as a decimal is presentation-side only.
+
+The value types of the numpy-free modules, here and in ``regimes`` and
+``scattering``, are ``__slots__`` classes finished by one decorator,
+:func:`value_type`: it adds the equality, hashing, ``repr``, pickling and
+immutability of a frozen dataclass, built with closures from the class's
+``__slots__``, so the exact and scalar commands neither import
+:mod:`dataclasses` (and through it ``inspect``) nor ``exec`` generated
+methods at start-up.  Each class writes its own ``__init__``, which
+validates first and then sets each slot once.  The result types of the
+simulations stay dataclasses, since numpy costs their commands far more.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
@@ -64,7 +73,57 @@ def as_real(value: object, what: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
+class FrozenInstanceError(AttributeError):
+    """A write to, or a deletion of, an attribute of a :func:`value_type` instance."""
+
+
+def value_type(cls: type) -> type:
+    """Give a ``__slots__`` class the methods of a frozen dataclass.
+
+    The fields are ``cls.__slots__``, in order, and the class's own
+    ``__init__`` sets each of them once with ``object.__setattr__``.  Added:
+
+    * ``__eq__`` and ``__hash__`` over the tuple of the fields (an instance
+      equals only an instance of the same class);
+    * ``__repr__``, e.g. ``ElectricState(k_plus=1, k_minus=2)``;
+    * ``__reduce__``, which rebuilds an instance through its constructor,
+      for ``pickle`` and ``copy``;
+    * ``__setattr__`` and ``__delattr__``, which raise
+      :class:`FrozenInstanceError`;
+    * ``__match_args__``, the field names.
+    """
+    names = cls.__slots__
+    get = operator.attrgetter(*names)
+    fields = get if len(names) > 1 else lambda self: (get(self),)
+    template = ", ".join(f"{name}=%r" for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({template % fields(self)})"
+
+    def __reduce__(self):
+        return type(self), fields(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    for method in (__eq__, __hash__, __repr__, __reduce__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
+
+
+@value_type
 class ElectricState:
     """Prepared charge state of the cluster: counts of +1 and -1 spheres.
 
@@ -74,16 +133,19 @@ class ElectricState:
     never stored as a float.
     """
 
+    __slots__ = ("k_plus", "k_minus")
     k_plus: int
     k_minus: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k_plus", as_int(self.k_plus, "sphere counts"))
-        object.__setattr__(self, "k_minus", as_int(self.k_minus, "sphere counts"))
-        if self.k_plus < 0 or self.k_minus < 0:
+    def __init__(self, k_plus: int, k_minus: int) -> None:
+        k_plus = as_int(k_plus, "sphere counts")
+        k_minus = as_int(k_minus, "sphere counts")
+        if k_plus < 0 or k_minus < 0:
             raise ValueError("sphere counts must be nonnegative")
-        if self.k_plus + self.k_minus < 1:
+        if k_plus + k_minus < 1:
             raise ValueError("the cluster must contain at least one sphere")
+        object.__setattr__(self, "k_plus", k_plus)
+        object.__setattr__(self, "k_minus", k_minus)
 
     @property
     def total(self) -> int:
@@ -112,16 +174,18 @@ class ElectricState:
         return f"{self.k_plus}/{self.k_minus}"
 
 
-@dataclass(frozen=True)
+@value_type
 class KMeasurement:
     """A measurement that releases spheres in tranches of size ``k``."""
 
+    __slots__ = ("k",)
     k: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", as_int(self.k, "tranche size"))
-        if self.k < 1:
+    def __init__(self, k: int) -> None:
+        k = as_int(k, "tranche size")
+        if k < 1:
             raise ValueError("tranche size must be at least 1")
+        object.__setattr__(self, "k", k)
 
 
 def _require_valid(state: ElectricState, meas: KMeasurement) -> None:
@@ -171,23 +235,35 @@ def determinism_threshold(state: ElectricState) -> int:
     return 2 * min(state.k_plus, state.k_minus) + 1
 
 
-@dataclass(frozen=True)
+@value_type
 class ProbabilityTableRow:
     """One table row: fixed tranche size ``k``, states K+ = 0..K in order."""
 
+    __slots__ = ("k", "entries")
     k: int
     entries: tuple[tuple[ElectricState, ExactProbability], ...]
+
+    def __init__(
+        self, k: int, entries: tuple[tuple[ElectricState, ExactProbability], ...]
+    ) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "entries", entries)
 
     def probabilities(self) -> tuple[ExactProbability, ...]:
         return tuple(p for _, p in self.entries)
 
 
-@dataclass(frozen=True)
+@value_type
 class ProbabilityTable:
     """Exact transmission probabilities for every (k, state) of a size-K cluster."""
 
+    __slots__ = ("K", "rows")
     K: int
     rows: tuple[ProbabilityTableRow, ...]
+
+    def __init__(self, K: int, rows: tuple[ProbabilityTableRow, ...]) -> None:
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "rows", rows)
 
     def row(self, k: int) -> ProbabilityTableRow:
         k = as_int(k, "k")

@@ -22,7 +22,12 @@ from deltamachine.scattering import (
     reflection_probability,
     transmission_probability,
 )
-from deltamachine.spheres import ElectricState, probability_table
+from deltamachine.spheres import (
+    ElectricState,
+    KMeasurement,
+    probability_table,
+    transmission_probability_exact,
+)
 from oracles import scatter_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -211,6 +216,51 @@ class TestSimulate:
         assert int(record["frequency_num"]) == payload["result"]["frequency"]["num"]
         assert float(record["lower"]) == payload["result"]["lower"]
         assert float(record["upper"]) == payload["result"]["upper"]
+
+
+class TestDigitLimit:
+    """An exact value longer than CPython's int-to-str digit limit still renders.
+
+    The cell's reduced ``expected`` has a 702-digit numerator and a
+    705-digit denominator, past 640, the lowest limit CPython accepts.
+    """
+
+    CELL = ("--kp", "1500", "--km", "1700", "--k", "1501", "--seed", "1")
+    EXPECTED = transmission_probability_exact(ElectricState(1500, 1700), KMeasurement(1501))
+
+    def run_at_limit(self, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "deltamachine", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONINTMAXSTRDIGITS="640"),
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_simulate_renders_every_format(self, fmt):
+        out = self.run_at_limit("simulate", *self.CELL, "--n", "1", "--format", fmt)
+        num, den = self.EXPECTED.numerator, self.EXPECTED.denominator
+        assert len(str(num)) > 640 and len(str(den)) > 640
+        if fmt == "json":
+            assert parse_json(out)["expected"]["num"] == num
+        else:
+            assert str(num) in out and str(den) in out
+
+    def test_convergence_renders(self):
+        out = self.run_at_limit("convergence", *self.CELL, "--schedule", "1", "--format", "json")
+        assert parse_json(out)["expected"]["num"] == self.EXPECTED.numerator
+
+    def test_limit_guards_argv_and_is_restored(self, capsys):
+        before = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not before:
+            pytest.skip("this interpreter has no int-to-str digit limit")
+        code, _, err = run_cli(capsys, "simulate", "--kp", "1" * (before + 1), "--km", "1", "--k", "1", "--n", "1")
+        assert code == 2 and "invalid int value" in err
+        assert sys.get_int_max_str_digits() == before
+        assert run_cli(capsys, "simulate", *self.CELL, "--n", "1")[0] == 0
+        assert sys.get_int_max_str_digits() == before
 
 
 class TestScatter:

@@ -1,7 +1,9 @@
 """Import contract: the exact and scalar commands run without numpy.
 
 numpy costs more start-up time than the rest of the package together, so
-only the simulation modules and the array functions load it.  The package
+only the simulation modules and the array functions load it.  The exact and
+scalar commands also leave ``dataclasses`` and ``inspect`` unloaded: their
+value types are ``spheres.value_type`` classes.  The package
 namespace stays complete: ``import deltamachine`` loads no submodule, and
 every public name resolves on first access.
 """
@@ -37,8 +39,14 @@ def test_exact_and_scatter_commands_never_import_numpy():
         """
         import contextlib, io, sys
 
+        # dataclasses (and through it inspect) is compared with the modules
+        # loaded before, so that a .pth file that imports it cannot fail the check.
+        before = set(sys.modules)
+
         def no_numpy(where):
             assert "numpy" not in sys.modules, f"numpy imported by {where}"
+            for name in ("dataclasses", "inspect"):
+                assert name in before or name not in sys.modules, f"{name} imported by {where}"
 
         import deltamachine
         loaded = [m for m in sys.modules if m.startswith("deltamachine.")]
