@@ -23,9 +23,12 @@ counter-indexed stream (see :mod:`deltamachine.rng`):
 The outcome is therefore a pure function of ``(state, measurement, seed)``.
 One kernel, :func:`_transmitted_mask`, decides trials over an array of
 per-trial seeds: :func:`run_ensemble` feeds it chunks of child seeds, and
-:func:`run_trial` replays any single trial of an ensemble through it.  It
-holds a cluster of up to 64 spheres as one 64-bit word per trial and a
-larger one as a row of bytes; both replay the same shuffle steps.
+:func:`run_trial` replays any single trial of an ensemble through it.  Every
+queue position from K+ on stays negative through the steps it runs (the
+proof is in :func:`_transmitted_mask`), so it holds only the first K+
+positions of a trial: up to K+ = 256 as ``ceil(K+/64)`` 64-bit words, and
+above that all K spheres as a row of bytes.  Both replay the same shuffle
+steps.
 """
 
 from __future__ import annotations
@@ -79,16 +82,30 @@ def run_trial(state: ElectricState, meas: KMeasurement, seed: int) -> Outcome:
 #: slower, as they leave the cache.
 _DRAWS_PER_BLOCK = 1 << 14
 
-#: Largest cluster held as one ``uint64`` word per trial (bit ``p`` set iff
-#: position ``p`` holds a positive sphere); larger ones hold a byte per sphere.
-_WORD_BITS = 64
+#: Largest positive block held as ``uint64`` words, one bit per position
+#: below K+.  Per trial at K+ = K-, k = 10, words took 0.85 of the byte rows'
+#: time at K+ = 256, 1.04 at 320 and 1.14 at 512 (2 cores, Python 3.11,
+#: numpy 2.4): the words' masks grow with K+, a byte step does not.
+_WORD_POSITIONS = 256
 _U64_1 = np.uint64(1)
+_I64_63 = np.int64(63)
+#: First position of each word, as a column: ``r - 64 w`` is partner ``r``'s
+#: bit in word ``w``, and wraps past 64 (so shifts to 0) outside that word.
+_WORD_OFFSETS = np.arange(0, _WORD_POSITIONS, 64, dtype=np.uint64)[:, None]
 
 
-def _trial_bytes(total: int) -> int:
-    """Working set of one trial in bytes: a word and the two temporaries of a
-    step, or one byte per sphere; plus the seed, draw and index words."""
-    return (3 * 8 if total <= _WORD_BITS else total) + TRIAL_BYTES
+def _words(k_plus: int) -> int:
+    return -(-k_plus // 64)
+
+
+def _trial_bytes(state: ElectricState) -> int:
+    """Working set of one trial in bytes, plus its seed, draw and index words
+    (``TRIAL_BYTES``): for K+ <= 256, its ``W = ceil(K+/64)`` words, ``W``
+    scratch words, ``W`` partner masks per step row and the source-bit word;
+    above that, one byte per sphere."""
+    if state.k_plus <= _WORD_POSITIONS:
+        return 8 * (3 * _words(state.k_plus) + 1) + TRIAL_BYTES
+    return state.total + TRIAL_BYTES
 
 
 def _step_blocks(total: int, k: int, trial_seeds: np.ndarray):
@@ -112,32 +129,66 @@ def _step_blocks(total: int, k: int, trial_seeds: np.ndarray):
         yield total - 1 - first, draws
 
 
-def _word_tranche_sums(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> np.ndarray:
-    """Tranche charge sums of words: step ``j`` copies bit ``j`` into bit
-    ``r`` by a delta swap (Knuth, TAOCP 4A 7.1.3) of six array operations."""
-    word = sum(1 << p for p in np.flatnonzero(charges > 0).tolist())
-    x = np.full(trial_seeds.size, word, dtype=np.uint64)
-    t, u = np.empty_like(x), np.empty_like(x)
-    for top, partners in _step_blocks(charges.size, k, trial_seeds):
-        for i, r in enumerate(partners):
-            np.right_shift(x, r, out=t)
-            np.right_shift(x, np.uint64(top - i), out=u)
-            t ^= u
-            t &= _U64_1
-            t <<= r
-            x ^= t
-    x &= np.uint64((1 << k) - 1)
-    return 2 * np.bitwise_count(x).astype(np.int16) - k
+def _word_tranche_sums(charges: np.ndarray, k: int, m: int, blocks) -> np.ndarray:
+    """Tranche charge sums of ``m`` trials held as words, for canonical
+    ``charges`` (positive first) with K+ <= 256.
+
+    Bit ``p % 64`` of word ``p // 64`` is set iff position ``p < 64 W`` holds a
+    negative sphere; every position from K+ on does (see
+    :func:`_transmitted_mask`).  A step ``j >= K+`` therefore sets bit ``r``,
+    one OR.  A step ``j < K+`` copies bit ``j`` into bit ``r`` by a masked
+    merge (Knuth, TAOCP 4A 7.1.3) in the words ``0 .. j // 64``; the words
+    above hold only final positions.  ``blocks`` are the ``(top, partners)``
+    rows of :func:`_step_blocks`, which this consumes.
+    """
+    k_plus = int(np.count_nonzero(charges > 0))
+    words = _words(k_plus)
+    negative = np.zeros((words, m), dtype=np.uint64)
+    if k_plus % 64:  # positions K+ .. 64 W - 1 of the last word
+        negative[-1] = np.uint64(-(1 << (k_plus % 64)) & rng.MASK64)
+    source = np.empty(m, dtype=np.uint64)
+    spread = source.view(np.int64)
+    scratch = np.empty_like(negative)
+    for top, partners in blocks:
+        # masks[i, w]: bit r of step top - i within word w, 0 outside it;
+        # word 0 needs no offset, so one word shifts the partners in place.
+        live = min(words, (top >> 6) + 1)
+        masks = partners[:, None] - _WORD_OFFSETS[:live] if live > 1 else partners[:, None]
+        np.left_shift(_U64_1, masks, out=masks)
+        for j, mask in zip(range(top, -1, -1), masks):
+            if j >= k_plus:
+                negative |= mask
+                continue
+            # Bit j spread over a whole word: shifted to the top, then back
+            # down by an arithmetic shift.
+            np.left_shift(negative[j >> 6], np.uint64(63 - (j & 63)), out=source)
+            np.right_shift(spread, _I64_63, out=spread)
+            # Words 0 .. j // 64 take bit r from the spread bit.
+            prefix, diff = negative[: (j >> 6) + 1], scratch[: (j >> 6) + 1]
+            np.bitwise_xor(prefix, source, out=diff)
+            diff &= mask[: len(diff)]
+            prefix ^= diff
+    full, part = divmod(k, 64)
+    tranche = negative[: full + (part > 0)]
+    if part and full < words:
+        tranche[full] &= np.uint64((1 << part) - 1)
+    sums = np.bitwise_count(tranche).sum(axis=0, dtype=np.int32)
+    sums *= -2
+    # Tranche positions past the words are at least K+, so negative.
+    sums += k - 2 * max(0, k - 64 * words)
+    return sums
 
 
-def _row_tranche_sums(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> np.ndarray:
-    """Tranche charge sums of byte rows: per step, a gather of column ``j``
-    and a scatter to the offsets ``rows + r`` of one flat buffer."""
-    total, m = charges.size, trial_seeds.size
+def _row_tranche_sums(charges: np.ndarray, k: int, m: int, blocks) -> np.ndarray:
+    """Tranche charge sums of ``m`` trials held as byte rows, for charges in
+    any order: per step, a gather of column ``j`` and a scatter to the offsets
+    ``rows + r`` of one flat buffer.  ``blocks`` are as for
+    :func:`_word_tranche_sums`."""
+    total = charges.size
     flat = np.tile(charges, m)
     rows = np.arange(0, m * total, total, dtype=np.int64)
     columns = flat.reshape(m, total)
-    for top, partners in _step_blocks(total, k, trial_seeds):
+    for top, partners in blocks:
         dest = partners.view(np.int64)  # partners < j + 1: same bits
         dest += rows
         for i, row_dest in enumerate(dest):
@@ -154,14 +205,28 @@ def _transmitted_mask(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> n
     Each step carries the one value the Fisher-Yates swap moves into the live
     prefix (position ``j`` into position ``r``); the value swapped out to
     position ``j >= k`` is final, outside the tranche and never read again,
-    so it is not written.  ``K`` alone picks the representation (see
-    ``_WORD_BITS``); both take the same draws and give the same sums.
+    so it is not written.
+
+    *Invariant: every position from K+ on holds a negative sphere before
+    each step.*  The charges are canonical (positive first), so it holds
+    before step ``K-1``.  Step ``j`` writes only position ``r <= j``, with the
+    value at position ``j``; for ``r = j`` nothing changes.  If ``r >= K+``,
+    then ``j > r >= K+``, so that value is negative by the invariant, and the
+    invariant holds before step ``j-1``.  Hence a step ``j >= K+`` moves a
+    negative sphere into ``r``: it reads nothing at position ``j``, and no
+    position from K+ on needs storage.
+
+    For K+ <= 256 (``_WORD_POSITIONS``) the positions below K+ are held as
+    ``ceil(K+/64)`` words per trial (:func:`_word_tranche_sums`); above
+    that as byte rows of all K spheres (:func:`_row_tranche_sums`).  Both
+    take the same draws and give the same sums on canonical charges.
     """
-    total = charges.size
-    if total <= _WORD_BITS:
-        charge_sum = _word_tranche_sums(charges, k, trial_seeds)
+    total, m = charges.size, trial_seeds.size
+    blocks = _step_blocks(total, k, trial_seeds)
+    if np.count_nonzero(charges > 0) <= _WORD_POSITIONS:
+        charge_sum = _word_tranche_sums(charges, k, m, blocks)
     else:
-        charge_sum = _row_tranche_sums(charges, k, trial_seeds)
+        charge_sum = _row_tranche_sums(charges, k, m, blocks)
     transmitted = charge_sum > 0
     tie = charge_sum == 0
     if tie.any():
@@ -186,7 +251,7 @@ def run_ensemble(
         n_trials,
         seed,
         lambda trial_seeds: _transmitted_mask(charges, meas.k, trial_seeds),
-        trial_bytes=_trial_bytes(state.total),
+        trial_bytes=_trial_bytes(state),
     )
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from deltamachine import cli, golden, regimes, serialize
+from deltamachine import cli, golden, regimes, rng, serialize
+from deltamachine.machine import Outcome, run_trial
 from deltamachine.regimes import Regime, RegimeVerdict, Witness, WitnessKind
 from deltamachine.scattering import (
     ScatteringConfig,
@@ -216,6 +217,25 @@ class TestSimulate:
         assert int(record["frequency_num"]) == payload["result"]["frequency"]["num"]
         assert float(record["lower"]) == payload["result"]["lower"]
         assert float(record["upper"]) == payload["result"]["upper"]
+
+
+    @pytest.mark.parametrize(
+        "kp, km, k",
+        [(2, 1, 1), (128, 128, 10), (300, 20, 9)],
+        ids=["one-word", "two-words", "byte-rows"],
+    )
+    def test_each_kernel_representation_replays(self, capsys, kp, km, k):
+        # The CI simulation steps: the count is the sum of the trials that
+        # run_trial replays from the child seeds.
+        argv = ("--kp", str(kp), "--km", str(km), "--k", str(k), "--n", "1000", "--seed", "42")
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--format", "json")
+        assert code == 0
+        state, meas = ElectricState(kp, km), KMeasurement(k)
+        replayed = sum(
+            run_trial(state, meas, rng.substream_seed(42, i)) is Outcome.TRANSMITTED
+            for i in range(1000)
+        )
+        assert parse_json(out)["result"]["transmitted"] == replayed
 
 
 class TestDigitLimit:

@@ -66,7 +66,7 @@ class TestReplay:
         state, meas = ElectricState(kp, km), KMeasurement(k)
         result = run_ensemble(state, meas, n, master)
         monkeypatch.setattr(machine_mod, "_transmitted_mask", kernel)
-        chunk = ensemble_mod.CHUNK_BYTES // machine_mod._trial_bytes(state.total)
+        chunk = ensemble_mod.CHUNK_BYTES // machine_mod._trial_bytes(state)
         assert len(masks) == -(-n // chunk)
         trials = np.concatenate(masks).tolist()
         assert sum(trials) == result.transmitted
@@ -82,9 +82,9 @@ class TestReplay:
 
     @pytest.mark.parametrize("kp, km, k", CELLS)
     def test_small_chunks(self, monkeypatch, kp, km, k):
-        # 35 trials per chunk (56 bytes per word trial): 9 chunks, the last
-        # one partial.
-        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 41 * (16 + ensemble_mod.TRIAL_BYTES))
+        # 35 trials per chunk: 9 chunks, the last one partial.
+        trial_bytes = machine_mod._trial_bytes(ElectricState(kp, km))
+        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 35 * trial_bytes + trial_bytes - 1)
         self.check(monkeypatch, kp, km, k)
 
 
@@ -106,7 +106,7 @@ class TestRunEnsemble:
     def test_chunking_invisible(self, monkeypatch):
         args = (ElectricState(4, 3), KMeasurement(3), 4096, 7)
         full = run_ensemble(*args)
-        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 129 * (7 + ensemble_mod.TRIAL_BYTES))
+        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 129 * machine_mod._trial_bytes(args[0]))
         chunked = run_ensemble(*args)
         assert full == chunked
 
@@ -175,39 +175,51 @@ class TestKernelParity:
             for k in range(1, K + 1):
                 self.check(kp, K - kp, k)
 
-    @pytest.mark.parametrize("K", [63, 64, 65, 256])
-    def test_truncation_boundary_and_ties(self, K):
-        # K <= 64 runs on one word per trial, K > 64 on byte rows; K+ = K
-        # at K = 64 is the all-ones word.
-        for kp in (0, K // 2 - 1, K // 2, K):
-            for k in (1, 2, K - 1, K):
-                self.check(kp, K - kp, k)
+    @pytest.mark.parametrize("kp", [0, 1, 63, 64, 65, 128, 129, 256, 257])
+    def test_truncation_boundary_and_ties(self, kp):
+        # Both sides of every word count (64, 128) and of the byte rows
+        # (K+ > 256); k on both sides of K+ and at the ends.
+        for km in sorted({0, 1, kp}):
+            K = kp + km
+            for k in sorted({1, 2, kp - 1, kp, kp + 1, K - 1, K} & set(range(1, K + 1))):
+                self.check(kp, km, k)
+
+    @staticmethod
+    def both_kernels(charges, k, seeds, blocks):
+        """Tranche sums of the word and the byte-row kernel; ``blocks()`` gives
+        a fresh block sequence, since each kernel consumes its own."""
+        return [
+            kernel(charges, k, seeds.size, blocks())
+            for kernel in (machine_mod._word_tranche_sums, machine_mod._row_tranche_sums)
+        ]
 
     def test_word_and_byte_kernels_agree(self):
-        # The byte kernel is the reference: on any charge order, not only
-        # the canonical positive-first one, both give the same tranche sums.
+        # Canonical charges only: the words hold the positions below K+ and
+        # rely on every later position staying negative.
         gen = np.random.default_rng(64)
         for _ in range(40):
-            K = int(gen.integers(1, 65))
-            charges = np.where(gen.random(K) < gen.random(), 1, -1).astype(np.int8)
-            k = int(gen.integers(1, K + 1))
+            kp = int(gen.integers(0, machine_mod._WORD_POSITIONS + 1))
+            km = int(gen.integers(kp == 0, 600 - kp))
+            k = int(gen.integers(1, kp + km + 1))
+            charges = machine_mod._charges(ElectricState(kp, km))
             seeds = rng.substream_seeds(int(gen.integers(2**63)), 0, 200)
-            words = machine_mod._word_tranche_sums(charges, k, seeds)
-            rows = machine_mod._row_tranche_sums(charges, k, seeds)
-            assert words.tolist() == rows.tolist(), (charges.tolist(), k)
+            words, rows = self.both_kernels(
+                charges, k, seeds, lambda: machine_mod._step_blocks(kp + km, k, seeds)
+            )
+            assert words.tolist() == rows.tolist(), (kp, km, k)
 
-    def test_every_partner_sequence_gives_the_exact_table(self, monkeypatch):
+    def test_every_partner_sequence_gives_the_exact_table(self):
         # One block holds every partner sequence r_j in [0, j], j = K-1 .. k,
         # as the K!/k! columns of a mixed-radix count, so the share of
         # transmitting columns (a tie counting one half) is the exact cell.
-        def every_sequence(total, k, trial_seeds):
-            index = np.arange(trial_seeds.size, dtype=np.uint64)
-            partners = np.empty((total - k, trial_seeds.size), dtype=np.uint64)
+        def every_sequence(total, k):
+            m = math.perm(total, total - k)
+            index = np.arange(m, dtype=np.uint64)
+            partners = np.empty((total - k, m), dtype=np.uint64)
             for i, j in enumerate(range(total - 1, k - 1, -1)):
                 index, partners[i] = np.divmod(index, np.uint64(j + 1))
-            yield total - 1, partners
+            return [(total - 1, partners)]
 
-        monkeypatch.setattr(machine_mod, "_step_blocks", every_sequence)
         for K in range(1, 9):
             for k in range(1, K + 1):
                 seeds = np.zeros(math.perm(K, K - k), dtype=np.uint64)
@@ -215,10 +227,9 @@ class TestKernelParity:
                     state = ElectricState(kp, K - kp)
                     exact = transmission_probability_exact(state, KMeasurement(k))
                     charges = machine_mod._charges(state)
-                    for kernel in (machine_mod._word_tranche_sums, machine_mod._row_tranche_sums):
-                        sums = kernel(charges, k, seeds)
+                    for sums in self.both_kernels(charges, k, seeds, lambda: every_sequence(K, k)):
                         share = Fraction(2 * int((sums > 0).sum()) + int((sums == 0).sum()), 2 * seeds.size)
-                        assert share == exact, (kernel.__name__, kp, K - kp, k)
+                        assert share == exact, (kp, K - kp, k)
 
     @pytest.mark.parametrize("block", [1, 3 * 32])
     def test_draw_blocks_invisible(self, monkeypatch, block):
@@ -227,6 +238,60 @@ class TestKernelParity:
         monkeypatch.setattr(machine_mod, "_DRAWS_PER_BLOCK", block)
         for kp, k in ((5, 1), (6, 2), (6, 7), (4, 8), (3, 11)):
             self.check(kp, 12 - kp, k)
+
+
+class TestKernelAssumptions:
+    """What the kernel takes from numpy and from the draw layout."""
+
+    def test_uint64_shifts_by_64_or_more_give_zero(self):
+        # A partner outside a word is shifted by r - 64 w >= 64 (it wraps
+        # when r < 64 w) and must leave nothing in that word.
+        edges = [64, 65, 127, 128, 255, 2**32, 2**63 - 1, 2**63, 2**64 - 192, 2**64 - 1]
+        spread = rng.substream_seeds(7, 0, 64) | np.uint64(64)
+        amounts = np.concatenate([np.array(edges, dtype=np.uint64), spread])
+        for value in (1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15):
+            values = np.full(amounts.size, value, dtype=np.uint64)
+            for shift in (np.left_shift, np.right_shift):
+                assert not shift(values, amounts).any(), shift.__name__
+                assert not shift(np.uint64(value), amounts).any(), shift.__name__
+                for amount in amounts:
+                    assert shift(values, amount).tolist() == [0] * values.size
+
+    def record_draws(self, monkeypatch):
+        """(index, rows) of every draws_at call: a block's row i is draw
+        index + i (rng.advanced_seeds), a 1-D call is one draw per seed."""
+        calls = []
+        draws_at = rng.draws_at
+
+        def spy(seeds, index):
+            calls.append((index, seeds.shape[0] if seeds.ndim == 2 else 0))
+            return draws_at(seeds, index)
+
+        monkeypatch.setattr(machine_mod.rng, "draws_at", spy)
+        return calls
+
+    @pytest.mark.parametrize("kp, km", [(1, 1), (3, 3), (5, 2), (2, 5), (40, 40), (130, 130), (257, 257)])
+    def test_tie_coin_is_draw_K_minus_1_after_the_partner_draws(self, monkeypatch, kp, km):
+        K = kp + km
+        seeds = rng.substream_seeds(99, 0, 40)
+        monkeypatch.setattr(machine_mod, "_DRAWS_PER_BLOCK", 3 * seeds.size)
+        calls = self.record_draws(monkeypatch)
+        charges = machine_mod._charges(ElectricState(kp, km))
+        # Every k, but only the boundaries on the byte rows (K+ > 256).
+        ks = range(1, K + 1) if kp <= 256 else (1, 2, kp - 1, kp, kp + 1, K - 1, K)
+        for k in ks:
+            calls.clear()
+            got = machine_mod._transmitted_mask(charges, k, seeds)
+            partner_draws = [index + i for index, rows in calls if rows for i in range(rows)]
+            assert partner_draws == list(range(K - k))
+            coin_draws = [index for index, rows in calls if not rows]
+            assert coin_draws in ([], [K - 1])
+            assert K - 1 not in partner_draws
+        if kp != km:
+            return
+        # k = K with K+ = K-: every tranche is balanced, every trial a coin.
+        assert coin_draws == [K - 1]
+        assert got.tolist() == [rng.draw(seed, K - 1) & 1 == 1 for seed in seeds.tolist()]
 
 
 class TestChunkBudget:
@@ -272,13 +337,15 @@ class TestChunkBudget:
         result = run_ensemble(ElectricState(K // 2, K // 2), KMeasurement(K - 1), 100, 3)
         assert result.n_trials == 100
         assert sum(sizes) == 100
-        assert max(sizes) <= 52 == ensemble_mod.CHUNK_BYTES // (K + ensemble_mod.TRIAL_BYTES)
+        assert max(sizes) <= 52 == ensemble_mod.CHUNK_BYTES // machine_mod._trial_bytes(
+            ElectricState(K // 2, K // 2)
+        )
 
     def test_tiny_chunks_leave_counts_unchanged(self, monkeypatch):
         args = (ElectricState(128, 128), KMeasurement(10), 5000, 17)
         full = run_ensemble(*args)
         sizes = self.spy_sizes(monkeypatch)
-        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 7 * (256 + ensemble_mod.TRIAL_BYTES))
+        monkeypatch.setattr(ensemble_mod, "CHUNK_BYTES", 7 * machine_mod._trial_bytes(args[0]))
         assert run_ensemble(*args) == full
         assert max(sizes) == 7
 
