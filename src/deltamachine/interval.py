@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from .spheres import as_int
+
 #: Default level ``z`` of the interval.
 DEFAULT_Z = 3.0
 
@@ -22,10 +24,16 @@ def wilson_interval(transmitted: int, n_trials: int, z: float) -> tuple[float, f
     ``x`` of ``n`` trials, scaled by ``1/z²`` where ``z² > n``.  Every finite
     ``z >= 0`` gives finite bounds with ``0 <= lower <= x/n <= upper <= 1``
     (``[x/n, x/n]`` at ``z`` = 0); any other ``z`` raises ``ValueError``.
+    Both counts are integers (a ``bool``, float or ``str`` raises
+    ``TypeError``) with ``n >= 1`` and ``0 <= x <= n``, else ``ValueError``.
     """
+    x, n = as_int(transmitted, "transmitted"), as_int(n_trials, "n_trials")
+    if n < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n}")
+    if not 0 <= x <= n:
+        raise ValueError(f"transmitted must lie in [0, n_trials = {n}], got {x}")
     if not (math.isfinite(z) and z >= 0.0):
         raise ValueError(f"z must be a nonnegative finite real, got {z!r}")
-    x, n = transmitted, n_trials
     variance = x * (n - x) / n  # n p(1 - p), exact integers rounded once
     z2 = z * z
     if z2 <= n:

@@ -40,8 +40,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def parse_json(out):
-    return json.loads(out)
+    """``json.loads`` that refuses ``NaN``, ``Infinity`` and ``-Infinity``."""
+    return json.loads(out, parse_constant=_not_json)
 
 
 def parse_csv(out):
@@ -130,16 +135,24 @@ class TestTables:
         assert out.splitlines()[2].split() == ["1", "0", "1"]
 
     def test_csv_and_json_values_identical(self, capsys):
-        _, json_out, _ = run_cli(capsys, "tables", "--K", "5", "--format", "json")
-        _, csv_out, _ = run_cli(capsys, "tables", "--K", "5", "--format", "csv")
-        payload = parse_json(json_out)
-        header, rows = parse_csv(csv_out)
-        cells = {
-            (int(r[0]), int(r[1])): Fraction(int(r[3]), int(r[4])) for r in rows
-        }
-        for row in payload["rows"]:
-            for k_plus, cell in enumerate(row["cells"]):
-                assert cells[(row["k"], k_plus)] == Fraction(cell["num"], cell["den"])
+        # K = 128, past the default ceiling, has cells whose numerator and
+        # denominator share large factors before reduction.
+        for K, argv in ((5, ()), (128, ("--ceiling", "128"))):
+            args = ("tables", "--K", str(K), *argv)
+            _, json_out, _ = run_cli(capsys, *args, "--format", "json")
+            _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
+            payload = parse_json(json_out)
+            header, rows = parse_csv(csv_out)
+            assert header[3:5] == ["p_tr_num", "p_tr_den"]
+            assert len(rows) == K * (K + 1)
+            cells = {}
+            for r in rows:
+                num, den = int(r[3]), int(r[4])
+                assert den > 0 and math.gcd(num, den) == 1, r
+                cells[(int(r[0]), int(r[1]))] = Fraction(num, den)
+            for row in payload["rows"]:
+                for k_plus, cell in enumerate(row["cells"]):
+                    assert cells[(row["k"], k_plus)] == Fraction(cell["num"], cell["den"])
 
     def test_ceiling_flag_and_env(self, capsys, monkeypatch):
         assert run_cli(capsys, "tables", "--K", "65", "--ceiling", "70")[0] == 0
@@ -225,8 +238,9 @@ class TestSimulate:
         ids=["one-word", "two-words", "byte-rows"],
     )
     def test_each_kernel_representation_replays(self, capsys, kp, km, k):
-        # The CI simulation steps: the count is the sum of the trials that
-        # run_trial replays from the child seeds.
+        # One cluster per kernel representation (one word, two words, byte
+        # rows): the count is the sum of the trials that run_trial replays
+        # from the child seeds.
         argv = ("--kp", str(kp), "--km", str(km), "--k", str(k), "--n", "1000", "--seed", "42")
         code, out, _ = run_cli(capsys, "simulate", *argv, "--format", "json")
         assert code == 0
@@ -356,22 +370,27 @@ def _edge_couplings():
     return lo, hi
 
 
-def _scatter_case(coupling, energies=(0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300), grid=None):
+def _scatter_case(
+    coupling, energies=("0.0", "-0.0", "5e-324", "1e-300", "1.0", "1e+300"), grid=None
+):
     """``(argv, coupling, library rows)``; only the energies valid at ``coupling``.
 
-    A row holds the public functions' values in the CSV column order, and
-    every value is finite: the JSON writer has no ``NaN`` or ``Infinity``.
+    ``energies`` are spelled as on the command line, and ``coupling=None``
+    leaves ``--coupling`` out.  A row holds the public functions' values in
+    the CSV column order, and every value is finite: the JSON writer has no
+    ``NaN`` or ``Infinity``.
     """
-    config = ScatteringConfig(coupling)
+    config = ScatteringConfig() if coupling is None else ScatteringConfig(coupling)
+    argv = ["scatter"] if coupling is None else ["scatter", "--coupling", repr(coupling)]
     valid = []
-    for e in energies:
+    for text in energies:
+        e = float(text)
         try:
             jump_condition_residual(e, config)  # every energy check, 2 E included
         except ValueError:
             continue
+        argv += ["--E", text]
         valid.append(e)
-    argv = ["scatter", "--coupling", repr(coupling)]
-    argv += [arg for e in valid for arg in ("--E", repr(e))]
     if grid is not None:
         argv += ["--grid", grid]
         valid += cli._parse_grid(grid)
@@ -394,8 +413,9 @@ SCATTER_CASES = {
     "coupling=1.5": _scatter_case(1.5),
     "smallest coupling": _scatter_case(_edge_couplings()[0]),
     "largest coupling": _scatter_case(_edge_couplings()[1]),
-    "grid to 1e300": _scatter_case(1.0, (0.0, -0.0), "0:1e300:1000"),
-    "subnormal grid": _scatter_case(1.0, (0.0, -0.0), "5e-324:1e-300:50"),
+    "grid to 1e300": _scatter_case(1.0, ("0.0", "-0.0"), "0:1e300:1000"),
+    "subnormal grid": _scatter_case(1.0, ("0.0", "-0.0"), "5e-324:1e-300:50"),
+    "edge energies": _scatter_case(None, ("0", "5e-324", "1e300"), "1e-300:1e-299:50"),
 }
 
 
@@ -424,21 +444,13 @@ class TestScatterWriters:
         document = {
             "command": "scatter",
             "coupling": self.coupling,
-            "points": [
-                {
-                    "energy": e,
-                    "transmission": {"re": t_re, "im": t_im},
-                    "reflection": {"re": r_re, "im": r_im},
-                    "p_transmission": p_tr,
-                    "p_reflection": p_re,
-                    "jump_residual": residual,
-                }
-                for e, t_re, t_im, r_re, r_im, p_tr, p_re, residual in self.rows
-            ],
+            "points": [serialize.scatter_point_payload(row) for row in self.rows],
         }
         code, out, _ = run_cli(capsys, *self.argv, "--format", "json")
         assert code == 0
         assert out == json.dumps(document, indent=2) + "\n"
+        # Strict JSON, and json.dumps(indent=2) of what it parses to.
+        assert json.dumps(parse_json(out), indent=2) + "\n" == out
 
     def test_csv_is_csv_writer(self, capsys):
         payload = cli._cmd_scatter(cli.build_parser().parse_args(self.argv))
@@ -463,6 +475,10 @@ class TestGridLimit:
         assert cli.MAX_GRID_POINTS == 100_000
 
     def test_grid_above_the_limit_is_usage_error(self, capsys, monkeypatch):
+        # Rejected before the 100001 points are built.
+        code, out, err = run_cli(capsys, "scatter", "--grid", "0:1:100001")
+        assert code == 2 and out == ""
+        assert "--grid" in err and "at most 100000" in err and "usage:" in err
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 5)
         code, out, _ = run_cli(capsys, "scatter", "--grid", "0:1:5", "--format", "csv")
         assert code == 0 and len(out.splitlines()) == 6
@@ -689,6 +705,10 @@ def test_interval_stays_honest_at_the_edges(capsys, argv, lower, upper):
     code, out, _ = run_cli(capsys, "simulate", "--k", "1", *argv, "--format", "json")
     result = parse_json(out)["result"]
     assert code == 0 and (result["lower"], result["upper"]) == (lower, upper)
+    code, out, _ = run_cli(capsys, "simulate", "--k", "1", *argv, "--format", "csv")
+    header, (row,) = parse_csv(out)
+    record = dict(zip(header, row))
+    assert code == 0 and (float(record["lower"]), float(record["upper"])) == (lower, upper)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

@@ -1,8 +1,11 @@
 """Byte-exact CLI output: every README command in text, JSON and CSV.
 
-The fixture holds ``(exit code, stdout)`` per command line.  It pins the
+The README commands are read from the ``sh`` block under README's ``## CLI``
+heading, without ``deltamachine``, the comment and any ``--format X``.  The
+fixture holds ``(exit code, stdout)`` per command line.  It pins the
 rendered bytes, so any change to a report's layout, number formatting or
-CSV columns shows up here.  Record it with::
+CSV columns shows up here.  Every JSON report must also parse as strict
+JSON.  Record the fixture with::
 
     PYTHONPATH=src python tests/test_cli_snapshots.py --record
 
@@ -12,28 +15,38 @@ only when an output change is intended; a refactor must pass unchanged.
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 from deltamachine import cli
+from test_cli import parse_json
 
 FIXTURE = Path(__file__).with_name("data") / "cli_snapshots.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FORMATS = ("text", "json", "csv")
 
+
+def readme_commands() -> list[str]:
+    """The command lines of README's ``## CLI`` block, without the format."""
+    readme = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    commands = []
+    for line in block.splitlines():
+        program, *argv = line.partition("#")[0].split()
+        assert program == "deltamachine", line
+        if "--format" in argv:
+            at = argv.index("--format")
+            del argv[at:at + 2]
+        commands.append(" ".join(argv))
+    return commands
+
+
 COMMANDS = (
-    # README commands
-    "tables --K 5",
-    "tables --K 5 --golden",
-    "tables --K 7",
-    "simulate --kp 2 --km 1 --k 1 --n 100000 --seed 42",
-    "scatter --E 1 --E 4",
-    "scatter --grid 0.1:100:1000 --coupling 1.5",
-    "epsilon --theta 1.0472 --eps 0.5 --n 100000 --seed 7",
-    "classify --K 5",
-    "convergence --kp 2 --km 1 --k 1 --seed 42",
+    *readme_commands(),
     # edge cases
     "tables --K 1",
     "epsilon --theta 1.0472 --eps 0.5",
@@ -70,7 +83,10 @@ def test_fixture_covers_every_case(snapshots):
 def test_output_matches_snapshot(snapshots, case, monkeypatch):
     monkeypatch.delenv(cli.ENV_OUTPUT, raising=False)
     monkeypatch.delenv(cli.ENV_CEILING, raising=False)
-    assert run(case) == snapshots[case]
+    result = run(case)
+    assert result == snapshots[case]
+    if case.endswith("--format json") and result["exit"] == 0:
+        parse_json(result["stdout"])
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:

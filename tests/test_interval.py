@@ -78,3 +78,23 @@ def test_bounds_solve_the_score_equation(x, n):
 def test_rejects_a_level_outside_the_finite_nonnegative_reals(z):
     with pytest.raises(ValueError, match="z must be"):
         wilson_interval(1, 2, z)
+
+
+@pytest.mark.parametrize(
+    "x, n",
+    [(0, 0), (5, 3), (-1, 3)],
+    ids=["no-trials", "more-than-n", "negative"],
+)
+def test_rejects_counts_outside_zero_to_n(x, n):
+    with pytest.raises(ValueError, match="n_trials"):
+        wilson_interval(x, n, 3.0)
+
+
+@pytest.mark.parametrize(
+    "x, n",
+    [(True, 3), (1.5, 3), (1, "3")],
+    ids=["bool", "float", "str"],
+)
+def test_rejects_counts_that_are_not_integers(x, n):
+    with pytest.raises(TypeError, match="must be an integer"):
+        wilson_interval(x, n, 3.0)
