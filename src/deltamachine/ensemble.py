@@ -49,13 +49,15 @@ class EnsembleResult:
 def run_counted(
     n_trials: int,
     seed: int,
-    success_mask: Callable[[np.ndarray], np.ndarray],
+    success_mask: Callable[[np.ndarray], np.ndarray] | bool,
     *,
     trial_bytes: int = TRIAL_BYTES,
 ) -> EnsembleResult:
     """Run ``n_trials`` counter-seeded trials and count the successes.
 
-    ``success_mask`` maps an array of per-trial seeds to a boolean array.
+    ``success_mask`` maps an array of per-trial seeds to a boolean array, or
+    is a ``bool`` when every trial's outcome is known in advance: then the
+    count is ``n_trials`` or 0, and no seed is derived and nothing is drawn.
     ``trial_bytes`` is the working set of one trial in ``success_mask``;
     chunks of ``max(1, CHUNK_BYTES // trial_bytes)`` trials keep memory
     bounded.  Because per-trial seeds depend only on ``(seed, trial_index)``,
@@ -70,12 +72,15 @@ def run_counted(
     if trial_bytes < 1:
         raise ValueError("trial_bytes must be a positive integer")
     seed = as_int(seed, "seed") & rng.MASK64
-    chunk = max(1, CHUNK_BYTES // trial_bytes)
-    count = 0
-    for start in range(0, n_trials, chunk):
-        m = min(chunk, n_trials - start)
-        trial_seeds = rng.substream_seeds(seed, start, m)
-        count += int(np.count_nonzero(success_mask(trial_seeds)))
+    if isinstance(success_mask, bool):
+        count = n_trials if success_mask else 0
+    else:
+        chunk = max(1, CHUNK_BYTES // trial_bytes)
+        count = 0
+        for start in range(0, n_trials, chunk):
+            m = min(chunk, n_trials - start)
+            trial_seeds = rng.substream_seeds(seed, start, m)
+            count += int(np.count_nonzero(success_mask(trial_seeds)))
     return EnsembleResult(
         n_trials=n_trials,
         transmitted=count,

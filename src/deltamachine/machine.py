@@ -17,8 +17,8 @@ counter-indexed stream (see :mod:`deltamachine.rng`):
   K <= 128).  Only the tranche's charge sum matters, so the
   kernel runs the steps ``j = K-1 .. k`` and consumes draws ``0 .. K-1-k``;
 * draw ``K-1`` resolves an exactly balanced first tranche by fair coin
-  (low bit set = tilt right).  Balance is impossible for odd ``k`` and the
-  code asserts that instead of handling it.
+  (low bit set = tilt right).  Only the tied trials draw it.  Balance is
+  impossible for odd ``k`` and the code asserts that instead of handling it.
 
 The outcome is therefore a pure function of ``(state, measurement, seed)``.
 One kernel, :func:`_transmitted_mask`, decides trials over an array of
@@ -46,6 +46,7 @@ from .spheres import (
     KMeasurement,
     _require_valid,
     as_int,
+    determinism_threshold,
     probability_table,
 )
 
@@ -228,11 +229,11 @@ def _transmitted_mask(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> n
     else:
         charge_sum = _row_tranche_sums(charges, k, m, blocks)
     transmitted = charge_sum > 0
-    tie = charge_sum == 0
-    if tie.any():
+    tie = np.flatnonzero(charge_sum == 0)
+    if tie.size:
         assert k % 2 == 0, "balanced tranche with odd tranche size"
-        coins = rng.draws_at(trial_seeds[tie], total - 1) & _U64_1
-        transmitted[tie] = coins == 1
+        coins = rng.draws_at(trial_seeds.take(tie), total - 1)
+        transmitted[tie] = coins & _U64_1
     return transmitted
 
 
@@ -243,9 +244,14 @@ def run_ensemble(
 
     Trial ``i`` uses ``substream_seed(seed, i)``, so
     ``run_trial(state, meas, substream_seed(seed, i))`` replays it; the
-    count is reproducible and order-independent.
+    count is reproducible and order-independent.  From the determinism
+    threshold on, every trial has the same outcome, so the count is known
+    without drawing.
     """
     _require_valid(state, meas)
+    if meas.k >= determinism_threshold(state):
+        # The tranche holds a strict majority of the larger species.
+        return run_counted(n_trials, seed, state.k_plus > state.k_minus)
     charges = _charges(state)
     return run_counted(
         n_trials,

@@ -103,7 +103,3 @@ def substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
     base += np.uint64(seed & MASK64)
     return _mix64_inplace(base)
 
-
-def unit_doubles(u64: np.ndarray) -> np.ndarray:
-    """Map 64-bit draws to doubles in [0, 1) using their top 53 bits."""
-    return (u64 >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

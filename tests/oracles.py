@@ -6,6 +6,9 @@ closed-form sums under test, rows are classified on ``Fraction`` values
 straight from the criteria, never from the determinism threshold the
 library's table classifier uses, and single trials run the full scalar shuffle on a separate transcription
 of the splitmix64 stream, never the library's truncated array kernels.
+The elastic kernel's integer draw bounds are checked against the float
+kernel they replaced, on the library's draws (``test_rng`` checks those
+against the transcription).
 The statistical tests accept a seeded frequency within ``normal_half_width``
 of the exact probability.  The ``scatter`` text report is checked against
 ``scatter_text``, the column formatter it replaced.
@@ -16,6 +19,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
+
+from deltamachine import rng
 
 
 def enumerated_transmission(k_plus: int, k_minus: int, k: int) -> Fraction:
@@ -147,6 +154,19 @@ def elastic_trial(c: float, eps: float, seed: int) -> bool:
     if at == c:
         return coin(reference_draw(seed, 1))
     return at < c
+
+
+def elastic_plus_mask(c: float, eps: float, trial_seeds):
+    """The float band-breaking kernel that the draw bounds replaced, kept as
+    their reference: the break point of every trial as a double."""
+    u = (rng.draws_at(trial_seeds, 0) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    breaks = -eps + 2.0 * eps * u
+    plus = breaks < c
+    tie = breaks == c
+    if tie.any():
+        coins = rng.draws_at(trial_seeds[tie], 1) & np.uint64(1)
+        plus[tie] = coins == 1
+    return plus
 
 
 def scatter_text(coupling: float, rows: list[tuple[float, ...]]) -> str:

@@ -193,13 +193,18 @@ class TestEpsilonProbabilities:
                 assert abs(direct.p_plus - mirrored.p_minus) <= 1e-12
 
 
+def plus_mask(c, eps, seeds):
+    """The kernel's decisions for the particle at ``c``, through its bounds."""
+    return elastic._plus_mask(*elastic._draw_bounds(c, eps), seeds)
+
+
 class TestKernelParity:
     """The vectorized band-breaking kernel against a scalar trial per seed."""
 
     SEEDS = rng.substream_seeds(2024, 0, 64)
 
     def check(self, c, eps, seeds=SEEDS):
-        got = elastic._plus_mask(c, eps, seeds)
+        got = plus_mask(c, eps, seeds)
         assert got.tolist() == [oracles.elastic_trial(c, eps, s) for s in seeds.tolist()], (c, eps)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 1.0])
@@ -210,7 +215,7 @@ class TestKernelParity:
     def test_knife_edge_is_the_coin_of_draw_one(self):
         # eps = 0 and c = 0: every break lands on the particle.
         self.check(0.0, 0.0)
-        plus = elastic._plus_mask(0.0, 0.0, self.SEEDS).tolist()
+        plus = plus_mask(0.0, 0.0, self.SEEDS).tolist()
         coins = [oracles.coin(oracles.reference_draw(s, 1)) for s in self.SEEDS.tolist()]
         assert plus == coins and 0 < sum(plus) < len(plus)
 
@@ -221,13 +226,103 @@ class TestKernelParity:
         self.check(c, eps)
         # This seed's coin is heads, so only the tie rule makes the trial go up.
         assert oracles.coin(oracles.reference_draw(seed, 1))
-        assert elastic._plus_mask(c, eps, self.SEEDS[5:6]).tolist() == [True]
+        assert plus_mask(c, eps, self.SEEDS[5:6]).tolist() == [True]
 
-    def test_unit_doubles_matches_reference(self):
-        values = np.array([0, 1, (1 << 11) - 1, 1 << 11, 2**63, rng.MASK64], dtype=np.uint64)
-        got = rng.unit_doubles(values).tolist()
-        assert got == [oracles.unit_double(v) for v in values.tolist()]
-        assert got[0] == got[1] == got[2] == 0.0 and got[-1] < 1.0
+    def test_draw_bounds_match_reference_unit_doubles(self, monkeypatch):
+        # Draw 0 pinned to the range ends and to both sides of each bound:
+        # each decides as the reference break point -eps + 2 eps u does.
+        pinned = []
+        draws_at = rng.draws_at
+        monkeypatch.setattr(
+            rng, "draws_at", lambda s, i: np.array(pinned, np.uint64) if i == 0 else draws_at(s, i)
+        )
+        for eps in (0.0, 0.5, 1.0):
+            for c in (-eps, 0.0, 0.3 * eps, -eps + 2.0 * eps * oracles.unit_double(2**63), eps):
+                below, at = elastic._draw_bounds(c, eps)
+                edges = (0, 1, 2**11 - 1, 2**11, 2**63, below - 1, below, at - 1, at, rng.MASK64)
+                pinned[:] = sorted({v for v in edges if 0 <= v <= rng.MASK64})
+                seeds = self.SEEDS[: len(pinned)]
+                expected = []
+                for v, seed in zip(pinned, seeds.tolist()):
+                    point = -eps + 2.0 * eps * oracles.unit_double(v)
+                    tie = point == c and oracles.coin(oracles.reference_draw(seed, 1))
+                    expected.append(point < c or tie)
+                assert elastic._plus_mask(below, at, seeds).tolist() == expected, (c, eps)
+
+
+EPSILONS = (0.0, 5e-324, 1e-300, 0.1, 0.5, 1.0)
+#: The ensemble of the count test, and draw 0 of its trial 5, on whose break
+#: point one particle per eps sits.
+MASTER = 20261019
+TIE_DRAW = oracles.reference_draw(rng.substream_seed(MASTER, 5), 0)
+
+
+def break_point(eps, draw):
+    """Reference break point of a draw, from its top 53 bits."""
+    return -eps + 2.0 * eps * oracles.unit_double(draw)
+
+
+def bound_cases():
+    cases = []
+    for eps in EPSILONS:
+        for c in (-1.0, -eps, -5e-324, 0.0, 5e-324, eps, 1.0, break_point(eps, TIE_DRAW)):
+            cases.append((c, eps))
+    gen = np.random.default_rng(1993)
+    for _ in range(16):
+        eps = float(gen.uniform(0.0, 1.0))
+        # Half the particles sit on a break point, half anywhere on the band.
+        if len(cases) % 2:
+            c = break_point(eps, int(gen.integers(2**63)) << 1)
+        else:
+            c = float(gen.uniform(-1.0, 1.0))
+        cases.append((c, eps))
+    return cases
+
+
+class TestDrawBounds:
+    """The integer draw bounds against the float kernel they replaced."""
+
+    @pytest.mark.parametrize("c, eps", bound_cases())
+    def test_bounds_split_the_53_bit_range(self, c, eps):
+        below, at = elastic._draw_bounds(c, eps)
+        assert 0 <= below <= at <= 2**64 and below % 2**11 == at % 2**11 == 0
+        # The break point just below each bound is under c (at most c), the
+        # one at the bound is not; a bound of 0 or 2**64 has only one side.
+        if below > 0:
+            assert break_point(eps, below - 2**11) < c
+        if below < 2**64:
+            assert break_point(eps, below) >= c
+        if at > 0:
+            assert break_point(eps, at - 2**11) <= c
+        if at < 2**64:
+            assert break_point(eps, at) > c
+
+    @pytest.mark.parametrize("c, eps", bound_cases())
+    def test_counts_match_the_float_kernel(self, c, eps):
+        n = 2**17
+        seeds = rng.substream_seeds(MASTER, 0, n)
+        reference = oracles.elastic_plus_mask(c, eps, seeds)
+        assert (plus_mask(c, eps, seeds) == reference).all()
+        result = simulate_elastic(ElasticExperiment(0.0, eps, projection=c), n, MASTER)
+        assert result.transmitted == np.count_nonzero(reference)
+
+    def test_break_point_case_ties(self):
+        # The break-point cases put trial 5 on a tie; eps = c = 0 ties all.
+        for eps in EPSILONS:
+            below, at = elastic._draw_bounds(break_point(eps, TIE_DRAW), eps)
+            assert below <= TIE_DRAW < at, eps
+        assert elastic._draw_bounds(0.0, 0.0) == (0, 2**64)
+
+    def test_certain_experiments_draw_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew for a certain experiment")
+
+        monkeypatch.setattr(elastic, "_plus_mask", refuse)
+        monkeypatch.setattr(rng, "substream_seeds", refuse)
+        for c, eps, count in ((1.0, 0.5, 50), (-1.0, 0.5, 0), (0.25, 0.0, 50), (-0.25, 0.0, 0)):
+            assert elastic._draw_bounds(c, eps) in ((0, 0), (2**64, 2**64))
+            result = simulate_elastic(ElasticExperiment(0.0, eps, projection=c), 50, -3)
+            assert (result.transmitted, result.seed) == (count, 2**64 - 3)
 
 
 class TestSimulateElastic:

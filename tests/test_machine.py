@@ -17,6 +17,7 @@ from deltamachine.machine import Outcome, empirical_table, run_ensemble, run_tri
 from deltamachine.spheres import (
     ElectricState,
     KMeasurement,
+    determinism_threshold,
     probability_table,
     transmission_probability_exact,
 )
@@ -66,15 +67,18 @@ class TestReplay:
         state, meas = ElectricState(kp, km), KMeasurement(k)
         result = run_ensemble(state, meas, n, master)
         monkeypatch.setattr(machine_mod, "_transmitted_mask", kernel)
-        chunk = ensemble_mod.CHUNK_BYTES // machine_mod._trial_bytes(state)
-        assert len(masks) == -(-n // chunk)
-        trials = np.concatenate(masks).tolist()
-        assert sum(trials) == result.transmitted
         replayed = [
             run_trial(state, meas, rng.substream_seed(master, i)) is Outcome.TRANSMITTED
             for i in range(n)
         ]
-        assert replayed == trials
+        assert sum(replayed) == result.transmitted
+        if k >= determinism_threshold(state):
+            # The ensemble of a certain cell runs no kernel; every replay agrees.
+            assert masks == [] and len(set(replayed)) == 1
+            return
+        chunk = ensemble_mod.CHUNK_BYTES // machine_mod._trial_bytes(state)
+        assert len(masks) == -(-n // chunk)
+        assert np.concatenate(masks).tolist() == replayed
 
     @pytest.mark.parametrize("kp, km, k", CELLS)
     def test_default_chunks(self, monkeypatch, kp, km, k):
@@ -292,6 +296,54 @@ class TestKernelAssumptions:
         # k = K with K+ = K-: every tranche is balanced, every trial a coin.
         assert coin_draws == [K - 1]
         assert got.tolist() == [rng.draw(seed, K - 1) & 1 == 1 for seed in seeds.tolist()]
+
+
+class TestTieStep:
+    """The tie coins at their extremes, and the certain cells that draw none."""
+
+    SEEDS = rng.substream_seeds(31, 0, 500)
+
+    @pytest.mark.parametrize("kp, km, k", [(1, 1, 2), (2, 2, 4)])
+    def test_chunks_where_every_trial_ties(self, kp, km, k):
+        charges = machine_mod._charges(ElectricState(kp, km))
+        got = machine_mod._transmitted_mask(charges, k, self.SEEDS)
+        assert got.tolist() == [oracles.sphere_trial(kp, km, k, s) for s in self.SEEDS.tolist()]
+
+    def test_even_k_cells_of_a_six_sphere_table(self):
+        n, master = 200, 6
+        table = empirical_table(6, n, master)
+        for k in (2, 4, 6):
+            for state, result in table.row(k).entries:
+                cell_seed = rng.substream_seed(master, (k - 1) * 7 + state.k_plus)
+                seeds = rng.substream_seeds(cell_seed, 0, n)
+                expected = [
+                    oracles.sphere_trial(state.k_plus, state.k_minus, k, s) for s in seeds.tolist()
+                ]
+                got = machine_mod._transmitted_mask(machine_mod._charges(state), k, seeds)
+                assert got.tolist() == expected, (state, k)
+                assert result.transmitted == sum(expected), (state, k)
+
+    @pytest.mark.parametrize("kp, km", [(0, 256), (1, 255), (255, 1)])
+    def test_certain_cells_skip_the_kernel(self, monkeypatch, kp, km):
+        state, meas, n = ElectricState(kp, km), KMeasurement(10), 1000
+        charges = machine_mod._charges(state)
+        drawn = ensemble_mod.run_counted(
+            n, -5, lambda seeds: machine_mod._transmitted_mask(charges, meas.k, seeds)
+        )
+
+        def refuse(*args):
+            raise AssertionError("drew for a certain cell")
+
+        monkeypatch.setattr(machine_mod, "_transmitted_mask", refuse)
+        monkeypatch.setattr(rng, "substream_seeds", refuse)
+        result = run_ensemble(state, meas, n, -5)
+        assert result == drawn
+        assert (result.transmitted, result.seed) == (n if kp > km else 0, 2**64 - 5)
+        # The same argument checks as a drawn ensemble.
+        with pytest.raises(ValueError):
+            run_ensemble(state, meas, 0, 1)
+        with pytest.raises(TypeError):
+            run_ensemble(state, meas, n, 1.5)
 
 
 class TestChunkBudget:
