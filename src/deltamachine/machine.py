@@ -40,11 +40,15 @@ import numpy as np
 
 from . import rng
 from .ensemble import TRIAL_BYTES, EnsembleResult, run_counted
+# ``probability_table`` is not called here, but stays importable from this
+# module: bench/tracing.py wraps ``machine.probability_table``.
 from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
     KMeasurement,
     _require_valid,
+    _row_index,
+    _states,
     as_int,
     determinism_threshold,
     probability_table,
@@ -277,10 +281,7 @@ class EmpiricalTable:
     rows: tuple[EmpiricalRow, ...]
 
     def row(self, k: int) -> EmpiricalRow:
-        k = as_int(k, "k")
-        if not 1 <= k <= self.K:
-            raise KeyError(f"no row for k={k} in a K={self.K} table")
-        return self.rows[k - 1]
+        return self.rows[_row_index(k, self.K)]
 
 
 def empirical_table(
@@ -293,17 +294,19 @@ def empirical_table(
     """Ensemble counts for every cell of the exact table's (k, state) grid.
 
     Cell (k, K+) uses the child seed ``substream_seed(seed, (k-1)*(K+1)+K+)``
-    so the whole table is reproducible from the single master seed.
+    so the whole table is reproducible from the single master seed.  No
+    exact table is built.
     """
-    exact = probability_table(K, ceiling=ceiling)  # validates K and ceiling
+    states = _states(K, ceiling)  # validates K and ceiling
+    K = len(states) - 1
+    n_trials = as_int(n_trials, "n_trials")
     seed = as_int(seed, "seed") & rng.MASK64
     rows = []
-    for row in exact.rows:
-        meas = KMeasurement(row.k)
+    for k in range(1, K + 1):
+        meas = KMeasurement(k)
         entries = []
-        for state, _ in row.entries:
-            cell_index = (row.k - 1) * (K + 1) + state.k_plus
-            cell_seed = rng.substream_seed(seed, cell_index)
+        for state in states:
+            cell_seed = rng.substream_seed(seed, (k - 1) * (K + 1) + state.k_plus)
             entries.append((state, run_ensemble(state, meas, n_trials, cell_seed)))
-        rows.append(EmpiricalRow(k=row.k, entries=tuple(entries)))
+        rows.append(EmpiricalRow(k=k, entries=tuple(entries)))
     return EmpiricalTable(K=K, n_trials=n_trials, seed=seed, rows=tuple(rows))

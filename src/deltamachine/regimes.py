@@ -18,11 +18,15 @@ fractional probability certifies non-classicality.
 Degenerate tiny-K rows can satisfy several criteria at once; the verdict
 precedence is Classical > ClassicalWithTie > Quantum > Intermediate
 (determinism is the strongest, most falsifiable property).
+
+:func:`classify_row` finds cells by column index and puts its witnesses on
+the row's own states; :func:`classify_table` builds one witness tuple per
+kind over the K + 1 states and gives each row slices of them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 
@@ -32,7 +36,8 @@ from .spheres import (
     DEFAULT_TABLE_CEILING,
     ElectricState,
     ProbabilityTableRow,
-    _table_size,
+    _states,
+    is_bool,
     probability_table,
     value_type,
 )
@@ -96,9 +101,8 @@ _UNDECIDED_NOTE = (
 
 _CLASSICAL = RegimeVerdict(Regime.CLASSICAL, (Witness(WitnessKind.ALL_DETERMINISTIC),))
 _QUANTUM = RegimeVerdict(Regime.QUANTUM, (Witness(WitnessKind.MATCHES_BORN_RULE),))
-
-#: The witnesses built so far, by kind and K+; the rows of one table share it.
-_Cache = dict[WitnessKind, dict[int, Witness]]
+_ZERO = WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION
+_FRACTIONAL = WitnessKind.NON_CLASSICAL_INDETERMINISM
 
 
 def _validated_entries(
@@ -107,33 +111,37 @@ def _validated_entries(
     entries = tuple(row.entries)
     if not entries:
         raise ValueError("row has no entries")
-    for i, (state, _) in enumerate(entries):
+    total = len(entries) - 1
+    checked = []
+    for i, (state, p) in enumerate(entries):
         if not isinstance(state, ElectricState):
             raise TypeError(
                 f"entry {i} has state of type {type(state).__name__}; "
                 "expected ElectricState"
             )
-    total = entries[0][0].total
-    if len(entries) != total + 1:
-        raise ValueError(
-            f"row must cover K+ = 0..{total}: expected {total + 1} entries, "
-            f"got {len(entries)}"
-        )
-    checked = []
-    for i, (state, p) in enumerate(entries):
         if state.k_plus != i or state.total != total:
             raise ValueError(
-                f"entry {i} has state ({state.k_plus}, {state.k_minus}); "
-                f"expected ({i}, {total - i})"
+                f"entry {i} of {len(entries)} has state ({state.k_plus}, "
+                f"{state.k_minus}); expected ({i}, {total - i})"
             )
+        if is_bool(p):
+            raise TypeError(f"probability at K+={i} must be a rational number, not bool")
         try:
             p = Fraction(p)
-        except OverflowError:
+        except (OverflowError, ValueError):
+            if isinstance(p, str):
+                raise
+            # Fraction raises OverflowError for an infinity, ValueError for NaN.
             raise ValueError(f"probability {p!r} at K+={i} is not finite") from None
         if p < 0 or p > 1:
             raise ValueError(f"probability {p} at K+={i} is outside [0, 1]")
         checked.append((state, p))
     return tuple(checked)
+
+
+def _zeros(entries: Sequence[tuple[ElectricState, Fraction]]) -> list[int]:
+    """Columns K+ >= 1 of validated ``entries`` whose transmission is 0."""
+    return [i for i, (_, p) in enumerate(entries) if i and p == 0]
 
 
 def wronskian_witnesses(row: ProbabilityTableRow) -> tuple[ElectricState, ...]:
@@ -145,58 +153,31 @@ def wronskian_witnesses(row: ProbabilityTableRow) -> tuple[ElectricState, ...]:
     from a stationary 1-D scattering problem at positive energy.
     """
     entries = _validated_entries(row)
-    return tuple(s for s, p in entries if s.k_plus >= 1 and p == 0)
+    return tuple(entries[i][0] for i in _zeros(entries))
 
 
-def _witnesses(
-    cache: _Cache, kind: WitnessKind, k_plus: Iterable[int], total: int
-) -> tuple[Witness, ...]:
-    """Witnesses of ``kind`` for the states K+ in ``k_plus``, built once each."""
-    known = cache.setdefault(kind, {})
-    found = []
-    for i in k_plus:
-        witness = known.get(i)
-        if witness is None:
-            witness = known[i] = Witness(kind, ElectricState(i, total - i))
-        found.append(witness)
-    return tuple(found)
+def _tie(state: ElectricState) -> RegimeVerdict:
+    """ClassicalWithTie, witnessed by the balanced ``state`` K+ = K/2 of an even K."""
+    witness = Witness(WitnessKind.DETERMINISTIC_EXCEPT_BALANCED_HALF, state)
+    return RegimeVerdict(Regime.CLASSICAL_WITH_TIE, (witness,))
 
 
-def _tie(cache: _Cache, total: int) -> RegimeVerdict:
-    """ClassicalWithTie, witnessed by the balanced state K+ = K/2 of an even K."""
-    witnesses = _witnesses(
-        cache, WitnessKind.DETERMINISTIC_EXCEPT_BALANCED_HALF, [total // 2], total
-    )
-    return RegimeVerdict(Regime.CLASSICAL_WITH_TIE, witnesses)
-
-
-def _intermediate(
-    cache: _Cache, zeros: Iterable[int], fractional: Iterable[int], total: int
-) -> RegimeVerdict:
-    """Intermediate, with zero witnesses at K+ in ``zeros`` (each >= 1) and
-    indeterminism witnesses at ``fractional``; the note iff no zero exists."""
-    zero = _witnesses(cache, WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION, zeros, total)
-    witnesses = zero + _witnesses(
-        cache, WitnessKind.NON_CLASSICAL_INDETERMINISM, fractional, total
-    )
-    note = None if zero else _UNDECIDED_NOTE
-    return RegimeVerdict(Regime.INTERMEDIATE, witnesses, note)
-
-
-def _row_verdict(probabilities: Sequence[Fraction]) -> RegimeVerdict:
-    """Verdict of a row whose cell K+ = i is ``probabilities[i]``, in [0, 1]."""
-    total = len(probabilities) - 1
-    fractional = [i for i, p in enumerate(probabilities) if 0 < p < 1]
+def _row_verdict(entries: Sequence[tuple[ElectricState, Fraction]]) -> RegimeVerdict:
+    """Verdict of validated ``entries`` (entry i holds K+ = i), witnessed by their states."""
+    total = len(entries) - 1
+    fractional = [i for i, (_, p) in enumerate(entries) if 0 < p < 1]
     if not fractional:
         return _CLASSICAL
     half = total // 2
-    if total % 2 == 0 and fractional == [half] and 2 * probabilities[half] == 1:
-        return _tie({}, total)
+    if total % 2 == 0 and fractional == [half] and 2 * entries[half][1] == 1:
+        return _tie(entries[half][0])
     # Born value K+/K, cross-multiplied; at K+ = K it is 1.
-    if all(p * total == i for i, p in enumerate(probabilities)):
+    if all(p * total == i for i, (_, p) in enumerate(entries)):
         return _QUANTUM
-    zeros = [i for i, p in enumerate(probabilities) if i and p == 0]
-    return _intermediate({}, zeros, fractional, total)
+    # Zero-transmission witnesses first; the note iff there is none.
+    zero = tuple(Witness(_ZERO, entries[i][0]) for i in _zeros(entries))
+    witnesses = zero + tuple(Witness(_FRACTIONAL, entries[i][0]) for i in fractional)
+    return RegimeVerdict(Regime.INTERMEDIATE, witnesses, None if zero else _UNDECIDED_NOTE)
 
 
 def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
@@ -204,11 +185,12 @@ def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
 
     The row is validated first, and entries of any rational type (``int``,
     ``str``, ``Fraction``...) are converted to ``Fraction``.  States that
-    are not :class:`ElectricState` raise ``TypeError``; a misshapen row or
-    a probability that is not finite or lies outside [0, 1] raises
+    are not :class:`ElectricState` and probabilities that are a Python or
+    numpy ``bool`` raise ``TypeError``; a misshapen row or a probability
+    that is not finite (NaN included) or lies outside [0, 1] raises
     ``ValueError``.
     """
-    return _row_verdict([p for _, p in _validated_entries(row)])
+    return _row_verdict(_validated_entries(row))
 
 
 def classify_table(
@@ -230,21 +212,27 @@ def classify_table(
       never with the note.
 
     The cases go in verdict precedence (K = 1 is Classical, K = 2 a tie).
-    Row k + 1 equals row k and shares its verdict, and the rows share one
-    :class:`Witness` per state and kind.  The verdicts equal those of
-    :func:`classify_row` on the rows of :func:`probability_table`.
+    Row k + 1 equals row k and shares its verdict.  Each Intermediate
+    witness kind has one tuple over the states K+ = 0..K, which the rows
+    slice (``zero[1:h]``, ``fractional[h:K-h+1]``): the rows share one
+    :class:`Witness` per state and kind, and one state object per K+.
+    The verdicts equal those of :func:`classify_row` on the rows of
+    :func:`probability_table`.
     """
-    K = _table_size(K, ceiling)
-    cache: _Cache = {}
+    states = _states(K, ceiling)
+    K = len(states) - 1
+    zero = tuple(Witness(_ZERO, s) for s in states)
+    fractional = tuple(Witness(_FRACTIONAL, s) for s in states)
     odd = []
     for k in range(1, K + 1, 2):
         h = (k + 1) // 2
         if k == K:
             odd.append(_CLASSICAL)
         elif k == K - 1:
-            odd.append(_tie(cache, K))
+            odd.append(_tie(states[K // 2]))
         elif k == 1:
             odd.append(_QUANTUM)
         else:
-            odd.append(_intermediate(cache, range(1, h), range(h, K - h + 1), K))
+            witnesses = zero[1:h] + fractional[h : K - h + 1]
+            odd.append(RegimeVerdict(Regime.INTERMEDIATE, witnesses))
     return {k: odd[(k - 1) // 2] for k in range(1, K + 1)}

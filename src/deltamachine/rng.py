@@ -14,14 +14,17 @@ the same splitting rule used by splittable-generator designs.
 Seeds and draws are unsigned 64-bit values; arbitrary Python ints are reduced
 modulo 2**64 on entry.  The seeded entry points (``run_ensemble``,
 ``simulate_elastic`` and ``empirical_table``, all through ``run_counted``,
-and the one-trial replay ``run_trial``) accept any integer, numpy integers
-included, and raise ``TypeError`` for ``bool``, float and ``str`` seeds, so
-the seed a result records is always the stream that produced it.
+the one-trial replay ``run_trial``, and :func:`draw` and
+:func:`substream_seed` here, for their index too) accept any integer, numpy
+integers included, and raise ``TypeError`` for ``bool``, float and ``str``
+seeds, so the seed a result records is always the stream that produced it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .spheres import as_int
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
@@ -48,6 +51,7 @@ def mix64(z: int) -> int:
 
 def draw(seed: int, index: int) -> int:
     """Draw ``index`` (0-based) of the stream identified by ``seed``."""
+    seed, index = as_int(seed, "seed"), as_int(index, "index")
     return mix64((seed + (index + 1) * GOLDEN) & MASK64)
 
 

@@ -65,10 +65,14 @@ def as_int(value: object, what: str) -> int:
         raise TypeError(f"{what} must be an integer") from None
 
 
+def is_bool(value: object) -> bool:
+    """Whether ``value`` is a Python or a numpy ``bool``."""
+    return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+
+
 def as_real(value: object, what: str) -> float:
     """``value`` as a ``float``; any bool, ``str`` or ``bytes`` raises ``TypeError``."""
-    numpy_bool = getattr(getattr(value, "dtype", None), "kind", None) == "b"
-    if numpy_bool or isinstance(value, (bool, str, bytes, bytearray)):
+    if is_bool(value) or isinstance(value, (str, bytes, bytearray)):
         raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
     return float(value)
 
@@ -266,10 +270,7 @@ class ProbabilityTable:
         object.__setattr__(self, "rows", rows)
 
     def row(self, k: int) -> ProbabilityTableRow:
-        k = as_int(k, "k")
-        if not 1 <= k <= self.K:
-            raise KeyError(f"no row for k={k} in a K={self.K} table")
-        return self.rows[k - 1]
+        return self.rows[_row_index(k, self.K)]
 
     def value(self, k: int, k_plus: int) -> ExactProbability:
         row = self.row(k)
@@ -321,15 +322,24 @@ def _odd_counts(k_plus: int, k_minus: int) -> list[tuple[int, int]]:
     return counts
 
 
-def _table_size(K: object, ceiling: object) -> int:
-    """``K`` as an ``int``, checked to lie in 1..ceiling (an ``int`` too)."""
+def _states(K: object, ceiling: object) -> tuple[ElectricState, ...]:
+    """The states ``ElectricState(i, K - i)``, i = 0..K, of a table's columns,
+    with K checked to be an ``int`` in 1..ceiling (an ``int`` too)."""
     K = as_int(K, "K")
     ceiling = as_int(ceiling, "ceiling")
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > ceiling:
         raise ValueError(f"K={K} exceeds the table ceiling {ceiling}")
-    return K
+    return tuple(ElectricState(i, K - i) for i in range(K + 1))
+
+
+def _row_index(k: object, K: int) -> int:
+    """Position of row ``k`` among the rows k = 1..K of a table."""
+    k = as_int(k, "k")
+    if not 1 <= k <= K:
+        raise KeyError(f"no row for k={k} in a K={K} table")
+    return k - 1
 
 
 #: Table cells at and above the determinism threshold, shared by every table.
@@ -388,8 +398,8 @@ def probability_table(
     there on.  Row k + 1 of an odd k shares row k's entries, the pairwise
     equality P(k + 1) = P(k).
     """
-    K = _table_size(K, ceiling)
-    states = tuple(ElectricState(i, K - i) for i in range(K + 1))
+    states = _states(K, ceiling)
+    K = len(states) - 1
     odd = [tuple(zip(states, row)) for row in _odd_rows(K)]
     rows = [ProbabilityTableRow(k=k, entries=odd[(k - 1) // 2]) for k in range(1, K + 1)]
     return ProbabilityTable(K=K, rows=tuple(rows))

@@ -12,7 +12,7 @@ import oracles
 from oracles import normal_half_width
 from deltamachine import ensemble as ensemble_mod
 from deltamachine import machine as machine_mod
-from deltamachine import elastic, rng
+from deltamachine import elastic, rng, spheres
 from deltamachine.machine import Outcome, empirical_table, run_ensemble, run_trial
 from deltamachine.spheres import (
     ElectricState,
@@ -461,6 +461,22 @@ class TestEmpiricalTable:
             empirical_table(0, 10, 1)
         with pytest.raises(ValueError):
             empirical_table(80, 10, 1)
+
+    def test_numpy_integer_size(self):
+        table = empirical_table(np.int64(3), 100, 1)
+        assert table == empirical_table(3, 100, 1)
+        assert type(table.K) is int
+        assert type(empirical_table(3, np.int64(100), 1).n_trials) is int
+
+    def test_builds_no_table(self, monkeypatch):
+        expected = empirical_table(4, 200, 7)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("empirical_table built a probability table")
+
+        monkeypatch.setattr(machine_mod, "probability_table", no_table)
+        monkeypatch.setattr(spheres, "probability_table", no_table)
+        assert empirical_table(4, 200, 7) == expected
 
     def test_row_index_types(self):
         table = empirical_table(2, 10, 5)

@@ -113,6 +113,40 @@ class TestClassifyRow:
         with pytest.raises(ValueError):
             wronskian_witnesses(row)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_rejects_bool_probability(self, flag):
+        row = ProbabilityTableRow(
+            k=1, entries=((ElectricState(0, 1), 0), (ElectricState(1, 0), flag))
+        )
+        with pytest.raises(TypeError, match="not bool"):
+            classify_row(row)
+        with pytest.raises(TypeError, match="not bool"):
+            wronskian_witnesses(row)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), np.float64("nan"), float("inf"), -float("inf")]
+    )
+    def test_non_finite_probability_is_not_finite(self, value):
+        row = ProbabilityTableRow(
+            k=1, entries=((ElectricState(0, 1), value), (ElectricState(1, 0), 1))
+        )
+        with pytest.raises(ValueError, match="at K\\+=0 is not finite"):
+            classify_row(row)
+        with pytest.raises(ValueError, match="at K\\+=0 is not finite"):
+            wronskian_witnesses(row)
+
+    def test_witnesses_hold_the_rows_states(self):
+        rows = [probability_table(5).row(3), probability_table(6).row(5)]
+        rows.append(make_row(1, ["0", "1/3", "0"]))
+        for row in rows:
+            states = {state.k_plus: state for state, _ in row.entries}
+            witnesses = classify_row(row).witnesses
+            assert witnesses
+            for witness in witnesses:
+                assert witness.state is states[witness.state.k_plus]
+            for state in wronskian_witnesses(row):
+                assert state is states[state.k_plus]
+
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
             classify_row(ProbabilityTableRow(k=1, entries=()))
@@ -311,6 +345,15 @@ class TestVerdictSharing:
             for witness in verdict.witnesses:
                 first = seen.setdefault((witness.kind, witness.state), witness)
                 assert witness is first
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 64, 65])
+    def test_witnesses_at_a_state_share_its_object(self, K):
+        states = {}
+        for verdict in classify_table(K, ceiling=K).values():
+            for witness in verdict.witnesses:
+                if witness.state is not None:
+                    first = states.setdefault(witness.state.k_plus, witness.state)
+                    assert witness.state is first
 
 
 class TestWitnessIntegrity:

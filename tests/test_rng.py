@@ -25,6 +25,28 @@ class TestScalar:
         assert rng.draw(-1, 3) == rng.draw(MASK, 3)
 
 
+class TestArgumentTypes:
+    """Seeds and indices follow the package's integer rule."""
+
+    @pytest.mark.parametrize("function", [rng.draw, rng.substream_seed])
+    def test_numpy_integers_accepted(self, function):
+        expected = function(1, 5)
+        for seed, index in [
+            (np.int64(1), 5), (np.uint64(1), 5), (1, np.int64(5)), (1, np.uint64(5))
+        ]:
+            got = function(seed, index)
+            assert got == expected and type(got) is int
+        assert function(np.int64(-1), 5) == function(MASK, 5)
+
+    @pytest.mark.parametrize("function", [rng.draw, rng.substream_seed])
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, "1"])
+    def test_non_integers_rejected(self, function, bad):
+        with pytest.raises(TypeError, match="seed"):
+            function(bad, 5)
+        with pytest.raises(TypeError, match="index"):
+            function(1, bad)
+
+
 class TestVectorParity:
     def test_mix_array_matches_scalar(self):
         values = np.array([0, 1, 42, 2**63, MASK, 0x123456789ABCDEF0], dtype=np.uint64)
