@@ -201,7 +201,10 @@ def classify_table(
     No cell is computed, because the determinism threshold fixes every
     verdict.  An odd first tranche k tilts right iff it holds at least
     h = (k + 1) / 2 positive spheres, so cell K+ is 0 if K+ < h, 1 if
-    K- < h, and fractional iff h <= K+ <= K - h.  Hence, for odd k:
+    K- < h, and fractional iff h <= K+ <= K - h.  A row's fractional cells
+    are exactly its density's support [h, K - h + 1], the slots the tranche
+    median can take (see :mod:`deltamachine.spheres`), less the last slot,
+    where the CDF reaches 1.  Hence, for odd k:
 
     * k = K: no cell is fractional.  Classical.
     * k = K - 1, K even: only K+ = K/2 = K- is, at 1/2 by the charge swap

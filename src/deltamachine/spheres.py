@@ -10,18 +10,23 @@ tranche of ``k`` spheres; an exactly balanced tranche (possible only for even
 All probabilities here are exact rationals, computed with arbitrary-precision
 integers.  A single cell comes from the closed form: counting k-subsets by
 charge composition gives a hypergeometric sum over binomial coefficients.
-Full tables instead walk each column (fixed K+) up the odd tranche sizes:
-the count of positive-majority k-subsets at k + 2 follows from the count at
-k in O(1) big-integer steps, so a table costs O(K^2) cells rather than O(K^3)
-terms.  A column stops at its determinism threshold 2 min(K+, K-) + 1,
-from which on every cell is exactly 0 or 1, so about half of the cells are
-shared constants and never computed.  Columns with K+ > K/2 follow from
-the charge-swap identity P(K+, K-) = 1 - P(K-, K+), and each even row k
-equals the odd row k - 1.  ``_odd_rows`` lays out the odd rows with every
-cell in place as a ``Fraction``.  Each count S / C is reduced by one gcd,
-which reduces its charge swap (C - S) / C as well, and :func:`_reduced`
-wraps both lowest-terms pairs without normalizing them again.  The table
-builder never calls the closed form, so the two check each other.
+Full tables instead come row by row from one density.  Label the slots
+1..K with the positive spheres first: an odd first tranche k = 2h - 1 is a
+uniform k-subset of the slots, and it has a positive majority iff its
+median, the h-th smallest slot, is at most K+.  So row k is the CDF of the
+tranche median's slot, a running sum of its weights
+w_i = C(i - 1, h - 1) C(K - i, h - 1) over C(K, k), each weight one exact
+division from the last: a table costs O(K^2) cells rather than O(K^3)
+terms.  The density's support [h, K - h + 1] is the determinism threshold
+2 min(K+, K-) + 1: outside it every cell is exactly 0 or 1, so about half
+of the cells are shared constants and never computed.  Its symmetry
+w_i = w_{K+1-i} is the charge swap P(K+, K-) = 1 - P(K-, K+), so the sums
+stop at K+ = K/2, and each even row k equals the odd row k - 1.
+``_odd_rows`` yields the odd rows with every cell in place as a
+``Fraction``.  Each count S / C is reduced by one gcd, which reduces its
+charge swap (C - S) / C as well, and :func:`_reduced` wraps both
+lowest-terms pairs without normalizing them again.  The table builder
+never calls the closed form, so the two check each other.
 Floats never enter; rendering a value as a decimal is presentation-side only.
 
 The value types of the numpy-free modules, here and in ``regimes`` and
@@ -38,6 +43,7 @@ simulations stay dataclasses, since numpy costs their commands far more.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, gcd
 
@@ -280,48 +286,6 @@ class ProbabilityTable:
         return row.entries[k_plus][1]
 
 
-def _odd_counts(k_plus: int, k_minus: int) -> list[tuple[int, int]]:
-    """``(S, C(K, k))`` of a state with K+ <= K- for odd k below its threshold.
-
-    ``S`` counts the k-subsets with a positive majority, so P(k) = S / C(K, k)
-    for odd k.  The list runs over k = 1, 3, ..., 2 K+ - 1: from the
-    determinism threshold 2 K+ + 1 on, no k-subset has a positive majority
-    and S = 0, so those rows are not computed (K+ = 0 gives an empty list).
-
-    Extending a k-subset by an ordered pair of the K - k spheres left changes
-    its majority only when it sits one sphere from the boundary: a subset
-    with j = (k-1)/2 positives gains one with two more positives, and a
-    subset with j + 1 positives loses it with two more negatives.  Every
-    (k+2)-subset arises from (k+1)(k+2) ordered extensions, hence::
-
-        S(k+2) = [ S(k) (K-k)(K-k-1)
-                   + C(K+, j) C(K-, j+1) (K+ - j)(K+ - j - 1)
-                   - C(K+, j+1) C(K-, j) (K- - j)(K- - j - 1) ] / ((k+1)(k+2))
-
-    and the division is exact.  The four binomials slide up by one in j
-    per step.
-    """
-    if k_plus == 0:
-        return []
-    total = k_plus + k_minus
-    subsets, majority = total, k_plus  # C(K, 1) and S(1)
-    plus_j, plus_next = 1, k_plus  # C(K+, j), C(K+, j+1) at j = 0
-    minus_j, minus_next = 1, k_minus  # C(K-, j), C(K-, j+1)
-    counts = [(majority, subsets)]
-    for j in range(k_plus - 1):
-        k = 2 * j + 1
-        free = (total - k) * (total - k - 1)
-        step = (k + 1) * (k + 2)
-        gain = plus_j * minus_next * (k_plus - j) * (k_plus - j - 1)
-        loss = plus_next * minus_j * (k_minus - j) * (k_minus - j - 1)
-        majority = (majority * free + gain - loss) // step
-        subsets = subsets * free // step
-        counts.append((majority, subsets))
-        plus_j, plus_next = plus_next, plus_next * (k_plus - j - 1) // (j + 2)
-        minus_j, minus_next = minus_next, minus_next * (k_minus - j - 1) // (j + 2)
-    return counts
-
-
 def _states(K: object, ceiling: object) -> tuple[ElectricState, ...]:
     """The states ``ElectricState(i, K - i)``, i = 0..K, of a table's columns,
     with K checked to be an ``int`` in 1..ceiling (an ``int`` too)."""
@@ -358,32 +322,34 @@ def _reduced(num: int, den: int) -> Fraction:
     return value
 
 
-def _odd_rows(K: int) -> list[tuple[Fraction, ...]]:
-    """The odd rows k = 1, 3, ... of the K table, every cell a ``Fraction``.
+def _odd_rows(K: int) -> Iterator[tuple[Fraction, ...]]:
+    """The odd rows k = 1, 3, ... of the K table, in order, every cell a ``Fraction``.
 
-    Row k is a tuple over K+ = 0..K.  A column K+ <= K/2 holds
-    P = S / C(K, k) from :func:`_odd_counts` below its determinism
-    threshold 2 K+ + 1, and ``_CERTAIN[0]`` (P = 0) from there on.  A column
-    K+ > K/2 is the swap of column K - K+: an odd tranche never ties, so
-    P(K+, K-) = 1 - P(K-, K+), which is (C - S) / C below the threshold and
-    ``_CERTAIN[1]`` (P = 1) from there on.  Both cells of a count are
-    reduced once, by g = gcd(S, C), which is gcd(C - S, C) too, and built
-    in lowest terms by :func:`_reduced`.  The certain cells, about half the
-    table, are padded in, never visited one by one.
+    Row k = 2h - 1 is a tuple over K+ = 0..K: the CDF of the tranche
+    median's slot (see the module docstring), P = S / C(K, k) with
+    S = w_h + ... + w_K+.  Cells K+ < h are ``_CERTAIN[0]``.  The sums run
+    from w_h = C(K - h, h - 1) up to K+ = K/2, stepped by the exact division
+    w_{i+1} = w_i i (K - i - h + 1) / ((i - h + 1)(K - i)).  A cell above
+    K/2 is the charge swap (C - S) / C of cell K - K+, so cells K+ > K - h
+    are ``_CERTAIN[1]``.  Both cells of a sum are reduced once, by
+    g = gcd(S, C), which is gcd(C - S, C) too, and built in lowest terms by
+    :func:`_reduced`.  The live state is one row.
     """
-    n_odd = (K + 1) // 2
     zero, one = _CERTAIN
-    low, high = [], []
-    for i in range(K // 2 + 1):
-        cells, swaps = [], []
-        for s, c in _odd_counts(i, K - i):
-            g = gcd(s, c)
-            num, den = s // g, c // g
+    half = K // 2
+    for h in range(1, (K + 3) // 2):
+        subsets = comb(K, 2 * h - 1)
+        weight, count = comb(K - h, h - 1), 0  # w_h and S at K+ = h - 1
+        cells, swaps = [zero] * h, [one] * h
+        for i in range(h, half + 1):
+            count += weight
+            g = gcd(count, subsets)
+            num, den = count // g, subsets // g
             cells.append(_reduced(num, den))
             swaps.append(_reduced(den - num, den))
-        low.append(cells + [zero] * (n_odd - len(cells)))
-        high.append(swaps + [one] * (n_odd - len(swaps)))
-    return list(zip(*low, *reversed(high[:n_odd])))
+            weight = weight * i * (K - i - h + 1) // ((i - h + 1) * (K - i))
+        # Cells K+ = 0..K/2, then the swaps of cells K - K+ < K - K/2.
+        yield (*cells, *reversed(swaps[: K - half]))
 
 
 def probability_table(
@@ -393,9 +359,9 @@ def probability_table(
 
     Rows run over tranche sizes k = 1..K, columns over states K+ = 0..K
     (equivalently over increasing energy label K+/K-).  The odd rows come
-    from :func:`_odd_rows`, which computes each column only below its
-    determinism threshold 2 min(K+, K-) + 1 and shares ``_CERTAIN`` from
-    there on.  Row k + 1 of an odd k shares row k's entries, the pairwise
+    from :func:`_odd_rows`, which computes each row only inside its
+    determinism threshold 2 min(K+, K-) + 1 and shares ``_CERTAIN`` outside
+    it.  Row k + 1 of an odd k shares row k's entries, the pairwise
     equality P(k + 1) = P(k).
     """
     states = _states(K, ceiling)

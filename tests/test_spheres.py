@@ -2,11 +2,12 @@
 
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
 
+from deltamachine import spheres
 from deltamachine.spheres import (
     _CERTAIN,
     ElectricState,
@@ -278,7 +279,7 @@ class TestProbabilityTable:
 
 
 class TestTableRecurrence:
-    """The column recurrence against the closed form and the enumeration."""
+    """The table builder against the closed form and the enumeration."""
 
     def test_matches_closed_form(self):
         for K in range(1, 41):
@@ -308,14 +309,65 @@ class TestTableRecurrence:
                 assert all(probs[i] == 1 - probs[K - i] for i in range(K + 1))
         for k_plus in (0, 1, 2, 37, 100, 128, 129, 200, 255, 256):
             state = ElectricState(k_plus, K - k_plus)
-            # The recurrence stops below the determinism threshold: check the
-            # last computed odd row and the first filled one as well.
+            # A row's fractional cells end at the determinism threshold: check
+            # the last odd row with a fractional cell and the first certain one.
             threshold = determinism_threshold(state)
             edges = [k for k in (threshold - 2, threshold) if 1 <= k <= K]
             for k in [*range(1, K + 1, 17), *edges]:
                 assert table.value(k, k_plus) == transmission_probability_exact(
                     state, KMeasurement(k)
                 )
+
+
+class TestMedianRankLaw:
+    """Row k = 2h - 1 is the CDF of the first tranche's median slot."""
+
+    def test_row_steps_are_the_median_slot_weights(self):
+        for K in range(1, 41):
+            table = probability_table(K)
+            for k in range(1, K + 1, 2):
+                h = (k + 1) // 2
+                probs = table.row(k).probabilities()
+                weights = [comb(i - 1, h - 1) * comb(K - i, h - 1) for i in range(1, K + 1)]
+                assert sum(weights) == comb(K, k)
+                for i, w in enumerate(weights, start=1):
+                    assert probs[i] - probs[i - 1] == Fraction(w, comb(K, k))
+
+    @pytest.mark.parametrize("K", [63, 64, 65, 127, 128, 129])
+    def test_cells_at_the_swap_and_threshold_edges(self, K):
+        table = probability_table(K, ceiling=K)
+        for k in range(1, K + 1, 2):
+            h = (k + 1) // 2
+            meas = KMeasurement(k)
+            row = table.row(k).entries
+            edges = {h - 1, h, K // 2, K // 2 + 1, K - h + 1, K - h + 2}
+            for k_plus in sorted(edges & set(range(K + 1))):
+                state, p = row[k_plus]
+                assert p == transmission_probability_exact(state, meas)
+                assert gcd(p.numerator, p.denominator) == 1
+
+
+class TestIndependentCrossChecks:
+    """The table builder and the closed form never call each other."""
+
+    def test_tables_build_without_the_closed_form(self, monkeypatch):
+        expected = [probability_table(K) for K in range(1, 13)]
+
+        def closed_form(*args):
+            raise AssertionError("the table builder called the closed form")
+
+        monkeypatch.setattr(spheres, "transmission_probability_exact", closed_form)
+        assert [probability_table(K) for K in range(1, 13)] == expected
+
+    def test_closed_form_answers_without_the_table_builder(self, monkeypatch):
+        def odd_rows(K):
+            raise AssertionError("the closed form called the table builder")
+
+        monkeypatch.setattr(spheres, "_odd_rows", odd_rows)
+        for K in range(1, 9):
+            for kp in range(K + 1):
+                for k in range(1, K + 1):
+                    assert p_tr(kp, K - kp, k) == enumerated_transmission(kp, K - kp, k)
 
 
 class TestTableSharing:
