@@ -8,11 +8,11 @@ fresh one is drawn and reported.  The text report of an ensemble command
 (``simulate``, ``epsilon``, ``convergence``) is a title over its CSV grid,
 and that grid's columns are its JSON payload, flattened.
 
-Environment overrides (these two only): ``DELTAMACHINE_OUTPUT`` for the
-default output path, ``DELTAMACHINE_TABLE_CEILING`` for the largest K the
-table builders accept.  argparse resolves every option, flag over
-environment variable over default, and converts it, so a malformed value is
-a usage error before any command runs.
+The command line reads no shell variable: argv alone decides every
+report (a ``--seed`` left out is still drawn, and reported).  argparse
+resolves and converts every option, so a malformed value is a usage error
+before any command runs.  ``simulate`` and ``convergence`` take a cluster of
+at most :data:`MAX_CLUSTER_SIZE` spheres.
 
 The simulation commands (``simulate``, ``epsilon``, ``convergence``) import
 their numpy-backed modules when they run, so the other commands start
@@ -58,9 +58,6 @@ from .spheres import (
     transmission_probability_exact,
 )
 
-ENV_OUTPUT = "DELTAMACHINE_OUTPUT"
-ENV_CEILING = "DELTAMACHINE_TABLE_CEILING"
-
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GOLDEN_MISMATCH = 3
@@ -70,15 +67,6 @@ DEFAULT_SCHEDULE = (100, 1000, 10_000, 100_000)
 
 class GoldenMismatch(Exception):
     pass
-
-
-def _parse_ceiling(spec: str) -> int:
-    try:
-        return int(spec)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--ceiling and {ENV_CEILING} take an integer, got {spec!r}"
-        ) from None
 
 
 def _parse_z(spec: str) -> float:
@@ -202,11 +190,18 @@ def _tables_text(payload: dict[str, Any]) -> str:
 # -- simulate ----------------------------------------------------------------
 
 
+#: The largest cluster K+ + K- that ``simulate`` and ``convergence`` accept.
+#: A trial holds up to K bytes, and the slot labels 0..K-1 fit ``int16``.
+MAX_CLUSTER_SIZE = 2**15
+
+
 def _cell_payload(
     args: argparse.Namespace, command: str
 ) -> tuple[ElectricState, KMeasurement, dict[str, Any]]:
     """The cell of ``--kp/--km/--k`` and the payload head with its exact value."""
     state = ElectricState(args.kp, args.km)
+    if state.total > MAX_CLUSTER_SIZE:
+        raise ValueError(f"K+ + K- is at most {MAX_CLUSTER_SIZE}, got {state.total}")
     meas = KMeasurement(args.k)
     expected = transmission_probability_exact(state, meas)
     payload = {
@@ -414,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     # Options shared by several commands, declared once as parent parsers.
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format (default: text)")
-    output.add_argument("--output", default=os.environ.get(ENV_OUTPUT), help=f"write output to this path (default: ${ENV_OUTPUT} or stdout)")
+    output.add_argument("--output", help="write output to this path (default: stdout)")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--K", type=int, required=True, help="cluster size")
-    table.add_argument("--ceiling", type=_parse_ceiling, default=os.environ.get(ENV_CEILING, DEFAULT_TABLE_CEILING), help=f"table size ceiling (default: ${ENV_CEILING} or {DEFAULT_TABLE_CEILING})")
+    table.add_argument("--ceiling", type=int, default=DEFAULT_TABLE_CEILING, help=f"table size ceiling (default: {DEFAULT_TABLE_CEILING})")
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("--kp", type=int, required=True, help="positive-sphere count")
     cell.add_argument("--km", type=int, required=True, help="negative-sphere count")

@@ -13,9 +13,10 @@ counter-indexed stream (see :mod:`deltamachine.rng`):
 
 * draws ``0 .. K-2`` define the queue: a Fisher-Yates shuffle in which draw
   ``K-1-j`` picks the partner of position ``j``, taken modulo ``j + 1``
-  (relative bias per step (j+1)/2**64 <= K/2**64, below 2**-57 for
-  K <= 128).  Only the tranche's charge sum matters, so the
-  kernel runs the steps ``j = K-1 .. k`` and consumes draws ``0 .. K-1-k``;
+  (relative bias per step (j+1)/2**64 <= K/2**64, at most 2**-49 for
+  K <= 2**15, the CLI's ``MAX_CLUSTER_SIZE``).  Only the tranche's charge
+  sum matters, so the kernel runs the steps ``j = K-1 .. k`` and consumes
+  draws ``0 .. K-1-k``;
 * draw ``K-1`` resolves an exactly balanced first tranche by fair coin
   (low bit set = tilt right).  Only the tied trials draw it.  Balance is
   impossible for odd ``k`` and the code asserts that instead of handling it.

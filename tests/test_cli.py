@@ -154,24 +154,8 @@ class TestTables:
                 for k_plus, cell in enumerate(row["cells"]):
                     assert cells[(row["k"], k_plus)] == Fraction(cell["num"], cell["den"])
 
-    def test_ceiling_flag_and_env(self, capsys, monkeypatch):
+    def test_ceiling_flag_sets_the_largest_size(self, capsys):
         assert run_cli(capsys, "tables", "--K", "65", "--ceiling", "70")[0] == 0
-        monkeypatch.setenv(cli.ENV_CEILING, "70")
-        assert run_cli(capsys, "tables", "--K", "65")[0] == 0
-        monkeypatch.setenv(cli.ENV_CEILING, "10")
-        assert run_cli(capsys, "tables", "--K", "11")[0] == 2
-        monkeypatch.setenv(cli.ENV_CEILING, "not-a-number")
-        assert run_cli(capsys, "tables", "--K", "3")[0] == 2
-
-    @pytest.mark.parametrize("command", ["tables", "classify"])
-    def test_bad_env_ceiling_names_the_variable(self, capsys, monkeypatch, command):
-        monkeypatch.setenv(cli.ENV_CEILING, "7.5")
-        code, out, err = run_cli(capsys, command, "--K", "3")
-        assert code == 2 and out == ""
-        assert cli.ENV_CEILING in err and "--ceiling" in err
-
-    def test_ceiling_flag_wins_over_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.ENV_CEILING, "not-a-number")
         code, out, _ = run_cli(capsys, "tables", "--K", "5", "--ceiling", "5")
         assert code == 0 and "K = 5" in out
         assert run_cli(capsys, "tables", "--K", "6", "--ceiling", "5")[0] == 2
@@ -295,6 +279,22 @@ class TestDigitLimit:
         assert sys.get_int_max_str_digits() == before
         assert run_cli(capsys, "simulate", *self.CELL, "--n", "1")[0] == 0
         assert sys.get_int_max_str_digits() == before
+
+
+class TestClusterLimit:
+    def test_limit_covers_the_tests_and_fits_int16_labels(self):
+        # TestDigitLimit's cell has K = 3200; at K <= 2**15 the slot labels
+        # 0..K-1 fit int16 and the shuffle's modulo bias is at most 2**-49.
+        assert 3200 <= cli.MAX_CLUSTER_SIZE <= 2**15
+
+    @pytest.mark.parametrize("command,extra", [("simulate", ("--n", "10")), ("convergence", ("--schedule", "10"))])
+    def test_cluster_above_the_limit_is_usage_error(self, capsys, monkeypatch, command, extra):
+        monkeypatch.setattr(cli, "MAX_CLUSTER_SIZE", 8)
+        cell = ("--k", "3", "--seed", "1", *extra)
+        assert run_cli(capsys, command, "--kp", "4", "--km", "4", *cell)[0] == 0
+        code, out, err = run_cli(capsys, command, "--kp", "4", "--km", "5", *cell)
+        assert code == 2 and out == ""
+        assert err == "error: K+ + K- is at most 8, got 9\n"
 
 
 class TestScatter:
@@ -728,31 +728,11 @@ class TestOutputDestinations:
         assert code == 0 and out == ""
         assert_exact_table(json.loads(target.read_text()), probability_table(3))
 
-    def test_env_output_used_as_default(self, capsys, tmp_path, monkeypatch):
-        target = tmp_path / "out.txt"
-        monkeypatch.setenv(cli.ENV_OUTPUT, str(target))
-        code, out, _ = run_cli(capsys, "tables", "--K", "2")
-        assert code == 0 and out == ""
-        assert "K = 2" in target.read_text()
-
-    def test_output_flag_wins_over_env(self, capsys, tmp_path, monkeypatch):
-        flag, env = tmp_path / "flag.txt", tmp_path / "env.txt"
-        monkeypatch.setenv(cli.ENV_OUTPUT, str(env))
-        code, out, _ = run_cli(capsys, "tables", "--K", "2", "--output", str(flag))
-        assert code == 0 and out == ""
-        assert "K = 2" in flag.read_text() and not env.exists()
-
     def test_unwritable_output_flag_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.txt"
         code, out, err = run_cli(capsys, "tables", "--K", "3", "--output", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
-
-    def test_unwritable_env_output_is_usage_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_OUTPUT, str(tmp_path / "missing" / "x.txt"))
-        code, out, err = run_cli(capsys, "tables", "--K", "3", "--format", "csv")
-        assert code == 2 and out == ""
-        assert err.startswith("error:")
 
 
 class TestModuleSeams:
@@ -786,8 +766,11 @@ class TestModuleSeams:
         assert written == outputs
 
 
-def test_module_entry_point_runs():
-    env = dict(os.environ, PYTHONPATH=SRC)
+def test_module_entry_point_runs(tmp_path):
+    # The names of two removed environment overrides, set to values that
+    # would change the report if the entry point read them.
+    hostile = {"DELTAMACHINE_OUTPUT": str(tmp_path / "out.txt"), "DELTAMACHINE_TABLE_CEILING": "1"}
+    env = dict(os.environ, PYTHONPATH=SRC, **hostile)
     proc = subprocess.run(
         [sys.executable, "-m", "deltamachine", "tables", "--K", "3", "--golden"],
         capture_output=True,

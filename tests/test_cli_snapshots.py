@@ -80,9 +80,11 @@ def test_fixture_covers_every_case(snapshots):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_output_matches_snapshot(snapshots, case, monkeypatch):
-    monkeypatch.delenv(cli.ENV_OUTPUT, raising=False)
-    monkeypatch.delenv(cli.ENV_CEILING, raising=False)
+def test_output_matches_snapshot(snapshots, case, monkeypatch, tmp_path):
+    # The CLI reads no environment: the names of two removed overrides, set
+    # to a writable output file and a ceiling of 1, change no byte.
+    monkeypatch.setenv("DELTAMACHINE_OUTPUT", str(tmp_path / "out.txt"))
+    monkeypatch.setenv("DELTAMACHINE_TABLE_CEILING", "1")
     result = run(case)
     assert result == snapshots[case]
     if case.endswith("--format json") and result["exit"] == 0:
