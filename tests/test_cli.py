@@ -154,8 +154,17 @@ class TestTables:
                 for k_plus, cell in enumerate(row["cells"]):
                     assert cells[(row["k"], k_plus)] == Fraction(cell["num"], cell["den"])
 
-    def test_ceiling_flag_sets_the_largest_size(self, capsys):
+    def test_ceiling_flag_and_env(self, capsys, monkeypatch):
+        # Only the flag sets the ceiling: the name of the removed environment
+        # override changes nothing, in either direction.
         assert run_cli(capsys, "tables", "--K", "65", "--ceiling", "70")[0] == 0
+        monkeypatch.setenv("DELTAMACHINE_TABLE_CEILING", "70")
+        assert run_cli(capsys, "tables", "--K", "65")[0] == 2
+        monkeypatch.setenv("DELTAMACHINE_TABLE_CEILING", "1")
+        assert run_cli(capsys, "tables", "--K", "3")[0] == 0
+
+    def test_ceiling_flag_wins_over_bad_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("DELTAMACHINE_TABLE_CEILING", "not-a-number")
         code, out, _ = run_cli(capsys, "tables", "--K", "5", "--ceiling", "5")
         assert code == 0 and "K = 5" in out
         assert run_cli(capsys, "tables", "--K", "6", "--ceiling", "5")[0] == 2
