@@ -464,7 +464,7 @@ _RENDERERS = {
     "epsilon": _titled_csv("elastic-band measurement", serialize.ensemble_csv_rows),
     "classify": _formats(_classify_text, serialize.classify_csv_rows),
     "convergence": _titled_csv(
-        "frequency convergence, sphere-machine ensemble", serialize.convergence_csv_rows
+        "frequency convergence, sphere-machine ensemble", serialize.ensemble_csv_rows
     ),
 }
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import rng
 from .ensemble import EnsembleResult, run_counted
-from .spheres import as_real
+from .spheres import as_real, as_real_array
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ class ElasticExperiment:
         Each vector is first divided by its largest absolute component, so
         the norms neither overflow nor underflow.
         """
-        v = np.asarray(state, dtype=np.float64)
-        u = np.asarray(axis, dtype=np.float64)
+        v, u = as_real_array(state, "state"), as_real_array(axis, "axis")
         if v.shape != (3,) or u.shape != (3,):
             raise ValueError("state and axis must be 3-vectors")
         if not (np.isfinite(v).all() and np.isfinite(u).all()):

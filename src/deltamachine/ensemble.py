@@ -6,8 +6,9 @@ trial ``i`` of an ensemble owns the counter-indexed child stream
 order and chunking, and any single trial can be replayed in isolation.
 Trial ``i`` of a sphere-machine ensemble is
 ``machine.run_trial(state, meas, substream_seed(master_seed, i))``.
-An ensemble returns counts only; the report (:mod:`deltamachine.serialize`)
-adds any interval around its frequency.
+An ensemble returns only what its run decided: the trial count, the
+transmitted count and the seed.  Its frequency and generator are derived from
+them, and the report (:mod:`deltamachine.serialize`) adds any interval.
 """
 
 from __future__ import annotations
@@ -35,15 +36,23 @@ TRIAL_BYTES = 32
 class EnsembleResult:
     """Count of a seeded ensemble of yes/no trials.
 
-    ``frequency`` is the exact ratio ``transmitted / n_trials``.  ``seed``
-    and ``generator`` pin down the exact bit stream for reproducibility.
+    Only the counts and ``seed`` are fields; ``frequency`` and ``generator``
+    are derived, and ``seed`` with ``generator`` pins down the bit stream.
     """
 
     n_trials: int
     transmitted: int
-    frequency: Fraction
     seed: int
-    generator: str = rng.GENERATOR_NAME
+
+    @property
+    def frequency(self) -> Fraction:
+        """The exact ratio ``transmitted / n_trials``."""
+        return Fraction(self.transmitted, self.n_trials)
+
+    @property
+    def generator(self) -> str:
+        """The name of the stream, :data:`rng.GENERATOR_NAME`."""
+        return rng.GENERATOR_NAME
 
 
 def run_counted(
@@ -81,9 +90,4 @@ def run_counted(
             m = min(chunk, n_trials - start)
             trial_seeds = rng.substream_seeds(seed, start, m)
             count += int(np.count_nonzero(success_mask(trial_seeds)))
-    return EnsembleResult(
-        n_trials=n_trials,
-        transmitted=count,
-        frequency=Fraction(count, n_trials),
-        seed=seed,
-    )
+    return EnsembleResult(n_trials=n_trials, transmitted=count, seed=seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .spheres import as_int
+from .spheres import as_int, as_real
 
 #: Default level ``z`` of the interval.
 DEFAULT_Z = 3.0
@@ -23,11 +23,13 @@ def wilson_interval(transmitted: int, n_trials: int, z: float) -> tuple[float, f
     The bounds are ``(x + z²/2 ± z·sqrt(x(n−x)/n + z²/4)) / (n + z²)`` for
     ``x`` of ``n`` trials, scaled by ``1/z²`` where ``z² > n``.  Every finite
     ``z >= 0`` gives finite bounds with ``0 <= lower <= x/n <= upper <= 1``
-    (``[x/n, x/n]`` at ``z`` = 0); any other ``z`` raises ``ValueError``.
-    Both counts are integers (a ``bool``, float or ``str`` raises
-    ``TypeError``) with ``n >= 1`` and ``0 <= x <= n``, else ``ValueError``.
+    (``[x/n, x/n]`` at ``z`` = 0); any other real ``z`` raises ``ValueError``,
+    and a ``bool``, ``str`` or ``bytes`` one ``TypeError``.  Both counts are
+    integers (a ``bool``, float or ``str`` raises ``TypeError``) with
+    ``n >= 1`` and ``0 <= x <= n``, else ``ValueError``.
     """
     x, n = as_int(transmitted, "transmitted"), as_int(n_trials, "n_trials")
+    z = as_real(z, "z")
     if n < 1:
         raise ValueError(f"n_trials must be at least 1, got {n}")
     if not 0 <= x <= n:

@@ -29,7 +29,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .spheres import as_real, value_type
+from .spheres import as_real, as_real_array, value_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -133,18 +133,6 @@ def reflection_probability(
     return 1.0 / (1.0 + k2)
 
 
-def _real_array(values: object, what: str) -> np.ndarray:
-    """``values`` as float64; str, bytes, bool or complex entries raise ``TypeError``."""
-    import numpy as np
-
-    a = np.asarray(values)
-    if a.dtype.kind == "O":  # each entry passes the scalar entries' check
-        return np.array([as_real(v, what) for v in a.flat]).reshape(a.shape)
-    if a.dtype.kind in "USbc":
-        raise TypeError(f"{what} must be real numbers, not {a.dtype}")
-    return a.astype(np.float64, copy=False)
-
-
 def transmission_curve(
     energies: np.ndarray, config: ScatteringConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
@@ -154,7 +142,7 @@ def transmission_curve(
     bit for bit: both evaluate the same IEEE operations.  The one energy
     rule is checked at the extremes, with the scalar functions' errors.
     """
-    e = _real_array(energies, "energies") + 0.0  # -0.0 becomes 0.0
+    e = as_real_array(energies, "energies") + 0.0  # -0.0 becomes 0.0
     if e.size:
         # NaN reaches both, +-inf and negatives one, and kappa^2 grows with E
         _kappa_squared(e.min(), config)
@@ -205,8 +193,8 @@ class WavePacket:
     def __init__(self, energies, weights) -> None:
         import numpy as np
 
-        e = _real_array(energies, "energies")
-        w = _real_array(weights, "weights")
+        e = as_real_array(energies, "energies")
+        w = as_real_array(weights, "weights")
         if e.ndim != 1 or w.ndim != 1 or e.size != w.size or e.size == 0:
             raise ValueError("energies and weights must be equal-length 1-D arrays")
         if not np.all(np.isfinite(e)) or not np.all(np.isfinite(w)):

@@ -5,10 +5,11 @@ Every exact value is carried as integers: a rational as a ``{"num", "den"}``
 pair plus an advisory ``decimal`` field, a sphere state as its
 ``(k_plus, k_minus)`` counts.  Every command's CSV header and rows are built
 here from its JSON payload (the ``*_csv_rows`` functions), so the two formats
-always carry identical values.  An ensemble command's CSV row is its payload
-flattened by :func:`_record`, and its text report is that CSV grid.  Every
-ensemble payload carries the Wilson interval as ``lower`` and ``upper``,
-computed once, in :func:`ensemble_payload`.
+always carry identical values.  One rule, :func:`ensemble_csv_rows`, writes the
+rows of every ensemble command: its payload flattened by :func:`_record`, once
+per ``series`` entry of ``convergence``, and its text report is that CSV grid.
+Every ensemble payload carries the Wilson interval as ``lower`` and ``upper``,
+computed once, in :func:`ensemble_payload`, from the result's counts and seed.
 
 A ``scatter`` payload holds each point as its CSV row;
 :func:`scatter_point_payload` is the JSON object of one row.
@@ -75,7 +76,8 @@ def table_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]
 def ensemble_payload(result: EnsembleResult, z: float, **extra: Any) -> dict[str, Any]:
     """The ensemble's counts and stream, with the Wilson interval at level ``z``.
 
-    The ``extra`` fields go between the interval and ``z``.
+    The ``extra`` fields go between the interval and ``z``, which is recorded
+    as the ``float`` that :func:`wilson_interval` took it as.
     """
     lower, upper = wilson_interval(result.transmitted, result.n_trials, z)
     return {
@@ -85,7 +87,7 @@ def ensemble_payload(result: EnsembleResult, z: float, **extra: Any) -> dict[str
         "lower": lower,
         "upper": upper,
         **extra,
-        "z": z,
+        "z": float(z),
         "seed": result.seed,
         "generator": result.generator,
     }
@@ -111,15 +113,9 @@ def _record(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 def ensemble_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    """The one row of ``simulate`` or ``epsilon``: the payload, flattened."""
-    record = _record(payload)
-    return list(record), [list(record.values())]
-
-
-def convergence_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    """One row per series entry: the cell's columns, then the entry's."""
+    """The payload flattened by :func:`_record`: one row per ``series`` entry, else one."""
     cell = _record(payload)
-    records = [{**cell, **_record(entry)} for entry in payload["series"]]
+    records = [{**cell, **_record(entry)} for entry in payload.get("series", [{}])]
     return list(records[0]), [list(record.values()) for record in records]
 
 

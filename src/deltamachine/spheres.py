@@ -46,6 +46,10 @@ import operator
 from collections.abc import Iterator
 from fractions import Fraction
 from math import comb, gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Exact probability values are reduced rationals in [0, 1]: ``Fraction``s in
 #: lowest terms with a positive denominator.  The table builder reduces each
@@ -81,6 +85,23 @@ def as_real(value: object, what: str) -> float:
     if is_bool(value) or isinstance(value, (str, bytes, bytearray)):
         raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
     return float(value)
+
+
+def as_real_array(values: object, what: str) -> np.ndarray:
+    """``values`` as float64; str, bytes, bool or complex entries raise ``TypeError``.
+
+    An ``ndarray`` is checked by its dtype, any other input (a list, say)
+    and an object array entry by entry, before numpy converts a bool.
+    """
+    import numpy as np
+
+    a = np.asarray(values)
+    if a.dtype.kind in "USbc":
+        raise TypeError(f"{what} must be real numbers, not {a.dtype}")
+    if a.dtype.kind == "O" or not isinstance(values, np.ndarray):
+        entries = np.asarray(values, dtype=object).flat
+        return np.array([as_real(v, what) for v in entries], np.float64).reshape(a.shape)
+    return a.astype(np.float64, copy=False)
 
 
 class FrozenInstanceError(AttributeError):

@@ -116,6 +116,19 @@ class TestElasticExperiment:
         with pytest.raises(ValueError, match="finite"):
             ElasticExperiment.from_vectors([0.0, 0.0, 1.0], state, 0.5)
 
+    @pytest.mark.parametrize(
+        "vector", [[1, 0, True], [1.0, 0.0, np.True_], np.array([1, 0, 1], dtype=bool)]
+    )
+    def test_from_vectors_rejects_bool_components(self, vector):
+        with pytest.raises(TypeError, match="state must be"):
+            ElasticExperiment.from_vectors(vector, [0.0, 0.0, 1.0], 0.5)
+        with pytest.raises(TypeError, match="axis must be"):
+            ElasticExperiment.from_vectors([0.0, 0.0, 1.0], vector, 0.5)
+
+    def test_from_vectors_rejects_strings(self):
+        with pytest.raises(TypeError, match="state must be real numbers"):
+            ElasticExperiment.from_vectors(["1", "0", "0"], [0.0, 0.0, 1.0], 0.5)
+
     def test_from_vectors_huge_components_do_not_overflow(self):
         exp = ElasticExperiment.from_vectors([1e308, 0.0, 1e308], [0.0, 0.0, 1.0], 0.5)
         assert exp.cos_theta == 0.7071067811865475

@@ -8,6 +8,7 @@ largest finite doubles, where z² underflows or overflows.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltamachine.interval import wilson_interval
@@ -78,6 +79,19 @@ def test_bounds_solve_the_score_equation(x, n):
 def test_rejects_a_level_outside_the_finite_nonnegative_reals(z):
     with pytest.raises(ValueError, match="z must be"):
         wilson_interval(1, 2, z)
+
+
+@pytest.mark.parametrize("z", [True, np.True_, "3", b"3"], ids=["bool", "np-bool", "str", "bytes"])
+def test_rejects_a_level_that_is_not_a_real_number(z):
+    with pytest.raises(TypeError, match="z must be a real number"):
+        wilson_interval(5, 10, z)
+
+
+@pytest.mark.parametrize("z", [3, np.float64(3.0), np.float32(3.0)], ids=["int", "f64", "f32"])
+def test_any_real_level_gives_python_float_bounds(z):
+    bounds = wilson_interval(5, 10, z)
+    assert bounds == wilson_interval(5, 10, 3.0)
+    assert [type(bound) for bound in bounds] == [float, float]
 
 
 @pytest.mark.parametrize(

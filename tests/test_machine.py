@@ -2,7 +2,7 @@
 
 import inspect
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -116,13 +116,28 @@ class TestRunEnsemble:
 
     def test_result_fields(self):
         r = run_ensemble(ElectricState(2, 1), KMeasurement(1), 1000, 9)
-        assert [f.name for f in fields(r)] == [
-            "n_trials", "transmitted", "frequency", "seed", "generator"
-        ]
+        assert [f.name for f in fields(r)] == ["n_trials", "transmitted", "seed"]
         assert r.n_trials == 1000
         assert r.frequency == Fraction(r.transmitted, 1000)
         assert r.generator == rng.GENERATOR_NAME
         assert r.seed == 9
+
+    def test_frequency_and_generator_follow_the_fields(self):
+        r = run_ensemble(ElectricState(2, 1), KMeasurement(1), 1000, 9)
+        changed = replace(r, transmitted=r.transmitted + 1)
+        assert changed.frequency == Fraction(r.transmitted + 1, 1000)
+        assert changed.generator == rng.GENERATOR_NAME
+        assert replace(r, n_trials=3000).frequency == Fraction(r.transmitted, 3000)
+
+    @pytest.mark.parametrize(
+        "name, value", [("frequency", Fraction(1, 2)), ("generator", rng.GENERATOR_NAME)]
+    )
+    def test_derived_values_are_not_fields(self, name, value):
+        with pytest.raises(TypeError):
+            ensemble_mod.EnsembleResult(n_trials=10, transmitted=5, seed=1, **{name: value})
+        r = ensemble_mod.EnsembleResult(n_trials=10, transmitted=5, seed=1)
+        with pytest.raises(AttributeError):
+            setattr(r, name, value)
 
     @pytest.mark.parametrize(
         "function",

@@ -58,6 +58,12 @@ class TestAmplitudes:
         with pytest.raises(TypeError, match="energies must be a real number"):
             transmission_curve(np.array(entries, dtype=object))
 
+    @pytest.mark.parametrize("entries", [[1, True], [1.0, np.True_], (0.5, True)])
+    def test_curve_rejects_bools_that_numpy_would_convert(self, entries):
+        # np.asarray turns these into int64 or float64; each entry is checked first.
+        with pytest.raises(TypeError, match="energies must be a real number, not bool"):
+            transmission_curve(entries)
+
     def test_curve_takes_object_arrays_of_reals(self):
         curve = transmission_curve(np.array([4.0, 1], dtype=object))
         assert curve.dtype == np.float64 and curve.tolist() == [0.8, 0.5]
@@ -236,6 +242,19 @@ class TestWavePacket:
             WavePacket(entries, [1.0, 1.0])
         with pytest.raises(TypeError, match="weights must be a real number"):
             WavePacket([0.0, 1.0], entries)
+
+    @pytest.mark.parametrize("entries", [[1, True], [1.0, np.True_]])
+    def test_rejects_bools_that_numpy_would_convert(self, entries):
+        with pytest.raises(TypeError, match="energies must be a real number, not bool"):
+            WavePacket(entries, [1.0, 1.0])
+        with pytest.raises(TypeError, match="weights must be a real number, not bool"):
+            WavePacket([0.0, 1.0], entries)
+
+    def test_lists_of_ints_equal_floats(self):
+        assert transmission_curve([4, 1]).tolist() == [0.8, 0.5]
+        packet = WavePacket([0, 2], [1, 0])
+        assert packet.energies.dtype == packet.weights.dtype == np.float64
+        assert packet.energies.tolist() == [0.0, 2.0]
 
     def test_object_arrays_of_reals_equal_floats(self):
         packet = WavePacket(np.array([0, 2.0], dtype=object), np.array([1, 0.0], dtype=object))

@@ -10,6 +10,7 @@ import json
 from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltamachine import serialize
@@ -98,9 +99,24 @@ def test_ensemble_payload_is_exact():
     assert (lower, upper) == wilson_interval(result.transmitted, 1000, 2.5)
     assert 0.0 < lower < frequency["decimal"] < upper < 1.0
     assert payload.pop("z") == 2.5
-    assert set(payload) | {"frequency"} == {field.name for field in fields(result)}
+    # The payload's fields and the derived generator; the frequency is above.
+    assert set(payload) == {field.name for field in fields(result)} | {"generator"}
     for name, value in payload.items():
         assert value == getattr(result, name), name
+
+
+def test_ensemble_payload_rejects_a_bool_level():
+    result = run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 42)
+    with pytest.raises(TypeError, match="z must be a real number"):
+        serialize.ensemble_payload(result, True)
+
+
+@pytest.mark.parametrize("z", [3, np.float32(3.0), np.float64(3.0)])
+def test_ensemble_payload_records_the_level_as_a_float(z):
+    result = run_ensemble(ElectricState(2, 1), KMeasurement(1), 10, 42)
+    payload = serialize.ensemble_payload(result, z)
+    assert json.dumps(payload) == json.dumps(serialize.ensemble_payload(result, 3.0))
+    assert type(payload["z"]) is float
 
 
 def test_ensemble_payload_extra_fields_precede_z():
