@@ -11,8 +11,10 @@ and that grid's columns are its JSON payload, flattened.
 The command line reads no shell variable: argv alone decides every
 report (a ``--seed`` left out is still drawn, and reported).  argparse
 resolves and converts every option, so a malformed value is a usage error
-before any command runs.  ``simulate`` and ``convergence`` take a cluster of
-at most :data:`MAX_CLUSTER_SIZE` spheres.
+before any command runs.  Every size has a constant bound: ``tables`` and
+``classify`` take K of at most :data:`MAX_TABLE_SIZE`, ``simulate`` and
+``convergence`` a cluster of at most :data:`MAX_CLUSTER_SIZE` spheres, and
+``--grid`` at most :data:`MAX_GRID_POINTS` points.
 
 The simulation commands (``simulate``, ``epsilon``, ``convergence``) import
 their numpy-backed modules when they run, so the other commands start
@@ -24,8 +26,7 @@ writes every format from per-row templates: the JSON is the bytes of
 ``json.dumps(indent=2)`` (``%r`` writes a finite float as ``json`` does, and
 every value is finite), the CSV the bytes of ``csv.writer``, and the text a
 ``%``-format per column, right-aligned by the same grid writer as every other
-text grid.  ``--grid`` takes at most :data:`MAX_GRID_POINTS` points, and its
-last point is HI itself.
+text grid.  The last point of ``--grid`` is HI itself.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .scattering import (  # noqa: F401
     transmission_probability,
 )
 from .spheres import (
-    DEFAULT_TABLE_CEILING,
     ElectricState,
     KMeasurement,
     probability_table,
@@ -77,6 +77,18 @@ def _parse_z(spec: str) -> float:
     if not (math.isfinite(z) and z >= 0.0):
         raise argparse.ArgumentTypeError(f"expected a nonnegative finite real, got {spec!r}")
     return z + 0.0  # -0 reads as 0, so no report carries a minus sign
+
+
+def _positive_int(spec: str) -> int:
+    """``int(spec)``, refused below 1 before any command runs."""
+    value = int(spec)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {spec!r}")
+    return value
+
+
+# argparse names the type when ``int`` refuses the text: "invalid int value".
+_positive_int.__name__ = "int"
 
 
 # -- rendering ---------------------------------------------------------------
@@ -140,6 +152,10 @@ def _fraction_text(payload: dict[str, Any]) -> str:
 
 # -- tables ------------------------------------------------------------------
 
+#: The largest K that ``tables`` and ``classify`` accept.  A K = 256 table
+#: peaks near 80 MiB and K = 512 near 290 MiB.
+MAX_TABLE_SIZE = 256
+
 
 def _check_golden(table) -> None:
     mismatches = [
@@ -157,7 +173,7 @@ def _cmd_tables(args: argparse.Namespace) -> dict[str, Any]:
         raise ValueError(
             f"--golden is available for K in {GOLDEN_SIZES}, got K={args.K}"
         )
-    table = probability_table(args.K, ceiling=args.ceiling)
+    table = probability_table(args.K, ceiling=MAX_TABLE_SIZE)
     payload = serialize.table_payload(table)
     if args.golden:
         _check_golden(table)
@@ -348,7 +364,7 @@ def _cmd_epsilon(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
-    verdicts = classify_table(args.K, ceiling=args.ceiling)
+    verdicts = classify_table(args.K, ceiling=MAX_TABLE_SIZE)
     return {"command": "classify", "K": args.K, **serialize.verdicts_payload(verdicts)}
 
 
@@ -370,14 +386,13 @@ def _classify_text(payload: dict[str, Any]) -> str:
 
 def _parse_schedule(spec: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in spec.split(","))
+        return tuple(_positive_int(part) for part in spec.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {spec!r}"
         ) from None
-    if any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError("entries must be positive")
-    return values
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError("entries must be positive") from None
 
 
 def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:
@@ -411,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("text", "json", "csv"), default="text", help="output format (default: text)")
     output.add_argument("--output", help="write output to this path (default: stdout)")
     table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--K", type=int, required=True, help="cluster size")
-    table.add_argument("--ceiling", type=int, default=DEFAULT_TABLE_CEILING, help=f"table size ceiling (default: {DEFAULT_TABLE_CEILING})")
+    table.add_argument("--K", type=int, required=True, help=f"cluster size, 1..{MAX_TABLE_SIZE}")
     cell = argparse.ArgumentParser(add_help=False)
     cell.add_argument("--kp", type=int, required=True, help="positive-sphere count")
     cell.add_argument("--km", type=int, required=True, help="negative-sphere count")
@@ -425,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--golden", action="store_true", help="check against the frozen reference tables (K in 2..7)")
 
     p = sub.add_parser("simulate", parents=[cell, seeded, output], help="seeded sphere-machine ensemble")
-    p.add_argument("--n", type=int, required=True, help="number of trials")
+    p.add_argument("--n", type=_positive_int, required=True, help="number of trials")
 
     p = sub.add_parser("scatter", parents=[output], help="delta-potential amplitudes and probabilities")
     p.add_argument("--E", type=float, action="append", help="energy (repeatable)")
@@ -435,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epsilon", parents=[seeded, output], help="breakable-elastic spin measurement")
     p.add_argument("--theta", type=float, required=True, help="angle in radians, [0, pi]")
     p.add_argument("--eps", type=float, required=True, help="breakable fraction, [0, 1]")
-    p.add_argument("--n", type=int, default=None, help="also simulate this many trials")
+    p.add_argument("--n", type=_positive_int, default=None, help="also simulate this many trials")
 
     sub.add_parser("classify", parents=[table, output], help="regime verdict for every tranche size")
 

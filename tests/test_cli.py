@@ -75,7 +75,7 @@ class TestExitCodes:
         assert run_cli(capsys, "tables")[0] == 2           # missing --K
         assert run_cli(capsys, "nonsense")[0] == 2         # unknown command
         assert run_cli(capsys, "tables", "--K", "0")[0] == 2
-        assert run_cli(capsys, "tables", "--K", "65")[0] == 2
+        assert run_cli(capsys, "tables", "--K", str(cli.MAX_TABLE_SIZE + 1))[0] == 2
         assert run_cli(capsys, "simulate", "--kp", "2", "--km", "1", "--k", "4", "--n", "10")[0] == 2
         assert run_cli(capsys, "simulate", "--kp", "-1", "--km", "1", "--k", "1", "--n", "10")[0] == 2
         assert run_cli(capsys, "simulate", "--kp", "1", "--km", "1", "--k", "1", "--n", "10", "--z", "-1")[0] == 2
@@ -135,10 +135,10 @@ class TestTables:
         assert out.splitlines()[2].split() == ["1", "0", "1"]
 
     def test_csv_and_json_values_identical(self, capsys):
-        # K = 128, past the default ceiling, has cells whose numerator and
-        # denominator share large factors before reduction.
-        for K, argv in ((5, ()), (128, ("--ceiling", "128"))):
-            args = ("tables", "--K", str(K), *argv)
+        # K = 128, past the library's default ceiling, has cells whose
+        # numerator and denominator share large factors before reduction.
+        for K in (5, 128):
+            args = ("tables", "--K", str(K))
             _, json_out, _ = run_cli(capsys, *args, "--format", "json")
             _, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
             payload = parse_json(json_out)
@@ -154,23 +154,26 @@ class TestTables:
                 for k_plus, cell in enumerate(row["cells"]):
                     assert cells[(row["k"], k_plus)] == Fraction(cell["num"], cell["den"])
 
-    def test_ceiling_flag_and_env(self, capsys, monkeypatch):
-        # Only the flag sets the ceiling: the name of the removed environment
-        # override changes nothing, in either direction.
-        assert run_cli(capsys, "tables", "--K", "65", "--ceiling", "70")[0] == 0
-        monkeypatch.setenv("DELTAMACHINE_TABLE_CEILING", "70")
-        assert run_cli(capsys, "tables", "--K", "65")[0] == 2
-        monkeypatch.setenv("DELTAMACHINE_TABLE_CEILING", "1")
-        assert run_cli(capsys, "tables", "--K", "3")[0] == 0
 
-    def test_ceiling_flag_wins_over_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DELTAMACHINE_TABLE_CEILING", "not-a-number")
-        code, out, _ = run_cli(capsys, "tables", "--K", "5", "--ceiling", "5")
-        assert code == 0 and "K = 5" in out
-        assert run_cli(capsys, "tables", "--K", "6", "--ceiling", "5")[0] == 2
+class TestTableLimit:
+    def test_limit_covers_the_tests_and_bounds_memory(self):
+        # The tests send K = 128 through the CLI; a K = 512 table peaks near
+        # 290 MiB.
+        assert 128 <= cli.MAX_TABLE_SIZE <= 512
 
-    def test_malformed_ceiling_flag_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "classify", "--K", "3", "--ceiling", "x")
+    @pytest.mark.parametrize("command", ["tables", "classify"])
+    def test_size_above_the_limit_is_usage_error(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "MAX_TABLE_SIZE", 8)
+        # The name of the removed environment override changes nothing.
+        monkeypatch.setenv("DELTAMACHINE_TABLE_CEILING", "9")
+        assert run_cli(capsys, command, "--K", "8")[0] == 0
+        code, out, err = run_cli(capsys, command, "--K", "9")
+        assert code == 2 and out == ""
+        assert err == "error: K=9 exceeds the table ceiling 8\n"
+
+    @pytest.mark.parametrize("command", ["tables", "classify"])
+    def test_ceiling_flag_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--K", "3", "--ceiling", "9")
         assert code == 2 and out == ""
         assert "--ceiling" in err and "usage:" in err
 
@@ -243,6 +246,32 @@ class TestSimulate:
             for i in range(1000)
         )
         assert parse_json(out)["result"]["transmitted"] == replayed
+
+
+class TestTrialCount:
+    """``--n`` below 1 is a usage error, found before the exact value is computed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--kp", "2", "--km", "1", "--k", "1", "--seed", "1", "--n", "0"),
+            ("simulate", "--kp", "2", "--km", "1", "--k", "1", "--seed", "1", "--n", "-3"),
+            ("epsilon", "--theta", "1", "--eps", "0.5", "--n", "0"),
+        ],
+        ids=["simulate-zero", "simulate-negative", "epsilon-zero"],
+    )
+    def test_nonpositive_n_is_usage_error(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("the exact value was computed")
+
+        monkeypatch.setattr(cli, "transmission_probability_exact", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "usage:" in err and "argument --n: expected a positive integer" in err
+
+    def test_non_integer_n_keeps_the_int_message(self, capsys):
+        code, _, err = run_cli(capsys, "epsilon", "--theta", "1", "--eps", "0.5", "--n", "x")
+        assert code == 2 and "argument --n: invalid int value: 'x'" in err
 
 
 class TestDigitLimit:
@@ -624,7 +653,12 @@ class TestConvergence:
             "--seed", "1", "--schedule", schedule,
         )
         assert code == 2 and out == ""
-        assert "--schedule" in err and "usage:" in err
+        assert "usage:" in err
+        message = (
+            "entries must be positive" if schedule == "10,-5"
+            else f"expected comma-separated integers, got {schedule!r}"
+        )
+        assert f"argument --schedule: {message}" in err
 
     def test_default_schedule(self, capsys):
         code, out, _ = run_cli(

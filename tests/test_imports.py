@@ -63,7 +63,7 @@ def test_exact_and_scatter_commands_never_import_numpy():
         commands = (
             ["tables", "--K", "5", "--golden"],
             ["classify", "--K", "8"],
-            ["classify", "--K", "128", "--ceiling", "128"],
+            ["classify", "--K", "128"],
             ["scatter", "--E", "1"],
             ["scatter", "--E", "1", "--grid", "0.1:10:50"],
         )

@@ -1,10 +1,14 @@
-"""README's library quick start runs as written and prints what it states."""
+"""README's library quick start runs as written and prints what it states,
+and its CLI section names every command-line option, and no other."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from deltamachine import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +33,22 @@ def test_quick_start_prints_its_stated_outputs():
     assert len(lines) == 3, proc.stdout
     assert lines[0] == "22/35"
     assert lines[2] == verdicts.removeprefix("# ")
+
+
+def test_cli_section_names_the_parsers_options():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.S | re.M).group(1)
+    documented = set(re.findall(r"--[A-Za-z][\w-]*", section))
+    (commands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        flag
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert sorted(documented - options) == [], "README names options no command has"
+    assert sorted(options - documented) == [], "README's CLI section omits options"
