@@ -224,8 +224,9 @@ def classify_table(
     """
     states = _states(K, ceiling)
     K = len(states) - 1
-    zero = tuple(Witness(_ZERO, s) for s in states)
-    fractional = tuple(Witness(_FRACTIONAL, s) for s in states)
+    make = Witness._make  # the states are valid: _states checked K
+    zero = tuple([make(_ZERO, s) for s in states])
+    fractional = tuple([make(_FRACTIONAL, s) for s in states])
     odd = []
     for k in range(1, K + 1, 2):
         h = (k + 1) // 2

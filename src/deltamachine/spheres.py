@@ -9,24 +9,27 @@ tranche of ``k`` spheres; an exactly balanced tranche (possible only for even
 
 All probabilities here are exact rationals, computed with arbitrary-precision
 integers.  A single cell comes from the closed form: counting k-subsets by
-charge composition gives a hypergeometric sum over binomial coefficients.
-Full tables instead come row by row from one density.  Label the slots
-1..K with the positive spheres first: an odd first tranche k = 2h - 1 is a
-uniform k-subset of the slots, and it has a positive majority iff its
-median, the h-th smallest slot, is at most K+.  So row k is the CDF of the
-tranche median's slot, a running sum of its weights
+charge composition gives a hypergeometric sum, whose terms step from the
+first nonzero one by exact ratios, so a cell costs at most five binomial
+coefficients.  Full tables instead come row by row from one density.
+Label the slots 1..K with the positive spheres first: an odd first tranche
+k = 2h - 1 is a uniform k-subset of the slots, and it has a positive
+majority iff its median, the h-th smallest slot, is at most K+.  So row k
+is the CDF of the tranche median's slot, a running sum of its weights
 w_i = C(i - 1, h - 1) C(K - i, h - 1) over C(K, k), each weight one exact
 division from the last: a table costs O(K^2) cells rather than O(K^3)
 terms.  The density's support [h, K - h + 1] is the determinism threshold
 2 min(K+, K-) + 1: outside it every cell is exactly 0 or 1, so about half
-of the cells are shared constants and never computed.  Its symmetry
-w_i = w_{K+1-i} is the charge swap P(K+, K-) = 1 - P(K-, K+), so the sums
-stop at K+ = K/2, and each even row k equals the odd row k - 1.
-``_odd_rows`` yields the odd rows with every cell in place as a
-``Fraction``.  Each count S / C is reduced by one gcd, which reduces its
-charge swap (C - S) / C as well, and :func:`_reduced` wraps both
-lowest-terms pairs without normalizing them again.  The table builder
-never calls the closed form, so the two check each other.
+of the cells are shared constants and never computed.  Their
+``(state, 0)`` and ``(state, 1)`` pairs are shared too, built once per
+table for every column.  The density's symmetry w_i = w_{K+1-i} is the
+charge swap P(K+, K-) = 1 - P(K-, K+), so the sums stop at K+ = K/2, and
+each even row k equals the odd row k - 1.  ``_odd_rows`` yields the
+computed cells of the odd rows as ``Fraction``s.  Each count S / C is
+reduced by one gcd, which reduces its charge swap (C - S) / C as well,
+and both lowest-terms pairs go into ``Fraction``'s slots without a second
+normalization.  The table builder never calls the closed form, so the two
+check each other.
 Floats never enter; rendering a value as a decimal is presentation-side only.
 
 The value types of the numpy-free modules, here and in ``regimes`` and
@@ -36,7 +39,9 @@ immutability of a frozen dataclass, built with closures from the class's
 ``__slots__``, so the exact and scalar commands neither import
 :mod:`dataclasses` (and through it ``inspect``) nor ``exec`` generated
 methods at start-up.  Each class writes its own ``__init__``, which
-validates first and then sets each slot once.  The result types of the
+validates first and then sets each slot once; the table builders, which
+validate K once, build their states and witnesses with the class's
+unchecked maker ``_make`` instead.  The result types of the
 simulations stay dataclasses, since numpy costs their commands far more.
 """
 
@@ -53,7 +58,7 @@ if TYPE_CHECKING:
 
 #: Exact probability values are reduced rationals in [0, 1]: ``Fraction``s in
 #: lowest terms with a positive denominator.  The table builder reduces each
-#: count once and keeps lowest terms through :func:`_reduced`.
+#: count once and sets the two slots of its cells in lowest terms.
 ExactProbability = Fraction
 
 #: Largest K accepted by the table builders unless overridden.  Purely an
@@ -121,12 +126,17 @@ def value_type(cls: type) -> type:
       for ``pickle`` and ``copy``;
     * ``__setattr__`` and ``__delattr__``, which raise
       :class:`FrozenInstanceError`;
-    * ``__match_args__``, the field names.
+    * ``__match_args__``, the field names;
+    * ``_make(*fields)``, a private maker that sets the slots through their
+      member descriptors and checks nothing, for callers that have already
+      validated the fields (the table builders, once per K).
     """
     names = cls.__slots__
     get = operator.attrgetter(*names)
     fields = get if len(names) > 1 else lambda self: (get(self),)
     template = ", ".join(f"{name}=%r" for name in names)
+    new = object.__new__
+    setters = [getattr(cls, name).__set__ for name in names]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -148,8 +158,27 @@ def value_type(cls: type) -> type:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    if len(setters) == 2:
+        # Unrolled for the hot two-field makers (column states, witnesses).
+        set_first, set_second = setters
+
+        def _make(first, second):
+            self = new(cls)
+            set_first(self, first)
+            set_second(self, second)
+            return self
+
+    else:
+
+        def _make(*fields):
+            self = new(cls)
+            for set_field, value in zip(setters, fields, strict=True):
+                set_field(self, value)
+            return self
+
     for method in (__eq__, __hash__, __repr__, __reduce__, __setattr__, __delattr__):
         setattr(cls, method.__name__, method)
+    cls._make = staticmethod(_make)
     cls.__match_args__ = names
     return cls
 
@@ -237,13 +266,20 @@ def transmission_probability_exact(
               + (1/2) C(K+, k/2) C(K-, k/2)   (even k only) ] / C(K, k)
 
     The first sum covers strict positive majorities; the halved term is the
-    exactly balanced tranche resolved by a fair coin.  States short of one
-    species need no special case: ``comb(n, r)`` is 0 for r > n.
+    exactly balanced tranche resolved by a fair coin.  The sum starts at its
+    first nonzero term, m = max(0, k - K+), and stops past m = K-, where the
+    terms vanish.  Each term comes from the last by the exact division
+    t_{m+1} = t_m (k - m)(K- - m) / ((K+ - k + m + 1)(m + 1)), so a cell
+    costs at most five binomial coefficients whatever k is.
     """
     _require_valid(state, meas)
     kp, km, k = state.k_plus, state.k_minus, meas.k
     total = state.total
-    majority = sum(comb(kp, k - m) * comb(km, m) for m in range((k + 1) // 2))
+    first = max(0, k - kp)
+    term, majority = comb(kp, k - first) * comb(km, first), 0
+    for m in range(first, min((k + 1) // 2, km + 1)):
+        majority += term
+        term = term * ((k - m) * (km - m)) // ((kp - k + m + 1) * (m + 1))
     tie = comb(kp, k // 2) * comb(km, k // 2) if k % 2 == 0 else 0
     return Fraction(2 * majority + tie, 2 * comb(total, k))
 
@@ -309,14 +345,18 @@ class ProbabilityTable:
 
 def _states(K: object, ceiling: object) -> tuple[ElectricState, ...]:
     """The states ``ElectricState(i, K - i)``, i = 0..K, of a table's columns,
-    with K checked to be an ``int`` in 1..ceiling (an ``int`` too)."""
+    with K checked to be an ``int`` in 1..ceiling (an ``int`` too).
+
+    K is checked once, so the states are built by the unchecked maker.
+    """
     K = as_int(K, "K")
     ceiling = as_int(ceiling, "ceiling")
     if K < 1:
         raise ValueError("K must be at least 1")
     if K > ceiling:
         raise ValueError(f"K={K} exceeds the table ceiling {ceiling}")
-    return tuple(ElectricState(i, K - i) for i in range(K + 1))
+    make = ElectricState._make
+    return tuple([make(i, K - i) for i in range(K + 1)])
 
 
 def _row_index(k: object, K: int) -> int:
@@ -331,46 +371,39 @@ def _row_index(k: object, K: int) -> int:
 _CERTAIN = (Fraction(0), Fraction(1))
 
 
-def _reduced(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` for ints already in lowest terms, ``den > 0``.
-
-    Sets the two slots of ``Fraction`` directly, skipping the constructor's
-    type dispatch and its gcd; the caller guarantees what that gcd gives.
-    """
-    value = object.__new__(Fraction)
-    value._numerator = num
-    value._denominator = den
-    return value
-
-
 def _odd_rows(K: int) -> Iterator[tuple[Fraction, ...]]:
-    """The odd rows k = 1, 3, ... of the K table, in order, every cell a ``Fraction``.
+    """The computed cells of the odd rows k = 1, 3, ... of the K table, in order.
 
-    Row k = 2h - 1 is a tuple over K+ = 0..K: the CDF of the tranche
-    median's slot (see the module docstring), P = S / C(K, k) with
-    S = w_h + ... + w_K+.  Cells K+ < h are ``_CERTAIN[0]``.  The sums run
-    from w_h = C(K - h, h - 1) up to K+ = K/2, stepped by the exact division
+    Row k = 2h - 1 yields its cells K+ = h..K-h, each a ``Fraction``: the
+    CDF of the tranche median's slot (see the module docstring),
+    P = S / C(K, k) with S = w_h + ... + w_K+.  The cells K+ < h are 0 and
+    the cells K+ > K - h are 1; they are not yielded.  The sums run from
+    w_h = C(K - h, h - 1) up to K+ = K/2, stepped by the exact division
     w_{i+1} = w_i i (K - i - h + 1) / ((i - h + 1)(K - i)).  A cell above
-    K/2 is the charge swap (C - S) / C of cell K - K+, so cells K+ > K - h
-    are ``_CERTAIN[1]``.  Both cells of a sum are reduced once, by
-    g = gcd(S, C), which is gcd(C - S, C) too, and built in lowest terms by
-    :func:`_reduced`.  The live state is one row.
+    K/2 is the charge swap (C - S) / C of cell K - K+.  Both cells of a sum
+    are reduced once, by g = gcd(S, C), which is gcd(C - S, C) too, and
+    their two ``Fraction`` slots are set directly, with no second
+    normalization.  The live state is one row.
     """
-    zero, one = _CERTAIN
+    new = object.__new__
     half = K // 2
     for h in range(1, (K + 3) // 2):
         subsets = comb(K, 2 * h - 1)
         weight, count = comb(K - h, h - 1), 0  # w_h and S at K+ = h - 1
-        cells, swaps = [zero] * h, [one] * h
+        cells, swaps = [], []
         for i in range(h, half + 1):
             count += weight
             g = gcd(count, subsets)
             num, den = count // g, subsets // g
-            cells.append(_reduced(num, den))
-            swaps.append(_reduced(den - num, den))
-            weight = weight * i * (K - i - h + 1) // ((i - h + 1) * (K - i))
-        # Cells K+ = 0..K/2, then the swaps of cells K - K+ < K - K/2.
-        yield (*cells, *reversed(swaps[: K - half]))
+            cell = new(Fraction)
+            cell._numerator, cell._denominator = num, den
+            swap = new(Fraction)
+            swap._numerator, swap._denominator = den - num, den
+            cells.append(cell)
+            swaps.append(swap)
+            weight = weight * (i * (K - i - h + 1)) // ((i - h + 1) * (K - i))
+        # Cells K+ = h..K/2, then the swaps of cells K - K+ for K+ = K/2 + 1..K - h.
+        yield (*cells, *reversed(swaps[: K - half - h]))
 
 
 def probability_table(
@@ -379,14 +412,24 @@ def probability_table(
     """Full K x (K+1) grid of exact transmission probabilities.
 
     Rows run over tranche sizes k = 1..K, columns over states K+ = 0..K
-    (equivalently over increasing energy label K+/K-).  The odd rows come
-    from :func:`_odd_rows`, which computes each row only inside its
-    determinism threshold 2 min(K+, K-) + 1 and shares ``_CERTAIN`` outside
-    it.  Row k + 1 of an odd k shares row k's entries, the pairwise
+    (equivalently over increasing energy label K+/K-).  Entry K+ of a row
+    is the pair ``(state, p)``.  Outside the determinism threshold
+    2 min(K+, K-) + 1, p is ``_CERTAIN[0]`` or ``_CERTAIN[1]``, and the
+    pair is one of the K + 1 ``(state, 0)`` and K + 1 ``(state, 1)`` pairs
+    built once per table and shared by every row that holds it.  Inside
+    it, the cells come from :func:`_odd_rows`, zipped with their column
+    states.  Row k + 1 of an odd k shares row k's entries, the pairwise
     equality P(k + 1) = P(k).
     """
     states = _states(K, ceiling)
     K = len(states) - 1
-    odd = [tuple(zip(states, row)) for row in _odd_rows(K)]
-    rows = [ProbabilityTableRow(k=k, entries=odd[(k - 1) // 2]) for k in range(1, K + 1)]
+    zero, one = _CERTAIN
+    zeros = [(state, zero) for state in states]
+    ones = [(state, one) for state in states]
+    odd = [
+        (*zeros[:h], *zip(states[h : K + 1 - h], cells), *ones[K + 1 - h :])
+        for h, cells in enumerate(_odd_rows(K), 1)
+    ]
+    make = ProbabilityTableRow._make
+    rows = [make(k, odd[(k - 1) // 2]) for k in range(1, K + 1)]
     return ProbabilityTable(K=K, rows=tuple(rows))

@@ -9,6 +9,7 @@ every public name resolves on first access.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -184,3 +185,24 @@ def test_every_traced_boundary_exists(monkeypatch):
             assert attr in owner, attr
         else:
             assert hasattr(owner, attr), f"{owner.__name__}.{attr}"
+
+
+def test_recorded_traced_counts_cover_every_exact_count(monkeypatch):
+    """CI compares the traced passes with ``data/traced_counts.json``.
+
+    The file must name each benchmark workload and, for each, every count the
+    tracer declares exact, so that no count goes unchecked.
+    """
+    root = Path(__file__).resolve().parents[1]
+    if not (root / "bench" / "tracing.py").is_file():
+        pytest.skip("no bench/ directory")
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    try:
+        exact = importlib.import_module("tracing").EXACT_COUNTS
+    finally:
+        sys.modules.pop("tracing", None)
+    recorded = json.loads((root / "tests" / "data" / "traced_counts.json").read_text())
+    workloads = json.loads((root / "BENCHMARK.json").read_text())["workloads"]
+    assert sorted(recorded) == sorted(w["name"] for w in workloads)
+    for name, counts in recorded.items():
+        assert list(counts) == list(exact), name

@@ -12,7 +12,6 @@ from deltamachine.spheres import (
     _CERTAIN,
     ElectricState,
     KMeasurement,
-    _reduced,
     determinism_threshold,
     probability_table,
     reflection_probability_exact,
@@ -125,6 +124,42 @@ class TestTransmissionValues:
                     p = p_tr(kp, K - kp, k)
                     assert 0 <= p <= 1
                     assert p.denominator > 0  # Fraction keeps lowest terms
+
+
+class TestClosedFormTerms:
+    """The closed form steps its composition sum by exact term ratios."""
+
+    @staticmethod
+    def counted_comb(monkeypatch):
+        calls = []
+
+        def counted(n, r):
+            calls.append((n, r))
+            return comb(n, r)
+
+        monkeypatch.setattr(spheres, "comb", counted)
+        return calls
+
+    def test_small_cells_match_the_enumeration(self, monkeypatch):
+        calls = self.counted_comb(monkeypatch)
+        for K in range(1, 11):
+            for kp in range(K + 1):
+                for k in range(1, K + 1):
+                    calls.clear()
+                    assert p_tr(kp, K - kp, k) == enumerated_transmission(kp, K - kp, k)
+                    assert len(calls) <= 5
+
+    @pytest.mark.parametrize(
+        "kp,km", [(1000, 1000), (1500, 500), (500, 1500), (2000, 1), (1, 2000), (2001, 0)]
+    )
+    def test_binomials_per_cell_do_not_grow_with_k(self, kp, km, monkeypatch):
+        calls = self.counted_comb(monkeypatch)
+        K = kp + km
+        for k in (1, 2, 3, 999, 1000, 1001, K - 2, K - 1, K):
+            calls.clear()
+            p = p_tr(kp, km, k)
+            assert len(calls) <= 5
+            assert 0 <= p <= 1 and p + p_tr(km, kp, k) == 1
 
 
 class TestInvariants:
@@ -349,6 +384,25 @@ class TestTableSharing:
                     assert p in (0, 1)
                     assert p is _CERTAIN[0] or p is _CERTAIN[1]
 
+    @pytest.mark.parametrize("K", [1, 2, 7, 64, 65])
+    def test_certain_entries_are_one_pair_per_table(self, K):
+        table = probability_table(K, ceiling=K)
+        pairs = {}
+        for row in table.rows:
+            for k_plus, entry in enumerate(row.entries):
+                if row.k >= determinism_threshold(entry[0]):
+                    assert pairs.setdefault((k_plus, entry[1]), entry) is entry
+        # One constant per column; the balanced column of an even K has none.
+        assert len(pairs) == K + K % 2
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 64, 65])
+    def test_entries_hold_the_column_states(self, K):
+        table = probability_table(K, ceiling=K)
+        states = [state for state, _ in table.rows[0].entries]
+        assert states == [ElectricState(i, K - i) for i in range(K + 1)]
+        for row in table.rows:
+            assert all(entry[0] is state for entry, state in zip(row.entries, states))
+
 
 def assert_plain_fraction(p, num, den):
     """``p`` is indistinguishable from the normalized ``Fraction(num, den)``."""
@@ -359,23 +413,16 @@ def assert_plain_fraction(p, num, den):
     assert p == ref and hash(p) == hash(ref) and repr(p) == repr(ref)
     copy = pickle.loads(pickle.dumps(p))
     assert (copy.numerator, copy.denominator) == (ref.numerator, ref.denominator)
+    assert str(p) == str(ref)
+    assert float(p) == num / den
+    assert p + 1 == Fraction(num + den, den) and 1 - p == Fraction(den - num, den)
+    assert p * den == num and (p < 1) == (num < den)
 
 
 class TestLowestTerms:
-    """The table builder skips ``Fraction``'s normalization, so its cells must
-    already be in lowest terms with a positive denominator."""
-
-    @pytest.mark.parametrize(
-        ("num", "den"),
-        [(0, 1), (1, 1), (1, 2), (-3, 4), (22, 35), (2**70 + 1, 3**45), (3**45, 2**70 + 1)],
-    )
-    def test_reduced_is_the_normalized_fraction(self, num, den):
-        p = _reduced(num, den)
-        assert_plain_fraction(p, num, den)
-        assert str(p) == str(Fraction(num, den))
-        assert float(p) == num / den
-        assert p + 1 == Fraction(num + den, den) and 1 - p == Fraction(den - num, den)
-        assert p * den == num and (p < 1) == (num < den)
+    """The table builder sets ``Fraction``'s slots without its normalization,
+    so its cells must already be in lowest terms with a positive denominator,
+    and behave as the normalized ``Fraction`` in every operation."""
 
     @pytest.mark.parametrize("K", [*range(1, 41), 64, 65, 128])
     def test_every_cell_is_in_lowest_terms(self, K):

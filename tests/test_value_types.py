@@ -2,7 +2,9 @@
 
 ``spheres.value_type`` builds equality, hashing, ``repr``, pickling and
 immutability from each class's ``__slots__``; one parametrized test checks
-every class against the behaviour of the frozen dataclass it replaced.
+every class against the behaviour of the frozen dataclass it replaced, and
+another checks that the unchecked maker ``_make`` builds the same values as
+the constructor.
 """
 
 import copy
@@ -92,6 +94,30 @@ def test_frozen_dataclass_contract(name):
         value.unknown = None
     assert tuple(getattr(value, field) for field in cls.__slots__) == fields
     assert cls.__match_args__ == tuple(cls.__slots__)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_unchecked_maker_builds_the_same_value(name):
+    value, fields, text = CASES[name]
+    cls = type(value)
+    made = cls._make(*fields)
+    assert type(made) is cls and made is not value
+    assert made == value and value == made and not made != value
+    assert hash(made) == hash(value) and repr(made) == text
+    assert tuple(getattr(made, field) for field in cls.__slots__) == fields
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(made, protocol))
+        assert type(clone) is cls and clone == value
+        assert pickle.dumps(made, protocol) == pickle.dumps(value, protocol)
+    for field in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(made, field, None)
+        with pytest.raises(AttributeError):
+            delattr(made, field)
+    with pytest.raises(AttributeError):
+        made.unknown = None
+    with pytest.raises((TypeError, ValueError)):
+        cls._make(*fields, None)
 
 
 def test_defaults():
