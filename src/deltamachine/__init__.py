@@ -10,8 +10,9 @@ reproduce 1-D delta-potential quantum scattering:
   probabilities, and wave-packet quadrature;
 * :mod:`~deltamachine.machine` — seeded, reproducible event-level Monte
   Carlo of the machine itself;
-* :mod:`~deltamachine.elastic` — the breakable-elastic spin measurement and
-  its closed forms;
+* :mod:`~deltamachine.band` — the breakable-elastic spin measurement (the
+  ε-model) and its closed forms, without numpy;
+* :mod:`~deltamachine.elastic` — the seeded simulator of that measurement;
 * :mod:`~deltamachine.regimes` — classification of probability tables as
   classical, quantum, or irreducibly intermediate, with witnesses;
 * :mod:`~deltamachine.cli` — command-line front end.
@@ -19,9 +20,12 @@ reproduce 1-D delta-potential quantum scattering:
 Every public name is declared once, in ``_EXPORTS``, under the submodule
 that defines it, and is loaded on first access (PEP 562).  ``import
 deltamachine`` therefore loads no submodule.  Only the simulation modules
-(``machine``, ``elastic``, ``ensemble``, ``rng``) and the array functions of
-``scattering`` use numpy, so the exact and scalar commands of the command
-line never load it.
+(``machine``, ``elastic``, ``ensemble``, ``rng``), the array functions of
+``scattering`` and ``band.ElasticExperiment.from_vectors`` use numpy, so the
+exact and scalar commands of the command line, ``epsilon`` without ``--n``
+among them, never load it.  Every module takes its argument checks and its
+value-type decorator from ``values``, a leaf module that imports nothing
+from the package.
 """
 
 from importlib import import_module as _import_module
@@ -31,13 +35,13 @@ __version__ = "0.1.0"
 #: Defining submodule -> the public names it exports.  Every key is also
 #: reachable as an attribute after a bare ``import deltamachine``.
 _EXPORTS = {
-    "elastic": (
+    "band": (
         "ElasticExperiment",
         "OutcomePair",
         "epsilon_probabilities",
         "quantum_spin_probabilities",
-        "simulate_elastic",
     ),
+    "elastic": ("simulate_elastic",),
     "ensemble": ("EnsembleResult",),
     "machine": (
         "EmpiricalRow",

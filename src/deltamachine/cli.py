@@ -16,10 +16,12 @@ before any command runs.  Every size has a constant bound: ``tables`` and
 ``convergence`` a cluster of at most :data:`MAX_CLUSTER_SIZE` spheres, and
 ``--grid`` at most :data:`MAX_GRID_POINTS` points.
 
-The simulation commands (``simulate``, ``epsilon``, ``convergence``) import
-their numpy-backed modules when they run, so the other commands start
-without loading numpy.  ``json`` and ``csv`` are imported by the generic
-renderers, when one runs.
+The simulation commands (``simulate``, ``convergence``, and ``epsilon``
+with ``--n``) import their numpy-backed modules when they run, so the other
+commands start without loading numpy.  ``epsilon`` takes its closed form
+from the numpy-free :mod:`~deltamachine.band`, and loads the simulator of
+:mod:`~deltamachine.elastic` only for ``--n``.  ``json`` and ``csv`` are
+imported by the generic renderers, when one runs.
 
 ``scatter`` evaluates each energy once, into a row of its CSV columns, and
 writes every format from per-row templates: the JSON is the bytes of
@@ -343,11 +345,13 @@ def _scatter_text(payload: dict[str, Any]) -> str:
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> dict[str, Any]:
-    from .elastic import ElasticExperiment, epsilon_probabilities, simulate_elastic
+    from .band import ElasticExperiment, epsilon_probabilities
 
     experiment = ElasticExperiment(theta=args.theta, epsilon=args.eps)
     simulation = None
     if args.n is not None:
+        from .elastic import simulate_elastic
+
         result = simulate_elastic(experiment, args.n, args.seed)
         simulation = serialize.ensemble_payload(result, args.z)
     return {

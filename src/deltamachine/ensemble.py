@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng
-from .spheres import as_int
+from .values import as_int
 
 #: Working-set budget of one vectorized chunk, in bytes.  A chunk holds
 #: ``max(1, CHUNK_BYTES // trial_bytes)`` trials, so it stays cache-sized and

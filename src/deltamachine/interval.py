@@ -5,13 +5,22 @@ score interval at level ``z`` (Wilson, JASA 1927; Brown, Cai & DasGupta,
 Statistical Science 2001).  Unlike the normal approximation it lies in
 [0, 1] by construction and keeps a nonzero width when every trial agrees.
 The command line's ``--z`` default lives here too.
+
+The interval is a report, not a certificate.  At z = 3 its nominal coverage
+is 0.9973, but its exact binomial coverage is lower at some p: over the
+fractional cells of the tables with K <= 12 it falls to 0.9922 at n = 50
+(p = 7/99 and its complement 92/99) and to 0.9942 at n = 100, and at
+p = 1/201 (the cell K+ = 1, k = 1 of K = 201) with n = 50 to 0.9741
+(computed with ``scipy.stats.binom``; ``test_interval`` pins the n = 50
+minimum).  A certificate drawn from counts must use Hoeffding or
+Clopper-Pearson bounds, never these.
 """
 
 from __future__ import annotations
 
 import math
 
-from .spheres import as_int, as_real
+from .values import as_int, as_real
 
 #: Default level ``z`` of the interval.
 DEFAULT_Z = 3.0

@@ -22,6 +22,20 @@ counter-indexed stream (see :mod:`deltamachine.rng`):
   impossible for odd ``k`` and the code asserts that instead of handling it.
 
 The outcome is therefore a pure function of ``(state, measurement, seed)``.
+
+One hidden variable decides every measurement.  A trial's draws
+``0 .. K-1`` depend only on ``(K, seed)``, not on K+ or ``k``; they fix
+lambda, the full queue of the K slots (positive spheres in the first K+)
+and the tie coin, drawn by the measurement independently of the state: the
+paper's hidden measurement.  Tranche ``k`` is the queue's first ``k``
+slots, so one seed's lambda decides the outcome of every ``(k, K+)`` cell
+run with that seed.  For one state, all the k-measurements therefore have a
+joint distribution, and no Bell-type inequality between them can be
+violated (Fine, Phys. Rev. Lett. 48, 291 (1982)): an Intermediate verdict of
+:mod:`deltamachine.regimes` is not a contextuality claim.
+:func:`empirical_table` gives each cell a seed of its own, so its cells do
+not share lambda.
+
 One kernel, :func:`_transmitted_mask`, decides trials over an array of
 per-trial seeds: :func:`run_ensemble` feeds it chunks of child seeds, and
 :func:`run_trial` replays any single trial of an ensemble through it.  Every
@@ -50,10 +64,10 @@ from .spheres import (
     _require_valid,
     _row_index,
     _states,
-    as_int,
     determinism_threshold,
     probability_table,
 )
+from .values import as_int
 
 
 class Outcome(Enum):

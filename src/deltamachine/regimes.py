@@ -15,6 +15,15 @@ certifies non-quantumness (the Wronskian of two independent scattering
 solutions forbids a transmission zero at positive energy), while any strictly
 fractional probability certifies non-classicality.
 
+A verdict concerns the map from state to probability within one
+measurement k; an Intermediate verdict is not a contextuality claim.  In
+the machine one hidden variable, lambda (the queue and the tie coin, drawn
+by the measurement independently of the state: a trial's draws depend only
+on K and the seed), decides the outcome of every (k, K+) cell that shares
+a seed.  So for one state all the k-measurements have a joint
+distribution, and no Bell-type inequality between them can be violated
+(Fine, Phys. Rev. Lett. 48, 291 (1982)); see :mod:`deltamachine.machine`.
+
 Degenerate tiny-K rows can satisfy several criteria at once; the verdict
 precedence is Classical > ClassicalWithTie > Quantum > Intermediate
 (determinism is the strongest, most falsifiable property).
@@ -37,10 +46,9 @@ from .spheres import (
     ElectricState,
     ProbabilityTableRow,
     _states,
-    is_bool,
     probability_table,
-    value_type,
 )
+from .values import is_bool, value_type
 
 
 class Regime(Enum):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spheres import as_int
+from .values import as_int
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15

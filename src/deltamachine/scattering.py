@@ -29,7 +29,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .spheres import as_real, as_real_array, value_type
+from .values import as_int, as_real, as_real_array, value_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -234,14 +234,22 @@ class WavePacket:
         n_points: int = 2001,
         span: float = 6.0,
     ) -> "WavePacket":
-        """Normalized Gaussian density of the given width, clipped to E >= 0."""
+        """Normalized Gaussian density of the given width, clipped to E >= 0.
+
+        The grid holds ``n_points`` (an integer >= 2) energies over
+        ``center ± span * width`` (``span`` a positive finite real).
+        """
         center, width = as_real(center, "center"), as_real(width, "width")
         if not (math.isfinite(center) and center >= 0.0):
             raise ValueError("center must be a nonnegative finite real")
         if not (math.isfinite(width) and width > 0.0):
             raise ValueError("width must be a positive finite real")
+        n_points = as_int(n_points, "n_points")
         if n_points < 2:
             raise ValueError("n_points must be at least 2")
+        span = as_real(span, "span")
+        if not (math.isfinite(span) and span > 0.0):
+            raise ValueError("span must be a positive finite real")
         import numpy as np
 
         lo = max(0.0, center - span * width)

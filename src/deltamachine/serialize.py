@@ -14,8 +14,9 @@ computed once, in :func:`ensemble_payload`, from the result's counts and seed.
 A ``scatter`` payload holds each point as its CSV row;
 :func:`scatter_point_payload` is the JSON object of one row.
 
-The module loads no numpy: the simulation result types it reads
-(``EnsembleResult``, ``OutcomePair``) are imported for the annotations only.
+The module loads no numpy: ``OutcomePair`` comes from the numpy-free
+``band``, and ``EnsembleResult``, a simulation result, is imported for the
+annotations only.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
+from .band import OutcomePair
 from .interval import wilson_interval
 from .regimes import RegimeVerdict, Witness
 from .spheres import ProbabilityTable
 
 if TYPE_CHECKING:
-    from .elastic import OutcomePair
     from .ensemble import EnsembleResult
 
 

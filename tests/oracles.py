@@ -6,6 +6,8 @@ closed-form sums under test, rows are classified on ``Fraction`` values
 straight from the criteria, never from the determinism threshold the
 library's table classifier uses, and single trials run the full scalar shuffle on a separate transcription
 of the splitmix64 stream, never the library's truncated array kernels.
+``unmix64`` inverts the finalizer, so a test can choose the seed that puts
+a chosen value at a chosen draw.
 The elastic kernel's integer draw bounds are checked against the float
 kernel they replaced, on the library's draws (``test_rng`` checks those
 against the transcription).
@@ -113,6 +115,33 @@ def reference_mix(z: int) -> int:
 def reference_draw(seed: int, index: int) -> int:
     """Draw ``index`` of the counter-mode stream with ``seed``."""
     return reference_mix(seed + (index + 1) * GOLDEN)
+
+
+def _unshift_xor(z: int, shift: int) -> int:
+    """The ``x`` with ``x ^ (x >> shift) == z``: each pass fixes ``shift`` more top bits."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """Inverse of the splitmix64 finalizer: ``reference_mix(unmix64(z)) == z``.
+
+    Each step of the finalizer is undone in reverse order: an xor-shift by
+    fixed-point iteration, a multiplication by the odd constant's inverse
+    modulo 2**64.
+    """
+    z = _unshift_xor(z & MASK64, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+    z = _unshift_xor(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+    return _unshift_xor(z, 30)
+
+
+def seed_with_draw(value: int, index: int) -> int:
+    """The seed whose draw ``index`` is ``value``."""
+    return (unmix64(value) - (index + 1) * GOLDEN) & MASK64
 
 
 def unit_double(u64: int) -> float:

@@ -17,11 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from deltamachine import cli
-from deltamachine.elastic import (
-    ElasticExperiment,
-    epsilon_probabilities,
-    simulate_elastic,
-)
+from deltamachine.band import ElasticExperiment, epsilon_probabilities
+from deltamachine.elastic import simulate_elastic
 from deltamachine.machine import empirical_table
 from deltamachine.regimes import Regime, WitnessKind, classify_table
 from deltamachine.rng import substream_seed

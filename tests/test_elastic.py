@@ -8,12 +8,12 @@ import pytest
 import oracles
 from oracles import normal_half_width
 from deltamachine import elastic, rng
-from deltamachine.elastic import (
+from deltamachine.band import (
     ElasticExperiment,
     epsilon_probabilities,
     quantum_spin_probabilities,
-    simulate_elastic,
 )
+from deltamachine.elastic import simulate_elastic
 
 
 class TestQuantumSpin:

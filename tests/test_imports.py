@@ -2,12 +2,16 @@
 
 numpy costs more start-up time than the rest of the package together, so
 only the simulation modules and the array functions load it.  The exact and
-scalar commands also leave ``dataclasses`` and ``inspect`` unloaded: their
-value types are ``spheres.value_type`` classes.  The package
+scalar commands, and ``epsilon`` without ``--n``, whose closed form lives in
+the numpy-free ``band``, also leave ``dataclasses`` and ``inspect``
+unloaded: their value types are ``values.value_type`` classes.  The package
 namespace stays complete: ``import deltamachine`` loads no submodule, and
-every public name resolves on first access.
+every public name resolves on first access.  The modules keep one layering:
+``values`` is a leaf that holds every argument check and ``value_type``, and
+only the simulation modules import numpy at the top or ``dataclasses``.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -22,6 +26,7 @@ import deltamachine
 from deltamachine import cli, ensemble, interval, serialize
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+PACKAGE = Path(SRC) / "deltamachine"
 
 
 def run_fresh(script: str) -> None:
@@ -55,6 +60,8 @@ def test_exact_and_scatter_commands_never_import_numpy():
         from deltamachine import ElectricState
         assert "deltamachine.spheres" in sys.modules
         no_numpy("from deltamachine import ElectricState")
+        from deltamachine import ElasticExperiment, OutcomePair, epsilon_probabilities, quantum_spin_probabilities
+        no_numpy("from deltamachine import the four names of band")
         from deltamachine import cli
         no_numpy("import deltamachine.cli")
         # The default seed reads os.urandom; secrets would pull in hashlib.
@@ -67,6 +74,7 @@ def test_exact_and_scatter_commands_never_import_numpy():
             ["classify", "--K", "128"],
             ["scatter", "--E", "1"],
             ["scatter", "--E", "1", "--grid", "0.1:10:50"],
+            ["epsilon", "--theta", "1", "--eps", "0.5", "--seed", "1"],
         )
         with contextlib.redirect_stdout(io.StringIO()):
             for argv in commands:
@@ -76,12 +84,13 @@ def test_exact_and_scatter_commands_never_import_numpy():
             assert cli.main(["--help"]) == 0
             no_numpy("--help")
 
-            # The simulation commands load numpy themselves, in this process.
+            # The simulation commands load numpy themselves, in this process:
+            # epsilon with --n first, so that it alone is seen to load it.
+            assert cli.main(["epsilon", "--theta", "1", "--eps", "0.5", "--n", "100", "--seed", "1"]) == 0
+            assert "numpy" in sys.modules
             cell = ["--kp", "2", "--km", "1", "--k", "1", "--seed", "1"]
             assert cli.main(["simulate", *cell, "--n", "100"]) == 0
-            assert cli.main(["epsilon", "--theta", "1", "--eps", "0.5", "--n", "100", "--seed", "1"]) == 0
             assert cli.main(["convergence", *cell, "--schedule", "10,100"]) == 0
-        assert "numpy" in sys.modules
         """
     )
 
@@ -121,12 +130,77 @@ def test_submodules_resolve_after_a_bare_import():
         import deltamachine
 
         assert deltamachine.run_ensemble is deltamachine.machine.run_ensemble
-        modules = ("machine", "elastic", "ensemble", "rng", "spheres", "regimes", "scattering")
-        for name in modules:
+        for name in deltamachine._EXPORTS:
             module = getattr(deltamachine, name)
             assert module is importlib.import_module(f"deltamachine.{name}"), name
         """
     )
+
+
+def _imports(node: ast.AST, *, top: bool):
+    """``(module, names)`` of each import under ``node``, with ``module``
+    relative to the package (``"."`` for ``from . import x``).  With ``top``,
+    only the imports that run when the module loads: none inside a function
+    or an ``if TYPE_CHECKING:`` block."""
+    for child in ast.iter_child_nodes(node):
+        if top and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if top and isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+            continue
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield alias.name, ()
+        elif isinstance(child, ast.ImportFrom):
+            module = "." * child.level + (child.module or "")
+            yield module, tuple(alias.name for alias in child.names)
+        yield from _imports(child, top=top)
+
+
+def _modules():
+    """Each module of the package, by name, as its syntax tree."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+class TestLayering:
+    """``values`` is the leaf that every module takes its checks from, and
+    numpy and ``dataclasses`` stay in the simulation modules."""
+
+    CHECKS = {"as_int", "is_bool", "as_real", "as_real_array", "FrozenInstanceError", "value_type"}
+
+    def test_values_imports_nothing_from_the_package(self):
+        for module, names in _imports(_modules()["values"], top=False):
+            assert not module.startswith((".", "deltamachine")), (module, names)
+
+    def test_only_values_defines_the_checks_and_value_type(self):
+        for name, tree in _modules().items():
+            defined = {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in self.CHECKS
+            }
+            assert defined == (self.CHECKS if name == "values" else set()), name
+
+    def test_every_module_takes_the_checks_from_values(self):
+        for name, tree in _modules().items():
+            for module, names in _imports(tree, top=False):
+                if self.CHECKS & set(names):
+                    assert module == ".values", (name, module, names)
+
+    def test_only_ensemble_and_machine_import_dataclasses(self):
+        importers = {
+            name
+            for name, tree in _modules().items()
+            if any(module == "dataclasses" for module, _ in _imports(tree, top=False))
+        }
+        assert importers == {"ensemble", "machine"}
+
+    def test_only_the_simulation_modules_import_numpy_when_they_load(self):
+        importers = {
+            name
+            for name, tree in _modules().items()
+            if any(module.split(".")[0] == "numpy" for module, _ in _imports(tree, top=True))
+        }
+        assert importers == {"rng", "ensemble", "machine", "elastic"}
 
 
 class TestNamespace:

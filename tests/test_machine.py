@@ -12,7 +12,7 @@ import oracles
 from oracles import normal_half_width
 from deltamachine import ensemble as ensemble_mod
 from deltamachine import machine as machine_mod
-from deltamachine import elastic, rng, spheres
+from deltamachine import cli, elastic, rng, spheres
 from deltamachine.machine import Outcome, empirical_table, run_ensemble, run_trial
 from deltamachine.spheres import (
     ElectricState,
@@ -275,6 +275,39 @@ class TestKernelAssumptions:
                 assert not shift(np.uint64(value), amounts).any(), shift.__name__
                 for amount in amounts:
                     assert shift(values, amount).tolist() == [0] * values.size
+
+    def test_every_residue_has_floor_or_ceil_preimages(self):
+        # The partner of step j is draw % s with span s = j + 1 <= K.  Of the
+        # 2**64 draws, the r residues below r have q + 1 preimages and the
+        # others q, so each partner's probability is count / 2**64 and its
+        # relative bias |count s / 2**64 - 1| at most s / 2**64: 2**-49 at the
+        # CLI's largest cluster, the bound the machine docstring states.
+        for s in range(1, cli.MAX_CLUSTER_SIZE + 1):
+            q, r = divmod(2**64, s)
+            for residue in {0, max(r - 1, 0), r % s, s - 1}:
+                count = (2**64 - 1 - residue) // s + 1  # draws residue, residue + s, ...
+                assert count == q + (residue < r), (s, residue)
+            assert r * (q + 1) + (s - r) * q == 2**64
+            assert max(abs(count * s - 2**64) for count in (q, q + 1)) <= s
+        assert cli.MAX_CLUSTER_SIZE / 2**64 <= 2**-49
+
+    @pytest.mark.parametrize("span", [2, 3, 2**15 - 1, 2**15])
+    def test_partner_rows_are_draws_modulo_the_span(self, span):
+        # Draw 0 decides the first step, j = K - 1, so with K = span each
+        # seed puts one chosen draw at that step; the later steps take
+        # whatever draws follow.
+        largest_multiple = (2**64 - 1) // span * span
+        pinned = sorted({0, span - 1, span, largest_multiple, 2**64 - span, 2**64 - 1})
+        seeds = np.array([oracles.seed_with_draw(value, 0) for value in pinned], dtype=np.uint64)
+        K, k = span, max(1, span - 4)
+        rows = 0
+        for top, partners in machine_mod._step_blocks(K, k, seeds):
+            for i, row in enumerate(partners):
+                j = top - i
+                draws = pinned if j == K - 1 else [rng.draw(seed, K - 1 - j) for seed in seeds.tolist()]
+                assert row.tolist() == [draw % (j + 1) for draw in draws], (span, j)
+                rows += 1
+        assert rows == K - k
 
     def record_draws(self, monkeypatch):
         """(index, rows) of every draws_at call: a block's row i is draw

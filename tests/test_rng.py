@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltamachine import rng
-from oracles import reference_mix
+from oracles import reference_mix, seed_with_draw, unmix64
 
 MASK = rng.MASK64
 
@@ -19,6 +19,17 @@ class TestScalar:
         for j in range(10):
             expected = reference_mix((seed + (j + 1) * rng.GOLDEN) & MASK)
             assert rng.draw(seed, j) == expected
+
+    def test_unmix64_inverts_the_finalizer(self):
+        values = [0, 1, 2, 42, 2**63 - 1, 2**63, MASK - 1, MASK, 0xDEADBEEFCAFEBABE]
+        values += rng.substream_seeds(5, 0, 200).tolist()
+        for z in values:
+            assert rng.mix64(unmix64(z)) == z and unmix64(rng.mix64(z)) == z
+
+    def test_seed_with_draw_puts_the_value_at_the_index(self):
+        for index in (0, 1, 7, 2**15 - 1):
+            for value in (0, 1, 2**15, 2**63, MASK):
+                assert rng.draw(seed_with_draw(value, index), index) == value
 
     def test_seed_reduced_mod_2_64(self):
         assert rng.draw(MASK + 1 + 5, 0) == rng.draw(5, 0)

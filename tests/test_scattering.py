@@ -263,12 +263,21 @@ class TestWavePacket:
         assert packet.weights.tolist() == floats.weights.tolist()
         assert wavepacket_transmission(packet) == wavepacket_transmission(floats)
 
+    # The ids of the gaussian cases leave out the grid options at their
+    # defaults, n_points = 2001 and span = 6.0.
     @pytest.mark.parametrize(
-        "center, width, name", [(True, 0.1, "center"), ("4", 0.1, "center"), (4.0, b"1", "width")]
+        "center, width, options, name",
+        [
+            pytest.param(True, 0.1, {}, "center", id="True-0.1-center"),
+            pytest.param("4", 0.1, {}, "center", id="4-0.1-center"),
+            pytest.param(4.0, b"1", {}, "width", id="4.0-1-width"),
+            pytest.param(4.0, 0.1, {"n_points": True}, "n_points", id="4.0-0.1-True-n_points"),
+            pytest.param(4.0, 0.1, {"span": True}, "span", id="4.0-0.1-True-span"),
+        ],
     )
-    def test_gaussian_rejects_non_real_parameters(self, center, width, name):
-        with pytest.raises(TypeError, match=f"{name} must be a real number"):
-            WavePacket.gaussian(center, width)
+    def test_gaussian_rejects_non_real_parameters(self, center, width, options, name):
+        with pytest.raises(TypeError, match=f"{name} must be (a real number|an integer), not"):
+            WavePacket.gaussian(center, width, **options)
 
     def test_gaussian_is_normalized(self):
         packet = WavePacket.gaussian(4.0, 0.01)
@@ -283,18 +292,21 @@ class TestWavePacket:
             WavePacket([0.0, 1.0], [0.0, 0.0]).normalized()
 
     @pytest.mark.parametrize(
-        "center, width, n_points, match",
+        "center, width, n_points, span, match",
         [
-            (-1.0, 0.1, 2001, "center"),
-            (math.nan, 0.1, 2001, "center"),
-            (1.0, 0.0, 2001, "width"),
-            (1.0, -0.1, 2001, "width"),
-            (1.0, 0.1, 1, "n_points"),
+            pytest.param(-1.0, 0.1, 2001, 6.0, "center", id="-1.0-0.1-2001-center"),
+            pytest.param(math.nan, 0.1, 2001, 6.0, "center", id="nan-0.1-2001-center"),
+            pytest.param(1.0, 0.0, 2001, 6.0, "width", id="1.0-0.0-2001-width"),
+            pytest.param(1.0, -0.1, 2001, 6.0, "width", id="1.0--0.1-2001-width"),
+            pytest.param(1.0, 0.1, 1, 6.0, "n_points", id="1.0-0.1-1-n_points"),
+            pytest.param(1.0, 0.1, 2001, math.inf, "span", id="1.0-0.1-2001-inf-span"),
+            pytest.param(1.0, 0.1, 2001, 0.0, "span", id="1.0-0.1-2001-0.0-span"),
         ],
     )
-    def test_gaussian_rejects_bad_parameters(self, center, width, n_points, match):
-        with pytest.raises(ValueError, match=match):
-            WavePacket.gaussian(center, width, n_points=n_points)
+    def test_gaussian_rejects_bad_parameters(self, center, width, n_points, span, match):
+        # Refused before numpy sees the grid: no warning precedes the error.
+        with pytest.raises(ValueError, match=f"^{match} must be"):
+            WavePacket.gaussian(center, width, n_points=n_points, span=span)
 
     def test_rejects_unnormalized_at_use(self):
         packet = WavePacket([0.0, 1.0], [1.0, 1.0])  # integral = 1 trapezoid? no: 1.0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from deltamachine import serialize
-from deltamachine.elastic import ElasticExperiment, epsilon_probabilities
+from deltamachine.band import ElasticExperiment, epsilon_probabilities
 from deltamachine.interval import wilson_interval
 from deltamachine.machine import run_ensemble
 from deltamachine.regimes import classify_row, classify_table

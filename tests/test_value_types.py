@@ -1,6 +1,6 @@
 """The value types keep the contract of frozen dataclasses.
 
-``spheres.value_type`` builds equality, hashing, ``repr``, pickling and
+``values.value_type`` builds equality, hashing, ``repr``, pickling and
 immutability from each class's ``__slots__``; one parametrized test checks
 every class against the behaviour of the frozen dataclass it replaced, and
 another checks that the unchecked maker ``_make`` builds the same values as
@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from deltamachine.band import ElasticExperiment, OutcomePair
 from deltamachine.regimes import Regime, RegimeVerdict, Witness, WitnessKind
 from deltamachine.scattering import ScatteringAmplitudes, ScatteringConfig
 from deltamachine.spheres import (
@@ -61,6 +62,12 @@ CASES = {
         ScatteringAmplitudes(transmission=1j, reflection=-1 + 0j, energy=1.0),
         (1j, -1 + 0j, 1.0),
         "ScatteringAmplitudes(transmission=1j, reflection=(-1+0j), energy=1.0)",
+    ),
+    "OutcomePair": (OutcomePair(p_plus=0.75, p_minus=0.25), (0.75, 0.25), "OutcomePair(p_plus=0.75, p_minus=0.25)"),
+    "ElasticExperiment": (
+        ElasticExperiment(theta=1.0, epsilon=0.5, projection=0.5),
+        (1.0, 0.5, 0.5),
+        "ElasticExperiment(theta=1.0, epsilon=0.5, projection=0.5)",
     ),
 }
 
@@ -125,6 +132,9 @@ def test_defaults():
     assert RegimeVerdict(Regime.QUANTUM, ()).note is None
     assert ScatteringConfig().coupling == 1.0
     assert ScatteringConfig() == ScatteringConfig(1.0)
+    assert ElasticExperiment(1.0, 0.5).projection is None
+    assert ElasticExperiment(1.0, 0.5) == ElasticExperiment(1.0, 0.5, None)
+    assert ElasticExperiment(1.0, 0.5) != ElasticExperiment(1.0, 0.5, projection=0.5)
 
 
 def test_tables_compare_by_value():
@@ -150,6 +160,14 @@ def test_tables_compare_by_value():
         (lambda: ScatteringConfig(1e-200), ValueError, "out of range"),
         (lambda: ScatteringConfig(True), TypeError, "not bool"),
         (lambda: ScatteringConfig("1"), TypeError, "not str"),
+        # ElasticExperiment checks the types of theta and epsilon, then their
+        # ranges, then the type and the range of projection.
+        (lambda: ElasticExperiment("x", 2.0), TypeError, "^theta must be a real number, not str$"),
+        (lambda: ElasticExperiment(4.0, b"x"), TypeError, "^epsilon must be a real number, not bytes$"),
+        (lambda: ElasticExperiment(4.0, 2.0, projection="x"), ValueError, r"^theta must lie in \[0, pi\]$"),
+        (lambda: ElasticExperiment(1.0, 2.0, projection="x"), ValueError, r"^epsilon must lie in \[0, 1\]$"),
+        (lambda: ElasticExperiment(1.0, 0.5, projection=True), TypeError, "^projection must be a real number, not bool$"),
+        (lambda: ElasticExperiment(1.0, 0.5, projection=2.0), ValueError, r"^projection must lie in \[-1, 1\]$"),
     ],
 )
 def test_construction_validates(build, error, match):
