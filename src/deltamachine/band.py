@@ -125,12 +125,10 @@ def epsilon_probabilities(experiment: ElasticExperiment) -> OutcomePair:
     """Closed-form outcome probabilities of the breakable-band measurement."""
     c = experiment.cos_theta
     eps = experiment.epsilon
-    if eps == 0.0:
-        # Singular case handled without division: sign rule with a fair tie.
-        if c > 0.0:
-            return OutcomePair(1.0, 0.0)
-        if c < 0.0:
-            return OutcomePair(0.0, 1.0)
+    if c == 0.0 and eps == 0.0:
+        # The knife edge of the sign rule: a fair tie.  Every other c meets
+        # one of the two comparisons below at eps = 0, so the division is
+        # never reached there.
         return OutcomePair(0.5, 0.5)
     if c >= eps:
         return OutcomePair(1.0, 0.0)

@@ -1,7 +1,7 @@
 """Command-line interface: tables, simulations, scattering, classification.
 
 Exit codes: 0 success, 2 usage or validation error (an unwritable output
-path included), 3 golden-table mismatch.
+path included, refused before the command runs), 3 golden-table mismatch.
 Every randomized command reports its seed and generator name, so any
 published number can be reproduced bit-for-bit; when no seed is given a
 fresh one is drawn and reported.  The text report of an ensemble command
@@ -503,14 +503,20 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     command, fmt, output = args.command, args.format, args.output
+    if output:
+        # Refuse an unwritable path before any work; append mode creates a
+        # missing file and leaves an existing file's bytes as they are.
+        try:
+            open(output, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     # An exact value can have more digits than CPython converts to a string
     # by default (4300).  That limit guards the parsing of untrusted text,
     # and argv is parsed by now, so it is lifted while the command renders
-    # its own ints, and restored for the caller.  Builds without the limit
-    # (before 3.10.7) have no get_int_max_str_digits.
-    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digit_limit:
-        sys.set_int_max_str_digits(0)
+    # its own ints, and restored for the caller.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         try:
             payload = _DISPATCH[command](args)
@@ -531,8 +537,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         return EXIT_OK
     finally:
-        if digit_limit:
-            sys.set_int_max_str_digits(digit_limit)
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

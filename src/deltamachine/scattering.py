@@ -16,7 +16,10 @@ checks it at the extremes of its energies.
 
 The wave-packet operation integrates ``|T(E)|^2`` against a user-supplied
 energy density on a grid with the trapezoidal rule; the sharply peaked limit
-recovers the fixed-energy probability.
+recovers the fixed-energy probability.  A packet never overflows silently:
+a weight integral that overflows the double range, a normalization whose
+weight / integral would, and a Gaussian grid that cannot be built or squared
+in double precision each raise ``ValueError`` before numpy can warn.
 
 The scalar functions use only ``math`` and ``complex``; numpy is imported by
 the array code alone (:func:`transmission_curve`, :class:`WavePacket` and
@@ -211,18 +214,27 @@ class WavePacket:
         self.weights = w
 
     def weight_integral(self) -> float:
-        """Trapezoidal integral of the weights (the weight itself for a point mass)."""
+        """Trapezoidal integral of the weights (the weight itself for a point mass).
+
+        Raises ``ValueError`` when the integral overflows the double range.
+        """
         import numpy as np
 
         if self.energies.size == 1:
             return float(self.weights[0])
-        return float(np.trapezoid(self.weights, self.energies))
+        with np.errstate(over="ignore"):
+            total = float(np.trapezoid(self.weights, self.energies))
+        if not math.isfinite(total):
+            raise ValueError("the packet's weight integral overflows")
+        return total
 
     def normalized(self) -> "WavePacket":
         """Copy rescaled so the weight integral is exactly 1."""
         total = self.weight_integral()
         if total <= 0.0:
             raise ValueError("cannot normalize a packet with zero total weight")
+        if not math.isfinite(float(self.weights.max()) / total):
+            raise ValueError("cannot normalize: a weight divided by the integral overflows")
         return WavePacket(self.energies, self.weights / total)
 
     @classmethod
@@ -237,23 +249,32 @@ class WavePacket:
         """Normalized Gaussian density of the given width, clipped to E >= 0.
 
         The grid holds ``n_points`` (an integer >= 2) energies over
-        ``center ± span * width`` (``span`` a positive finite real).
+        ``center ± span * width`` (``span`` a positive finite real).  ``width``
+        must be a normal float (at least ``sys.float_info.min``), the grid's
+        top ``center + span * width`` finite, and every standardized energy
+        ``(E - center) / width`` must square to a finite value.
         """
         center, width = as_real(center, "center"), as_real(width, "width")
         if not (math.isfinite(center) and center >= 0.0):
             raise ValueError("center must be a nonnegative finite real")
-        if not (math.isfinite(width) and width > 0.0):
-            raise ValueError("width must be a positive finite real")
+        if not (math.isfinite(width) and width >= sys.float_info.min):
+            raise ValueError("width must be a positive finite real, at least the smallest normal float")
         n_points = as_int(n_points, "n_points")
         if n_points < 2:
             raise ValueError("n_points must be at least 2")
         span = as_real(span, "span")
         if not (math.isfinite(span) and span > 0.0):
             raise ValueError("span must be a positive finite real")
-        import numpy as np
-
         lo = max(0.0, center - span * width)
         hi = center + span * width
+        if not math.isfinite(hi):
+            raise ValueError("width must be small enough that center + span * width is finite")
+        # numpy squares each standardized energy, and the grid's two ends
+        # bound them all (each IEEE operation rounds monotonically).
+        if not all(math.isfinite(z * z) for z in ((lo - center) / width, (hi - center) / width)):
+            raise ValueError("span must be small enough that ((E - center) / width)**2 is finite")
+        import numpy as np
+
         grid = np.linspace(lo, hi, n_points)
         dens = np.exp(-0.5 * ((grid - center) / width) ** 2)
         return cls(grid, dens).normalized()

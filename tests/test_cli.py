@@ -308,15 +308,25 @@ class TestDigitLimit:
         out = self.run_at_limit("convergence", *self.CELL, "--schedule", "1", "--format", "json")
         assert parse_json(out)["expected"]["num"] == self.EXPECTED.numerator
 
-    def test_limit_guards_argv_and_is_restored(self, capsys):
-        before = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not before:
-            pytest.skip("this interpreter has no int-to-str digit limit")
-        code, _, err = run_cli(capsys, "simulate", "--kp", "1" * (before + 1), "--km", "1", "--k", "1", "--n", "1")
+    @pytest.fixture
+    def digit_limit(self):
+        """Run the test under the given limit, then restore the interpreter's."""
+        before = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(before)
+
+    def test_limit_guards_argv_and_is_restored(self, capsys, digit_limit):
+        digit_limit(640)
+        code, _, err = run_cli(capsys, "simulate", "--kp", "1" * 641, "--km", "1", "--k", "1", "--n", "1")
         assert code == 2 and "invalid int value" in err
-        assert sys.get_int_max_str_digits() == before
+        assert sys.get_int_max_str_digits() == 640
         assert run_cli(capsys, "simulate", *self.CELL, "--n", "1")[0] == 0
-        assert sys.get_int_max_str_digits() == before
+        assert sys.get_int_max_str_digits() == 640
+
+    def test_limit_off_stays_off(self, capsys, digit_limit):
+        digit_limit(0)
+        assert run_cli(capsys, "simulate", *self.CELL, "--n", "1")[0] == 0
+        assert sys.get_int_max_str_digits() == 0
 
 
 class TestClusterLimit:
@@ -776,6 +786,81 @@ class TestOutputDestinations:
         code, out, err = run_cli(capsys, "tables", "--K", "3", "--output", str(target))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(cli._DISPATCH))
+    def test_unwritable_output_is_refused_before_the_command_runs(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        def never(args):
+            raise AssertionError(f"{command} ran although its output is unwritable")
+
+        monkeypatch.setitem(cli._DISPATCH, command, never)
+        argv = {
+            "tables": ["--K", "3"],
+            "classify": ["--K", "3"],
+            "simulate": ["--kp", "1", "--km", "1", "--k", "1", "--n", "10"],
+            "convergence": ["--kp", "1", "--km", "1", "--k", "1"],
+            "scatter": ["--E", "1"],
+            "epsilon": ["--theta", "1", "--eps", "0.5"],
+        }[command]
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(capsys, command, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write output:") and "Traceback" not in err
+
+    def test_a_failed_command_leaves_an_existing_file_unchanged(self, capsys, tmp_path):
+        target = tmp_path / "table.txt"
+        target.write_bytes(b"kept\n")
+        code, out, err = run_cli(capsys, "simulate", "--kp", "2", "--km", "1", "--k", "4", "--n", "10", "--output", str(target))
+        assert (code, out) == (2, "") and err.startswith("error:")
+        assert target.read_bytes() == b"kept\n"
+
+
+_CELL = ("--kp", "2", "--km", "1", "--k", "1")
+
+#: Edge inputs of every command: each exits 0 or 2, never with a traceback.
+EDGE_ARGV = [
+    *[(command, "--K", K) for command in ("tables", "classify") for K in ("0", "-3", "257")],
+    *[("scatter", "--E", E) for E in ("nan", "inf", "-0.0", "1e-320")],
+    *[("scatter", "--E", "1", "--coupling", g) for g in ("0", "-1", "inf", "nan", "1e154")],
+    ("scatter", "--E", "1e308", "--coupling", "1e-160"),
+    ("scatter", "--grid", "0:1e308:3"),
+    ("scatter", "--E", "1e300", "--coupling", "1e-5"),
+    *[
+        ("simulate", "--kp", kp, "--km", km, "--k", k, "--n", "10", "--seed", "1")
+        for kp, km, k in (("0", "0", "1"), ("-1", "2", "1"), ("2", "1", "0"), ("2", "1", "4"), ("20001", "20000", "1"))
+    ],
+    *[("simulate", *_CELL, "--n", "10", "--seed", seed) for seed in ("-1", str(2**80))],
+    *[("simulate", *_CELL, "--n", "10", "--seed", "1", "--z", z) for z in ("1e200", "1e-200")],
+    ("epsilon", "--theta", "nan", "--eps", "0.5"),
+    ("epsilon", "--theta", "1", "--eps", "2"),
+    ("epsilon", "--theta", "-0.0", "--eps", "-0.0"),
+    ("epsilon", "--theta", "1", "--eps", "5e-324", "--n", "3", "--seed", "1"),
+    *[("convergence", *_CELL, "--seed", "1", "--schedule", schedule) for schedule in ("0", "3,,4", "5,3")],
+]
+
+
+def check_exit_contract(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code in (0, 2) and "Traceback" not in err, err
+    if code == 2:
+        assert out == ""
+    elif fmt == "json":
+        parse_json(out)
+    return code, err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("argv", EDGE_ARGV, ids=" ".join)
+def test_edge_inputs_keep_the_exit_code_contract(capsys, argv, fmt):
+    check_exit_contract(capsys, argv, fmt)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_full_device_is_a_usage_error(capsys, fmt):
+    code, err = check_exit_contract(capsys, ("tables", "--K", "3", "--output", "/dev/full"), fmt)
+    assert code == 2 and err.startswith("error: cannot write output:") and "No space" in err
 
 
 class TestModuleSeams:

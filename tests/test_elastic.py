@@ -198,6 +198,28 @@ class TestEpsilonProbabilities:
             assert epsilon_probabilities(at_top).p_plus == 1.0
             assert epsilon_probabilities(at_bottom).p_minus == 1.0
 
+    @staticmethod
+    def two_branch_rule(c, eps):
+        """The closed form with its own eps = 0 branch: sign rule, fair tie."""
+        if eps == 0.0:
+            return (1.0, 0.0) if c > 0.0 else (0.0, 1.0) if c < 0.0 else (0.5, 0.5)
+        if c >= eps:
+            return (1.0, 0.0)
+        if c <= -eps:
+            return (0.0, 1.0)
+        return ((eps + c) / (2.0 * eps), (eps - c) / (2.0 * eps))
+
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 0.5, 1.0])
+    @pytest.mark.parametrize("c", [-1.0, -0.5, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0])
+    def test_one_special_case_matches_the_two_branch_rule(self, c, eps):
+        # repr tells -0.0 from 0.0, so the pairs agree in value and in sign.
+        exp = ElasticExperiment(math.acos(c), eps, projection=c)
+        pair = epsilon_probabilities(exp)
+        expected = self.two_branch_rule(exp.cos_theta, eps)
+        assert (repr(pair.p_plus), repr(pair.p_minus)) == tuple(map(repr, expected))
+        if eps == 0.0:
+            assert expected == ((1.0, 0.0) if c > 0.0 else (0.0, 1.0) if c < 0.0 else (0.5, 0.5))
+
     def test_antisymmetry(self):
         for eps in (0.05, 0.3, 0.6, 1.0):
             for theta in np.linspace(0.05, math.pi - 0.05, 101):

@@ -1,5 +1,6 @@
 """README's library quick start runs as written and prints what it states,
-and its CLI section names every command-line option, and no other."""
+and its CLI section names every command-line option, and no other, and
+states every size bound as the ``cli`` constant has it."""
 
 import argparse
 import os
@@ -52,3 +53,24 @@ def test_cli_section_names_the_parsers_options():
     }
     assert sorted(documented - options) == [], "README names options no command has"
     assert sorted(options - documented) == [], "README's CLI section omits options"
+
+
+_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def test_cli_section_states_the_size_bounds():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.S | re.M).group(1)
+    # "up to 32,768 = 2¹⁵ (`cli.MAX_CLUSTER_SIZE`)": the figure, an optional
+    # power of two, maybe a unit word, then the constant's name.
+    stated = re.findall(r"up to ([\d,]+)(?: = 2([⁰¹²³⁴⁵⁶⁷⁸⁹]+))?\s+(?:\w+\s+)?\(`cli\.(MAX_\w+)`", section)
+    bounds = {}
+    for figure, power, name in stated:
+        bounds[name] = int(figure.replace(",", ""))
+        if power:
+            assert bounds[name] == 2 ** int(power.translate(_SUPERSCRIPTS)), figure
+    assert bounds == {
+        "MAX_TABLE_SIZE": cli.MAX_TABLE_SIZE,
+        "MAX_CLUSTER_SIZE": cli.MAX_CLUSTER_SIZE,
+        "MAX_GRID_POINTS": cli.MAX_GRID_POINTS,
+    }

@@ -301,12 +301,43 @@ class TestWavePacket:
             pytest.param(1.0, 0.1, 1, 6.0, "n_points", id="1.0-0.1-1-n_points"),
             pytest.param(1.0, 0.1, 2001, math.inf, "span", id="1.0-0.1-2001-inf-span"),
             pytest.param(1.0, 0.1, 2001, 0.0, "span", id="1.0-0.1-2001-0.0-span"),
+            # The grid's top, center + span * width, overflows.
+            pytest.param(1.0, 1e308, 2001, 6.0, "width", id="1.0-1e308-2001-width"),
+            # (E - center) / width squares past the double range.
+            pytest.param(1.0, 1.0, 2001, 1e308, "span", id="1.0-1.0-2001-1e308-span"),
+            # A subnormal width: the normalization would overflow, or the
+            # grid collapse.
+            pytest.param(0.0, 1e-310, 2001, 6.0, "width", id="0.0-1e-310-2001-width"),
+            pytest.param(0.0, 5e-324, 2001, 6.0, "width", id="0.0-5e-324-2001-width"),
         ],
     )
     def test_gaussian_rejects_bad_parameters(self, center, width, n_points, span, match):
         # Refused before numpy sees the grid: no warning precedes the error.
         with pytest.raises(ValueError, match=f"^{match} must be"):
             WavePacket.gaussian(center, width, n_points=n_points, span=span)
+
+    def test_gaussian_of_the_narrowest_normal_width(self):
+        packet = WavePacket.gaussian(0.0, 2.3e-308)
+        assert abs(packet.weight_integral() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "energies, weights",
+        [
+            pytest.param([0.0, 1e308], [1e308, 1e308], id="sum-overflows"),
+            pytest.param([0.0, 1e308], [2.0, 0.0], id="product-overflows"),
+        ],
+    )
+    def test_weight_integral_refuses_to_overflow(self, energies, weights):
+        # pytest turns a numpy warning into an error, so none is emitted.
+        packet = WavePacket(energies, weights)
+        with pytest.raises(ValueError, match="weight integral overflows"):
+            packet.weight_integral()
+        with pytest.raises(ValueError, match="weight integral overflows"):
+            packet.normalized()
+
+    def test_normalized_refuses_an_overflowing_weight(self):
+        with pytest.raises(ValueError, match="divided by the integral overflows"):
+            WavePacket([0.0, 1e-310], [1.0, 1.0]).normalized()
 
     def test_rejects_unnormalized_at_use(self):
         packet = WavePacket([0.0, 1.0], [1.0, 1.0])  # integral = 1 trapezoid? no: 1.0
