@@ -15,9 +15,10 @@ Closed form, with ``c = cos(theta)``::
     -eps < c < eps      -> ((eps + c) / (2 eps), (eps - c) / (2 eps))
 
 ``eps = 1`` reproduces the ideal-spin probabilities ``cos^2(theta/2)`` /
-``sin^2(theta/2)``; ``eps = 0`` is the deterministic sign rule, with the
-``c = 0`` knife-edge resolved as a fair (1/2, 1/2) split, mirroring the
-sphere machine's balanced-tranche convention.
+``sin^2(theta/2)``, so :func:`quantum_spin_probabilities` is that band,
+with its checks and its arithmetic.  ``eps = 0`` is the deterministic sign
+rule, with the ``c = 0`` knife-edge resolved as a fair (1/2, 1/2) split,
+mirroring the sphere machine's balanced-tranche convention.
 
 The module loads no numpy: only :meth:`ElasticExperiment.from_vectors`
 imports it, inside itself.  The seeded simulator lives in
@@ -58,9 +59,8 @@ class ElasticExperiment:
             projection = as_real(projection, "projection")
             if not math.isfinite(projection) or not -1.0 <= projection <= 1.0:
                 raise ValueError("projection must lie in [-1, 1]")
-            projection += 0.0
-        object.__setattr__(self, "theta", t + 0.0)  # -0.0 becomes 0.0
-        object.__setattr__(self, "epsilon", e + 0.0)
+        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "epsilon", e)
         object.__setattr__(self, "projection", projection)
 
     @property
@@ -113,12 +113,8 @@ class OutcomePair:
 
 
 def quantum_spin_probabilities(theta: float) -> OutcomePair:
-    """Ideal-spin outcome probabilities ((1 + cos t)/2, (1 - cos t)/2)."""
-    t = as_real(theta, "theta")
-    if not math.isfinite(t) or not 0.0 <= t <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    c = math.cos(t)
-    return OutcomePair(p_plus=0.5 * (1.0 + c), p_minus=0.5 * (1.0 - c))
+    """Ideal-spin outcome probabilities ((1 + cos t)/2, (1 - cos t)/2): the eps = 1 band."""
+    return epsilon_probabilities(ElasticExperiment(theta, 1.0))
 
 
 def epsilon_probabilities(experiment: ElasticExperiment) -> OutcomePair:

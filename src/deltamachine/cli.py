@@ -13,8 +13,10 @@ report (a ``--seed`` left out is still drawn, and reported).  argparse
 resolves and converts every option, so a malformed value is a usage error
 before any command runs.  Every size has a constant bound: ``tables`` and
 ``classify`` take K of at most :data:`MAX_TABLE_SIZE`, ``simulate`` and
-``convergence`` a cluster of at most :data:`MAX_CLUSTER_SIZE` spheres, and
-``--grid`` at most :data:`MAX_GRID_POINTS` points.
+``convergence`` a cluster of at most :data:`MAX_CLUSTER_SIZE` spheres,
+``--n`` and every ``--schedule`` entry at most :data:`MAX_TRIALS` trials
+(the interval's bound, checked when argv is parsed), and ``--grid`` at
+most :data:`MAX_GRID_POINTS` points.
 
 The simulation commands (``simulate``, ``convergence``, and ``epsilon``
 with ``--n``) import their numpy-backed modules when they run, so the other
@@ -23,8 +25,9 @@ from the numpy-free :mod:`~deltamachine.band`, and loads the simulator of
 :mod:`~deltamachine.elastic` only for ``--n``.  ``json`` and ``csv`` are
 imported by the generic renderers, when one runs.
 
-``scatter`` evaluates each energy once, into a row of its CSV columns, and
-writes every format from per-row templates: the JSON is the bytes of
+``scatter`` gets each energy's amplitudes once, from :func:`amplitudes`,
+and their row of CSV columns from :func:`~deltamachine.scattering.scatter_row`,
+and writes every format from per-row templates: the JSON is the bytes of
 ``json.dumps(indent=2)`` (``%r`` writes a finite float as ``json`` does, and
 every value is finite), the CSV the bytes of ``csv.writer``, and the text a
 ``%``-format per column, right-aligned by the same grid writer as every other
@@ -41,16 +44,17 @@ from typing import Any, Callable, Sequence
 
 from . import serialize
 from .golden import GOLDEN_SIZES, golden_table
-from .interval import DEFAULT_Z
+from .interval import DEFAULT_Z, MAX_TRIALS
 from .regimes import classify_table
-# scatter calls amplitudes and _jump_residual; bench/tracing.py also wraps
-# the three scalar functions here by name.
+# scatter calls amplitudes here by name, where bench/tracing.py counts the
+# points, and builds each row with scatter_row; the tracer also wraps the
+# three scalar functions here by name.
 from .scattering import (  # noqa: F401
     ScatteringConfig,
-    _jump_residual,
     amplitudes,
     jump_condition_residual,
     reflection_probability,
+    scatter_row,
     transmission_probability,
 )
 from .spheres import (
@@ -82,10 +86,13 @@ def _parse_z(spec: str) -> float:
 
 
 def _positive_int(spec: str) -> int:
-    """``int(spec)``, refused below 1 before any command runs."""
+    """``int(spec)`` as a trial count, refused below 1 or above
+    :data:`MAX_TRIALS` before any command runs."""
     value = int(spec)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {spec!r}")
+    if value > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"expected at most 2**53 = {MAX_TRIALS} trials")
     return value
 
 
@@ -262,14 +269,12 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _cmd_scatter(args: argparse.Namespace) -> dict[str, Any]:
-    """One row of ``serialize.SCATTER_COLUMNS`` per energy, from one ``amplitudes`` call.
-
-    The probabilities are ``transmission_probability`` and
-    ``reflection_probability``'s operations on the same kappa^2, so every
-    value equals its library function's bit for bit.
+    """One ``scatter_row`` of ``serialize.SCATTER_COLUMNS`` per energy, from
+    one ``amplitudes`` call; every value equals its library function's bit
+    for bit.
 
     Every value is finite, so ``_scatter_json`` needs no ``NaN`` or
-    ``Infinity``: ``amplitudes`` checks kappa^2 and ``_jump_residual`` 2 E to
+    ``Infinity``: ``amplitudes`` checks kappa^2 and ``scatter_row`` 2 E to
     be finite, |T|, |R| <= 1 and both probabilities lie in [0, 1], and the
     residual's products of sqrt(2 E), the coupling and the amplitudes stay
     below about 1e155.
@@ -278,16 +283,7 @@ def _cmd_scatter(args: argparse.Namespace) -> dict[str, Any]:
     if not energies:
         raise ValueError("scatter requires --E and/or --grid")
     config = ScatteringConfig(coupling=args.coupling)
-    c2 = config.coupling * config.coupling
-    rows = []
-    for e in energies:
-        amp = amplitudes(e, config)
-        k2 = amp.energy / c2
-        t, r = amp.transmission, amp.reflection
-        rows.append((
-            amp.energy, t.real, t.imag, r.real, r.imag,
-            k2 / (1.0 + k2), 1.0 / (1.0 + k2), _jump_residual(amp, config),
-        ))
+    rows = [scatter_row(amplitudes(e, config), config) for e in energies]
     return {"command": "scatter", "coupling": config.coupling, "rows": rows}
 
 
@@ -390,13 +386,16 @@ def _classify_text(payload: dict[str, Any]) -> str:
 
 def _parse_schedule(spec: str) -> tuple[int, ...]:
     try:
-        return tuple(_positive_int(part) for part in spec.split(","))
+        counts = tuple(int(part) for part in spec.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {spec!r}"
         ) from None
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError("entries must be positive") from None
+    if min(counts) < 1:
+        raise argparse.ArgumentTypeError("entries must be positive")
+    if max(counts) > MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"entries must be at most 2**53 = {MAX_TRIALS}")
+    return counts
 
 
 def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:

@@ -4,7 +4,8 @@ Ensembles return counts only; ``serialize.ensemble_payload`` adds the Wilson
 score interval at level ``z`` (Wilson, JASA 1927; Brown, Cai & DasGupta,
 Statistical Science 2001).  Unlike the normal approximation it lies in
 [0, 1] by construction and keeps a nonzero width when every trial agrees.
-The command line's ``--z`` default lives here too.
+The command line's ``--z`` default and its bound on trial counts live
+here too.
 
 The interval is a report, not a certificate.  At z = 3 its nominal coverage
 is 0.9973, but its exact binomial coverage is lower at some p: over the
@@ -25,6 +26,11 @@ from .values import as_int, as_real
 #: Default level ``z`` of the interval.
 DEFAULT_Z = 3.0
 
+#: The most trials an interval takes.  Every count up to 2**53 converts to
+#: a double exactly, and ``n + z²`` then stays finite; above it the width
+#: is lost to rounding, and past the double range the conversion overflows.
+MAX_TRIALS = 2**53
+
 
 def wilson_interval(transmitted: int, n_trials: int, z: float) -> tuple[float, float]:
     """``(lower, upper)`` of the Wilson score interval at level ``z``.
@@ -35,12 +41,14 @@ def wilson_interval(transmitted: int, n_trials: int, z: float) -> tuple[float, f
     (``[x/n, x/n]`` at ``z`` = 0); any other real ``z`` raises ``ValueError``,
     and a ``bool``, ``str`` or ``bytes`` one ``TypeError``.  Both counts are
     integers (a ``bool``, float or ``str`` raises ``TypeError``) with
-    ``n >= 1`` and ``0 <= x <= n``, else ``ValueError``.
+    ``1 <= n <=`` :data:`MAX_TRIALS` and ``0 <= x <= n``, else ``ValueError``.
     """
     x, n = as_int(transmitted, "transmitted"), as_int(n_trials, "n_trials")
     z = as_real(z, "z")
     if n < 1:
         raise ValueError(f"n_trials must be at least 1, got {n}")
+    if n > MAX_TRIALS:
+        raise ValueError(f"n_trials must be at most 2**53 = {MAX_TRIALS}")
     if not 0 <= x <= n:
         raise ValueError(f"transmitted must lie in [0, n_trials = {n}], got {x}")
     if not (math.isfinite(z) and z >= 0.0):

@@ -11,15 +11,21 @@ with ``kappa = sqrt(2 hbar^2 E / m) / lambda``.  Internally we work in units
 normalization constant ``c = sqrt(2 hbar^2 / m)``, so that the default
 coupling 1 gives ``kappa = sqrt(E)`` and the transmission probability the
 simple form ``E / (1 + E)``.  One rule admits an energy: finite and
-nonnegative (-0.0 counts as 0.0) with a finite ``kappa^2``; the array form
-checks it at the extremes of its energies.
+nonnegative (``values.as_real`` reads -0.0 as 0.0) with a finite
+``kappa^2``; the array form checks it at the extremes of its energies.
+:func:`scatter_row` gives one point's amplitudes, probabilities and jump
+residual from a single :func:`amplitudes` call, each equal to its own
+function's value.
 
 The wave-packet operation integrates ``|T(E)|^2`` against a user-supplied
 energy density on a grid with the trapezoidal rule; the sharply peaked limit
-recovers the fixed-energy probability.  A packet never overflows silently:
-a weight integral that overflows the double range, a normalization whose
-weight / integral would, and a Gaussian grid that cannot be built or squared
-in double precision each raise ``ValueError`` before numpy can warn.
+recovers the fixed-energy probability.  A packet keeps its own read-only
+copies of its arrays, and integrates through one method, whose point-mass
+rule serves both the weight integral and the transmission.  A packet never
+overflows silently: a weight integral that overflows the double range, a
+normalization whose weight / integral would, and a Gaussian grid that
+cannot be built, squared or normalized in double precision each raise
+``ValueError`` before numpy can warn.
 
 The scalar functions use only ``math`` and ``complex``; numpy is imported by
 the array code alone (:func:`transmission_curve`, :class:`WavePacket` and
@@ -91,12 +97,11 @@ class ScatteringAmplitudes:
 
 def _kappa_squared(energy: float, config: ScatteringConfig) -> tuple[float, float]:
     """``(E, kappa^2)``; E must be finite and nonnegative, and kappa^2 finite."""
-    e = energy if type(energy) is float else as_real(energy, "energy")
+    e = as_real(energy, "energy")
     if not math.isfinite(e):
         raise ValueError("energy must be finite")
     if e < 0.0:
         raise ValueError("energy must be nonnegative")
-    e = e or 0.0  # -0.0 becomes 0.0, so no result carries a minus sign
     k2 = e / (config.coupling * config.coupling)
     if not math.isfinite(k2):
         raise ValueError(
@@ -145,7 +150,7 @@ def transmission_curve(
     bit for bit: both evaluate the same IEEE operations.  The one energy
     rule is checked at the extremes, with the scalar functions' errors.
     """
-    e = as_real_array(energies, "energies") + 0.0  # -0.0 becomes 0.0
+    e = as_real_array(energies, "energies")
     if e.size:
         # NaN reaches both, +-inf and negatives one, and kappa^2 grows with E
         _kappa_squared(e.min(), config)
@@ -166,6 +171,22 @@ def jump_condition_residual(
     Raises ``ValueError`` where ``2 E`` overflows.
     """
     return _jump_residual(amplitudes(energy, config), config)
+
+
+def scatter_row(amp: ScatteringAmplitudes, config: ScatteringConfig) -> tuple[float, ...]:
+    """The values of one scatter point, from amplitudes computed at ``config``.
+
+    ``(E, Re T, Im T, Re R, Im R, |T|^2, |R|^2, jump residual)``: each equals
+    its library function at ``amp.energy`` bit for bit, since each is that
+    function's operations on the same E, kappa^2 and amplitudes.  Raises
+    ``ValueError`` where ``2 E`` overflows.
+    """
+    k2 = amp.energy / (config.coupling * config.coupling)
+    t, r = amp.transmission, amp.reflection
+    return (
+        amp.energy, t.real, t.imag, r.real, r.imag,
+        k2 / (1.0 + k2), 1.0 / (1.0 + k2), _jump_residual(amp, config),
+    )
 
 
 def _jump_residual(amp: ScatteringAmplitudes, config: ScatteringConfig) -> float:
@@ -191,6 +212,8 @@ class WavePacket:
     normalized packets, and the transmission operation refuses packets whose
     weight integral strays from 1 by more than :data:`PACKET_NORM_TOL`.
     A single-point grid is treated as a point mass (the monoenergetic limit).
+    The packet copies both arrays and makes its copies read-only, so the
+    caller's arrays stay writeable and unchanged.
     """
 
     def __init__(self, energies, weights) -> None:
@@ -213,17 +236,22 @@ class WavePacket:
         self.energies = e
         self.weights = w
 
+    def _integrate(self, values: np.ndarray) -> float:
+        """Trapezoidal integral of ``values`` over the grid (the value itself
+        for a point mass); an overflow gives ``inf``, without a warning."""
+        import numpy as np
+
+        if self.energies.size == 1:
+            return float(values[0])
+        with np.errstate(over="ignore"):
+            return float(np.trapezoid(values, self.energies))
+
     def weight_integral(self) -> float:
         """Trapezoidal integral of the weights (the weight itself for a point mass).
 
         Raises ``ValueError`` when the integral overflows the double range.
         """
-        import numpy as np
-
-        if self.energies.size == 1:
-            return float(self.weights[0])
-        with np.errstate(over="ignore"):
-            total = float(np.trapezoid(self.weights, self.energies))
+        total = self._integrate(self.weights)
         if not math.isfinite(total):
             raise ValueError("the packet's weight integral overflows")
         return total
@@ -252,7 +280,9 @@ class WavePacket:
         ``center ± span * width`` (``span`` a positive finite real).  ``width``
         must be a normal float (at least ``sys.float_info.min``), the grid's
         top ``center + span * width`` finite, and every standardized energy
-        ``(E - center) / width`` must square to a finite value.
+        ``(E - center) / width`` must square to a finite value.  ``span *
+        width`` must leave a grid step of at least 4 ulps of the top, and a
+        largest weight over the integral that is finite.
         """
         center, width = as_real(center, "center"), as_real(width, "width")
         if not (math.isfinite(center) and center >= 0.0):
@@ -273,6 +303,17 @@ class WavePacket:
         # bound them all (each IEEE operation rounds monotonically).
         if not all(math.isfinite(z * z) for z in ((lo - center) / width, (hi - center) / width)):
             raise ValueError("span must be small enough that ((E - center) / width)**2 is finite")
+        # Grid points 4 ulps of the top apart stay distinct and lie at least
+        # step / 2 apart.  The largest weight, at most 1, is then at most
+        # 4 / step of the integral, and at most 1 / (0.6 (m - 3 step)) of it
+        # with m = min(span, 1) * width, as the density exceeds 0.6 from the
+        # center up to a width above it.
+        step = (hi - lo) / (n_points - 1)
+        if step < 4.0 * math.ulp(hi):
+            raise ValueError("span * width must be large enough that the grid step is at least 4 ulps of its top")
+        floor = max(step / 4.0, 0.6 * (min(span, 1.0) * width - 3.0 * step))
+        if not math.isfinite(2.0 / floor):
+            raise ValueError("span * width must be large enough that the largest weight over the integral is finite")
         import numpy as np
 
         grid = np.linspace(lo, hi, n_points)
@@ -284,17 +325,11 @@ def wavepacket_transmission(
     packet: WavePacket, config: ScatteringConfig = DEFAULT_CONFIG
 ) -> float:
     """Packet-averaged transmission: trapezoidal integral of |T|^2 |phi|^2."""
-    import numpy as np
-
     total = packet.weight_integral()
     if abs(total - 1.0) > PACKET_NORM_TOL:
         raise ValueError(
             f"packet is not normalized: weight integral {total!r} deviates "
             f"from 1 by more than {PACKET_NORM_TOL}"
         )
-    curve = transmission_curve(packet.energies, config)
-    if packet.energies.size == 1:
-        value = float(packet.weights[0] * curve[0])
-    else:
-        value = float(np.trapezoid(curve * packet.weights, packet.energies))
+    value = packet._integrate(transmission_curve(packet.energies, config) * packet.weights)
     return min(1.0, max(0.0, value))

@@ -2,7 +2,10 @@
 
 A leaf module: it imports nothing from the package.  The checks
 (:func:`as_int`, :func:`is_bool`, :func:`as_real`, :func:`as_real_array`)
-refuse a ``bool``, ``str`` or ``bytes`` with ``TypeError``.
+refuse a ``bool``, ``str`` or ``bytes`` with ``TypeError``.  The two real
+checks are the one home of the rule that a real input is a float the
+package owns: -0.0 reads as 0.0, so no result carries a minus sign, and an
+array is always a new float64 array, so the caller's stays theirs.
 
 The value types of the numpy-free modules (``spheres``, ``band``,
 ``regimes`` and ``scattering``) are ``__slots__`` classes finished by one
@@ -46,14 +49,17 @@ def is_bool(value: object) -> bool:
 
 
 def as_real(value: object, what: str) -> float:
-    """``value`` as a ``float``; any bool, ``str`` or ``bytes`` raises ``TypeError``."""
+    """``value`` as a ``float``, -0.0 as 0.0; any bool, ``str`` or ``bytes`` raises ``TypeError``."""
+    if type(value) is float:
+        return value + 0.0
     if is_bool(value) or isinstance(value, (str, bytes, bytearray)):
         raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
-    return float(value)
+    return float(value) + 0.0
 
 
 def as_real_array(values: object, what: str) -> np.ndarray:
-    """``values`` as float64; str, bytes, bool or complex entries raise ``TypeError``.
+    """``values`` as a new float64 array, -0.0 as 0.0; str, bytes, bool or
+    complex entries raise ``TypeError``.
 
     An ``ndarray`` is checked by its dtype, any other input (a list, say)
     and an object array entry by entry, before numpy converts a bool.
@@ -66,7 +72,9 @@ def as_real_array(values: object, what: str) -> np.ndarray:
     if a.dtype.kind == "O" or not isinstance(values, np.ndarray):
         entries = np.asarray(values, dtype=object).flat
         return np.array([as_real(v, what) for v in entries], np.float64).reshape(a.shape)
-    return a.astype(np.float64, copy=False)
+    owned = a.astype(np.float64)  # always a copy
+    owned += 0.0  # -0.0 becomes 0.0
+    return owned
 
 
 class FrozenInstanceError(AttributeError):

@@ -21,6 +21,7 @@ from deltamachine.scattering import (
     amplitudes,
     jump_condition_residual,
     reflection_probability,
+    scatter_row,
     transmission_probability,
 )
 from deltamachine.spheres import (
@@ -249,7 +250,8 @@ class TestSimulate:
 
 
 class TestTrialCount:
-    """``--n`` below 1 is a usage error, found before the exact value is computed."""
+    """``--n`` below 1 or above ``MAX_TRIALS`` is a usage error, found before
+    the exact value is computed; so is such a ``--schedule`` entry."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -268,6 +270,35 @@ class TestTrialCount:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert "usage:" in err and "argument --n: expected a positive integer" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--kp", "1", "--km", "0", "--k", "1", "--seed", "1", "--n", str(2**53 + 1)),
+            ("epsilon", "--theta", "0", "--eps", "0.5", "--n", str(2**53 + 1)),
+            ("convergence", "--kp", "2", "--km", "0", "--k", "1", "--seed", "1", "--schedule", f"5,{2**53 + 1}"),
+        ],
+        ids=["simulate", "epsilon", "convergence"],
+    )
+    def test_counts_above_the_bound_are_usage_errors(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("the exact value was computed")
+
+        monkeypatch.setattr(cli, "transmission_probability_exact", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "usage:" in err and f"at most 2**53 = {cli.MAX_TRIALS}" in err
+
+    def test_the_bound_itself_is_accepted(self, capsys):
+        # A certain cell is counted without drawing, so 2**53 trials run at once.
+        assert cli.MAX_TRIALS == 2**53
+        code, out, _ = run_cli(
+            capsys, "simulate", "--kp", "1", "--km", "0", "--k", "1", "--seed", "1",
+            "--n", str(2**53), "--format", "json",
+        )
+        assert code == 0
+        result = parse_json(out)["result"]
+        assert result["n_trials"] == result["transmitted"] == 2**53
 
     def test_non_integer_n_keeps_the_int_message(self, capsys):
         code, _, err = run_cli(capsys, "epsilon", "--theta", "1", "--eps", "0.5", "--n", "x")
@@ -487,6 +518,14 @@ class TestScatterWriters:
         assert [[v.hex() for v in row] for row in payload["rows"]] == [
             [v.hex() for v in row] for row in self.rows
         ]
+
+    def test_scatter_row_is_the_library_values(self):
+        # Each column is amplitudes', transmission_probability's,
+        # reflection_probability's or jump_condition_residual's value.
+        args = cli.build_parser().parse_args(self.argv)
+        config = ScatteringConfig(args.coupling)
+        rows = [scatter_row(amplitudes(e, config), config) for e in (args.E or []) + (args.grid or [])]
+        assert [[v.hex() for v in row] for row in rows] == [[v.hex() for v in row] for row in self.rows]
 
     def test_json_is_json_dumps(self, capsys):
         document = {
@@ -837,6 +876,10 @@ EDGE_ARGV = [
     ("epsilon", "--theta", "-0.0", "--eps", "-0.0"),
     ("epsilon", "--theta", "1", "--eps", "5e-324", "--n", "3", "--seed", "1"),
     *[("convergence", *_CELL, "--seed", "1", "--schedule", schedule) for schedule in ("0", "3,,4", "5,3")],
+    # Certain cells, counted without drawing, at a count no double holds.
+    ("simulate", "--kp", "1", "--km", "0", "--k", "1", "--n", str(10**400), "--seed", "1"),
+    ("convergence", "--kp", "2", "--km", "0", "--k", "1", "--schedule", f"5,{10**400}"),
+    ("epsilon", "--theta", "0", "--eps", "0.5", "--n", str(10**400)),
 ]
 
 

@@ -142,11 +142,12 @@ class TestElasticExperiment:
 
 class TestEpsilonProbabilities:
     def test_fully_breakable_reduces_to_quantum(self):
+        # quantum_spin_probabilities is this band, so compare with the
+        # half-angle forms themselves.
         for theta in np.linspace(0.0, math.pi, 1000):
             pair = epsilon_probabilities(ElasticExperiment(theta, 1.0))
-            quantum = quantum_spin_probabilities(theta)
-            assert abs(pair.p_plus - quantum.p_plus) <= 1e-12
-            assert abs(pair.p_minus - quantum.p_minus) <= 1e-12
+            assert abs(pair.p_plus - math.cos(theta / 2) ** 2) <= 1e-12
+            assert abs(pair.p_minus - math.sin(theta / 2) ** 2) <= 1e-12
 
     def test_rigid_band_is_deterministic(self):
         assert epsilon_probabilities(ElasticExperiment(0.3, 0.0)).p_plus == 1.0

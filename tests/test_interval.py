@@ -19,7 +19,7 @@ from deltamachine.spheres import probability_table
 
 LEVELS = [0.0, 5e-324, 1e-160, 3.0, 1e154, 1e308]
 
-COUNTS = [(0, 50), (50, 50), (2, 3), (66662, 100_000)]
+COUNTS = [(0, 50), (50, 50), (2, 3), (66662, 100_000), (2**53 - 1, 2**53)]
 
 
 def textbook(x, n, z):
@@ -100,8 +100,8 @@ def test_any_real_level_gives_python_float_bounds(z):
 
 @pytest.mark.parametrize(
     "x, n",
-    [(0, 0), (5, 3), (-1, 3)],
-    ids=["no-trials", "more-than-n", "negative"],
+    [(0, 0), (5, 3), (-1, 3), (1, 2**53 + 1), (1, 10**400)],
+    ids=["no-trials", "more-than-n", "negative", "above-2**53", "no-double"],
 )
 def test_rejects_counts_outside_zero_to_n(x, n):
     with pytest.raises(ValueError, match="n_trials"):

@@ -309,6 +309,11 @@ class TestWavePacket:
             # grid collapse.
             pytest.param(0.0, 1e-310, 2001, 6.0, "width", id="0.0-1e-310-2001-width"),
             pytest.param(0.0, 5e-324, 2001, 6.0, "width", id="0.0-5e-324-2001-width"),
+            # A grid step below an ulp of the center's precision collapses
+            # the grid; a grid narrower than 2.3e-310 overflows the
+            # normalization.
+            pytest.param(1e6, 1e-12, 2001, 6.0, r"span \* width", id="1e6-1e-12-2001-width"),
+            pytest.param(0.0, 2.3e-308, 2001, 0.01, r"span \* width", id="0.0-2.3e-308-2001-0.01-span"),
         ],
     )
     def test_gaussian_rejects_bad_parameters(self, center, width, n_points, span, match):
@@ -319,6 +324,22 @@ class TestWavePacket:
     def test_gaussian_of_the_narrowest_normal_width(self):
         packet = WavePacket.gaussian(0.0, 2.3e-308)
         assert abs(packet.weight_integral() - 1.0) < 1e-9
+
+    def test_gaussian_a_few_dozen_ulps_wide_per_step(self):
+        # A step of 6e-9 is about 50 ulps of 1e6.
+        packet = WavePacket.gaussian(1e6, 1e-6)
+        assert np.all(np.diff(packet.energies) > 0.0)
+        assert abs(packet.weight_integral() - 1.0) < 1e-9
+
+    def test_packet_keeps_read_only_copies_of_the_callers_arrays(self):
+        energies, weights = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0])
+        packet = WavePacket(energies, weights)
+        normalized = packet.normalized()
+        assert energies.flags.writeable and weights.flags.writeable
+        assert energies.tolist() == [0.0, 1.0, 2.0] and weights.tolist() == [1.0, 2.0, 1.0]
+        for own in (packet.energies, packet.weights, normalized.energies, normalized.weights):
+            assert not own.flags.writeable
+            assert not np.shares_memory(own, energies) and not np.shares_memory(own, weights)
 
     @pytest.mark.parametrize(
         "energies, weights",

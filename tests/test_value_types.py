@@ -4,18 +4,21 @@
 immutability from each class's ``__slots__``; one parametrized test checks
 every class against the behaviour of the frozen dataclass it replaced, and
 another checks that the unchecked maker ``_make`` builds the same values as
-the constructor.
+the constructor.  The real checks that the value types validate with read
+-0.0 as 0.0, and give every array input a new float64 array.
 """
 
 import copy
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deltamachine.band import ElasticExperiment, OutcomePair
 from deltamachine.regimes import Regime, RegimeVerdict, Witness, WitnessKind
 from deltamachine.scattering import ScatteringAmplitudes, ScatteringConfig
+from deltamachine.values import as_real, as_real_array
 from deltamachine.spheres import (
     ElectricState,
     KMeasurement,
@@ -173,3 +176,31 @@ def test_tables_compare_by_value():
 def test_construction_validates(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+@pytest.mark.parametrize(
+    "value", [-0.0, np.float64(-0.0), np.float32(-0.0), np.array(-0.0)], ids=["float", "f64", "f32", "0-d"]
+)
+def test_as_real_reads_negative_zero_as_zero(value):
+    result = as_real(value, "x")
+    assert type(result) is float and result.hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-0.0, 1.0],
+        [np.float64(-0.0), 1],
+        np.array([-0.0, 1.0]),
+        np.array([-0.0, 1.0], dtype=np.float32),
+        np.array([-0.0, 1.0], dtype=object),
+    ],
+    ids=["list", "list-of-numpy", "f64", "f32", "object"],
+)
+def test_as_real_array_reads_negative_zero_as_zero_into_a_new_array(values):
+    result = as_real_array(values, "x")
+    assert result.dtype == np.float64 and result.flags.writeable
+    assert [v.hex() for v in result.tolist()] == ["0x0.0p+0", "0x1.0000000000000p+0"]
+    if isinstance(values, np.ndarray):
+        assert not np.shares_memory(result, values)
+        assert values.flags.writeable and str(values[0]) == "-0.0"
