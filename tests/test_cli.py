@@ -704,7 +704,7 @@ class TestConvergence:
         assert code == 2 and out == ""
         assert "usage:" in err
         message = (
-            "entries must be positive" if schedule == "10,-5"
+            "expected a positive integer, got '-5'" if schedule == "10,-5"
             else f"expected comma-separated integers, got {schedule!r}"
         )
         assert f"argument --schedule: {message}" in err

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 
 from deltamachine.scattering import (
     IDENTITY_TOL,
+    PACKET_NORM_TOL,
     ScatteringConfig,
     WavePacket,
     amplitudes,
@@ -22,6 +24,23 @@ from deltamachine.scattering import (
 )
 
 ENERGY_SWEEP = np.linspace(1e-3, 100.0, 1000)
+
+#: ``WavePacket.gaussian``'s error for a packet it cannot build names all
+#: four parameters.
+NO_PACKET = "^no packet from center=.*, width=.*, n_points=.*, span=.*: "
+
+#: Reals the wave-packet sweeps draw: special values, log-uniform over the
+#: double range, or uniform on [0, 100].
+_SWEEP_SPECIALS = (0.0, 5e-324, 1e-310, 2.3e-308, 1e308, sys.float_info.max)
+
+
+def _sweep_value(rnd: random.Random) -> float:
+    kind = rnd.randrange(3)
+    if kind == 0:
+        return rnd.choice(_SWEEP_SPECIALS)
+    if kind == 1:
+        return 10.0 ** rnd.uniform(-320.0, 308.0)
+    return rnd.uniform(0.0, 100.0)
 
 
 class TestAmplitudes:
@@ -294,32 +313,85 @@ class TestWavePacket:
     @pytest.mark.parametrize(
         "center, width, n_points, span, match",
         [
-            pytest.param(-1.0, 0.1, 2001, 6.0, "center", id="-1.0-0.1-2001-center"),
-            pytest.param(math.nan, 0.1, 2001, 6.0, "center", id="nan-0.1-2001-center"),
-            pytest.param(1.0, 0.0, 2001, 6.0, "width", id="1.0-0.0-2001-width"),
-            pytest.param(1.0, -0.1, 2001, 6.0, "width", id="1.0--0.1-2001-width"),
-            pytest.param(1.0, 0.1, 1, 6.0, "n_points", id="1.0-0.1-1-n_points"),
-            pytest.param(1.0, 0.1, 2001, math.inf, "span", id="1.0-0.1-2001-inf-span"),
-            pytest.param(1.0, 0.1, 2001, 0.0, "span", id="1.0-0.1-2001-0.0-span"),
+            pytest.param(-1.0, 0.1, 2001, 6.0, "^center must be", id="-1.0-0.1-2001-center"),
+            pytest.param(math.nan, 0.1, 2001, 6.0, "^center must be", id="nan-0.1-2001-center"),
+            pytest.param(1.0, 0.0, 2001, 6.0, "^width must be", id="1.0-0.0-2001-width"),
+            pytest.param(1.0, -0.1, 2001, 6.0, "^width must be", id="1.0--0.1-2001-width"),
+            pytest.param(1.0, 0.1, 1, 6.0, "^n_points must be", id="1.0-0.1-1-n_points"),
+            pytest.param(1.0, 0.1, 2001, math.inf, "^span must be", id="1.0-0.1-2001-inf-span"),
+            pytest.param(1.0, 0.1, 2001, 0.0, "^span must be", id="1.0-0.1-2001-0.0-span"),
             # The grid's top, center + span * width, overflows.
-            pytest.param(1.0, 1e308, 2001, 6.0, "width", id="1.0-1e308-2001-width"),
-            # (E - center) / width squares past the double range.
-            pytest.param(1.0, 1.0, 2001, 1e308, "span", id="1.0-1.0-2001-1e308-span"),
-            # A subnormal width: the normalization would overflow, or the
-            # grid collapse.
-            pytest.param(0.0, 1e-310, 2001, 6.0, "width", id="0.0-1e-310-2001-width"),
-            pytest.param(0.0, 5e-324, 2001, 6.0, "width", id="0.0-5e-324-2001-width"),
-            # A grid step below an ulp of the center's precision collapses
-            # the grid; a grid narrower than 2.3e-310 overflows the
-            # normalization.
-            pytest.param(1e6, 1e-12, 2001, 6.0, r"span \* width", id="1e6-1e-12-2001-width"),
-            pytest.param(0.0, 2.3e-308, 2001, 0.01, r"span \* width", id="0.0-2.3e-308-2001-0.01-span"),
+            pytest.param(1.0, 1e308, 2001, 6.0, NO_PACKET, id="1.0-1e308-2001-width"),
+            # A subnormal width: the normalization overflows, or the grid
+            # collapses.
+            pytest.param(0.0, 1e-310, 2001, 6.0, NO_PACKET, id="0.0-1e-310-2001-width"),
+            pytest.param(0.0, 5e-324, 2001, 6.0, NO_PACKET, id="0.0-5e-324-2001-width"),
+            # A grid step below an ulp of the center collapses the grid; a
+            # grid narrower than 2.3e-310 overflows the normalization.
+            pytest.param(1e6, 1e-12, 2001, 6.0, NO_PACKET, id="1e6-1e-12-2001-width"),
+            pytest.param(0.0, 2.3e-308, 2001, 0.01, NO_PACKET, id="0.0-2.3e-308-2001-0.01-span"),
+            # Both grid points lie 300 widths out, where the density is 0.
+            pytest.param(100.0, 0.1, 2, 300.0, NO_PACKET, id="100.0-0.1-2-300.0-zero-weight"),
+            # The weight integral overflows.
+            pytest.param(
+                78.31301411480786, 1e308, 2, 1.7821555948022594, NO_PACKET,
+                id="78.3-1e308-2-1.78-integral-overflows",
+            ),
+            # Rescaled subnormal weights integrate to 0.99999477.
+            pytest.param(
+                7.372859025199558e-297, 2.3e-308, 10, 66.63326237003893, NO_PACKET,
+                id="7.4e-297-2.3e-308-10-66.6-not-normalized",
+            ),
         ],
     )
     def test_gaussian_rejects_bad_parameters(self, center, width, n_points, span, match):
-        # Refused before numpy sees the grid: no warning precedes the error.
-        with pytest.raises(ValueError, match=f"^{match} must be"):
+        # An argument out of its range, or a packet that numpy cannot build
+        # and normalize in double precision: a ValueError, and no warning.
+        with pytest.raises(ValueError, match=match):
             WavePacket.gaussian(center, width, n_points=n_points, span=span)
+
+    def test_gaussian_of_the_largest_width(self):
+        # numpy's linspace overflows an intermediate product on this grid.
+        packet = WavePacket.gaussian(1e-310, sys.float_info.max, n_points=10, span=1.0)
+        assert abs(packet.weight_integral() - 1.0) <= PACKET_NORM_TOL
+        assert 0.0 <= wavepacket_transmission(packet) <= 1.0
+
+    def test_gaussian_whose_span_leaves_all_weight_at_zero_energy(self):
+        # (E - center) / width squares to inf past the first grid point.
+        packet = WavePacket.gaussian(1.0, 1.0, span=1e308)
+        assert packet.energies[0] == 0.0 and packet.weights[0] > 0.0
+        assert not np.any(packet.weights[1:])
+        assert abs(packet.weight_integral() - 1.0) <= PACKET_NORM_TOL
+        assert wavepacket_transmission(packet) == 0.0
+
+    def test_gaussian_sweep_builds_accepted_packets_or_names_its_parameters(self):
+        rnd = random.Random(11)
+        for _ in range(3000):
+            center, width, span = (_sweep_value(rnd) for _ in range(3))
+            n_points = rnd.choice((2, 3, 10, 2001))
+            try:
+                packet = WavePacket.gaussian(center, width, n_points=n_points, span=span)
+            except ValueError as exc:
+                assert re.match(f"{NO_PACKET}|^(center|width|span) must be", str(exc))
+                continue
+            args = (center, width, n_points, span)
+            assert np.all(np.isfinite(packet.energies)), args
+            assert np.all(np.diff(packet.energies) > 0.0), args
+            assert abs(packet.weight_integral() - 1.0) <= PACKET_NORM_TOL, args
+            assert 0.0 <= wavepacket_transmission(packet) <= 1.0, args
+
+    def test_normalized_sweep_returns_accepted_packets_or_raises(self):
+        rnd = random.Random(4)
+        for _ in range(3000):
+            energies = sorted({_sweep_value(rnd) for _ in range(rnd.randint(2, 5))})
+            weights = [_sweep_value(rnd) for _ in energies]
+            try:
+                packet = WavePacket(energies, weights).normalized()
+            except ValueError:
+                continue
+            assert packet.energies.tolist() == energies
+            assert abs(packet.weight_integral() - 1.0) <= PACKET_NORM_TOL, (energies, weights)
+            assert 0.0 <= wavepacket_transmission(packet) <= 1.0, (energies, weights)
 
     def test_gaussian_of_the_narrowest_normal_width(self):
         packet = WavePacket.gaussian(0.0, 2.3e-308)
@@ -354,6 +426,13 @@ class TestWavePacket:
         with pytest.raises(ValueError, match="weight integral overflows"):
             packet.weight_integral()
         with pytest.raises(ValueError, match="weight integral overflows"):
+            packet.normalized()
+
+    def test_normalized_refuses_a_rescaled_integral_off_one(self):
+        # The integral, 6e-323, is subnormal: the rescaled first weight
+        # rounds to 1 / 12, and the rescaled integral is 0.9945.
+        packet = WavePacket([2.2250738585072014e-308, 23.868080218413045], [5e-324, 0.0])
+        with pytest.raises(ValueError, match="rescaled weight integral .* deviates from 1"):
             packet.normalized()
 
     def test_normalized_refuses_an_overflowing_weight(self):
