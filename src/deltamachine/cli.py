@@ -15,8 +15,11 @@ before any command runs.  Every size has a constant bound: ``tables`` and
 ``classify`` take K of at most :data:`MAX_TABLE_SIZE`, ``simulate`` and
 ``convergence`` a cluster of at most :data:`MAX_CLUSTER_SIZE` spheres,
 ``--n`` and every ``--schedule`` entry at most :data:`MAX_TRIALS` trials
-(the interval's bound, checked when argv is parsed), and ``--grid`` at
-most :data:`MAX_GRID_POINTS` points.
+(the interval's bound, checked when argv is parsed), ``--grid`` at most
+:data:`MAX_GRID_POINTS` points, and ``scatter`` at most
+:data:`MAX_ENERGIES` ``--E`` values.  An argv of more than :data:`MAX_ARGS`
+arguments is refused before argparse reads it: argparse's time grows with
+the square of argv's length when an option repeats.
 
 The simulation commands (``simulate``, ``convergence``, and ``epsilon``
 with ``--n``) import their numpy-backed modules when they run, so the other
@@ -252,6 +255,8 @@ def _cmd_simulate(args: argparse.Namespace) -> dict[str, Any]:
 
 #: The most points ``--grid`` accepts, ten times the benchmark's grid.
 MAX_GRID_POINTS = 100_000
+#: The most ``--E`` values one ``scatter`` takes; a grid spans more energies.
+MAX_ENERGIES = 1_000
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -279,6 +284,8 @@ def _cmd_scatter(args: argparse.Namespace) -> dict[str, Any]:
     residual's products of sqrt(2 E), the coupling and the amplitudes stay
     below about 1e155.
     """
+    if len(args.E or []) > MAX_ENERGIES:
+        raise ValueError(f"scatter takes at most {MAX_ENERGIES} --E values, got {len(args.E)}")
     energies: list[float] = (args.E or []) + (args.grid or [])
     if not energies:
         raise ValueError("scatter requires --E and/or --grid")
@@ -408,6 +415,10 @@ def _cmd_convergence(args: argparse.Namespace) -> dict[str, Any]:
 
 # -- parser / entry point ----------------------------------------------------
 
+#: The most arguments one command line takes: ``MAX_ENERGIES`` ``--E``
+#: values, each with its flag, and every other option.
+MAX_ARGS = 2**11
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -490,6 +501,10 @@ def _write_output(output: str | None, rendered: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) > MAX_ARGS:
+        print(f"error: at most {MAX_ARGS} arguments, got {len(argv)}", file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,12 +14,12 @@ counter-indexed stream (see :mod:`deltamachine.rng`):
 * draws ``0 .. K-2`` define the queue: a Fisher-Yates shuffle in which draw
   ``K-1-j`` picks the partner of position ``j``, taken modulo ``j + 1``
   (relative bias per step (j+1)/2**64 <= K/2**64, at most 2**-49 for
-  K <= 2**15, the CLI's ``MAX_CLUSTER_SIZE``).  Only the tranche's charge
-  sum matters, so the kernel runs the steps ``j = K-1 .. k`` and consumes
-  draws ``0 .. K-1-k``;
+  K <= 2**15, the CLI's ``MAX_CLUSTER_SIZE``).  Only the tranche's count
+  of negative spheres matters, so the kernel runs the steps
+  ``j = K-1 .. k`` and consumes draws ``0 .. K-1-k``;
 * draw ``K-1`` resolves an exactly balanced first tranche by fair coin
-  (low bit set = tilt right).  Only the tied trials draw it.  Balance is
-  impossible for odd ``k`` and the code asserts that instead of handling it.
+  (low bit set = tilt right).  Only the tied trials draw it; an odd ``k``
+  cannot balance, so its trials are not checked for a tie.
 
 The outcome is therefore a pure function of ``(state, measurement, seed)``.
 
@@ -38,12 +38,7 @@ not share lambda.
 
 One kernel, :func:`_transmitted_mask`, decides trials over an array of
 per-trial seeds: :func:`run_ensemble` feeds it chunks of child seeds, and
-:func:`run_trial` replays any single trial of an ensemble through it.  Every
-queue position from K+ on stays negative through the steps it runs (the
-proof is in :func:`_transmitted_mask`), so it holds only the first K+
-positions of a trial: up to K+ = 256 as ``ceil(K+/64)`` 64-bit words, and
-above that all K spheres as a row of bytes.  Both replay the same shuffle
-steps.
+:func:`run_trial` replays any single trial of an ensemble through it.
 """
 
 from __future__ import annotations
@@ -114,44 +109,46 @@ _I64_63 = np.int64(63)
 _WORD_OFFSETS = np.arange(0, _WORD_POSITIONS, 64, dtype=np.uint64)[:, None]
 
 
-def _words(k_plus: int) -> int:
-    return -(-k_plus // 64)
-
-
 def _trial_bytes(state: ElectricState) -> int:
-    """Working set of one trial in bytes, plus its seed, draw and index words
-    (``TRIAL_BYTES``): for K+ <= 256, its ``W = ceil(K+/64)`` words, ``W``
-    scratch words, ``W`` partner masks per step row and the source-bit word;
-    above that, one byte per sphere."""
+    """Working set of one trial in bytes: ``TRIAL_BYTES`` for its seed, its
+    partner and its draw with the draw's mix temporary, and for K+ <= 256 its
+    ``W = ceil(K+/64)`` words, ``W`` scratch words, ``W`` partner masks and the
+    source-bit word; above that, one byte per sphere.  This holds a chunk whose
+    blocks are one step (W <= 2); a block of R steps holds R partner rows."""
     if state.k_plus <= _WORD_POSITIONS:
-        return 8 * (3 * _words(state.k_plus) + 1) + TRIAL_BYTES
+        return 8 * (3 * -(-state.k_plus // 64) + 1) + TRIAL_BYTES
     return state.total + TRIAL_BYTES
 
 
 def _step_blocks(total: int, k: int, trial_seeds: np.ndarray):
     """Yield ``(top, partners)`` for the steps ``j = K-1 .. k``: row ``i`` holds
     each trial's partner ``r <= j`` of step ``j = top - i``.  One RNG call serves
-    ``_DRAWS_PER_BLOCK // m`` steps (see :func:`rng.advanced_seeds`)."""
-    per_block = max(1, _DRAWS_PER_BLOCK // trial_seeds.size)
-    block_seeds = rng.advanced_seeds(trial_seeds, min(per_block, total - k))
-    for first in range(0, total - k, per_block):
+    ``_DRAWS_PER_BLOCK // m`` steps (see :func:`rng.advanced_seeds`), and a
+    block of one step draws from the trial seeds themselves.  Every block
+    reuses one buffer; its draws are freed before the next block is drawn."""
+    steps = total - k
+    per_block = max(1, min(steps, _DRAWS_PER_BLOCK // trial_seeds.size))
+    block_seeds = trial_seeds[None] if per_block == 1 else rng.advanced_seeds(trial_seeds, per_block)
+    spans = np.arange(total, k, -1, dtype=np.uint64)  # j + 1 per step
+    partners = np.empty((per_block, trial_seeds.size), dtype=np.uint64)
+    for first in range(0, steps, per_block):
         # Row i holds draw first + i, the draw of step j = K-1-first-i.
-        draws = rng.draws_at(block_seeds[: total - k - first], first)
-        spans = np.arange(total - first, total - first - len(draws), -1, dtype=np.uint64)
-        # draws % spans (span = j + 1 per row), as draws - (draws // span) *
-        # span: numpy divides by a scalar with a precomputed reciprocal, but
-        # takes `%`, or division by an array, by hardware division.
-        quotient = np.empty_like(draws)
-        for draw, span, out in zip(draws, spans, quotient):
-            np.floor_divide(draw, span, out=out)
-        quotient *= spans[:, None]
-        draws -= quotient
-        yield total - 1 - first, draws
+        draws = rng.draws_at(block_seeds[: steps - first], first)
+        rows, out = spans[first : first + len(draws)], partners[: len(draws)]
+        # draws % span, as draws - (draws // span) * span: numpy divides by a
+        # scalar with a precomputed reciprocal, but takes `%`, or division by
+        # an array, by hardware division.
+        for draw, span, row in zip(draws, rows, out):
+            np.floor_divide(draw, span, out=row)
+        out *= rows[:, None]
+        np.subtract(draws, out, out=out)
+        del draws, draw
+        yield total - 1 - first, out
 
 
-def _word_tranche_sums(charges: np.ndarray, k: int, m: int, blocks) -> np.ndarray:
-    """Tranche charge sums of ``m`` trials held as words, for canonical
-    ``charges`` (positive first) with K+ <= 256.
+def _word_negatives(charges: np.ndarray, k: int, m: int, blocks) -> np.ndarray:
+    """Negative spheres in the tranches of ``m`` trials held as words, for
+    canonical ``charges`` (positive first) with K+ <= 256.
 
     Bit ``p % 64`` of word ``p // 64`` is set iff position ``p < 64 W`` holds a
     negative sphere; every position from K+ on does (see
@@ -162,18 +159,22 @@ def _word_tranche_sums(charges: np.ndarray, k: int, m: int, blocks) -> np.ndarra
     rows of :func:`_step_blocks`, which this consumes.
     """
     k_plus = int(np.count_nonzero(charges > 0))
-    words = _words(k_plus)
+    words = -(-k_plus // 64)
     negative = np.zeros((words, m), dtype=np.uint64)
     if k_plus % 64:  # positions K+ .. 64 W - 1 of the last word
         negative[-1] = np.uint64(-(1 << (k_plus % 64)) & rng.MASK64)
     source = np.empty(m, dtype=np.uint64)
     spread = source.view(np.int64)
     scratch = np.empty_like(negative)
+    buffer = None  # the masks of every block, sized by the first and widest
     for top, partners in blocks:
         # masks[i, w]: bit r of step top - i within word w, 0 outside it;
         # word 0 needs no offset, so one word shifts the partners in place.
-        live = min(words, (top >> 6) + 1)
-        masks = partners[:, None] - _WORD_OFFSETS[:live] if live > 1 else partners[:, None]
+        live, rows = min(words, (top >> 6) + 1), len(partners)
+        masks = partners[:, None]
+        if live > 1:
+            buffer = np.empty((rows, live, m), np.uint64) if buffer is None else buffer
+            masks = np.subtract(masks, _WORD_OFFSETS[:live], out=buffer[:rows, :live])
         np.left_shift(_U64_1, masks, out=masks)
         for j, mask in zip(range(top, -1, -1), masks):
             if j >= k_plus:
@@ -192,20 +193,21 @@ def _word_tranche_sums(charges: np.ndarray, k: int, m: int, blocks) -> np.ndarra
     tranche = negative[: full + (part > 0)]
     if part and full < words:
         tranche[full] &= np.uint64((1 << part) - 1)
-    sums = np.bitwise_count(tranche).sum(axis=0, dtype=np.int32)
-    sums *= -2
-    # Tranche positions past the words are at least K+, so negative.
-    sums += k - 2 * max(0, k - 64 * words)
-    return sums
+    counts = np.bitwise_count(tranche)  # uint8: one word holds at most 64
+    counts = counts[0] if len(counts) == 1 else counts.sum(axis=0, dtype=np.int32)
+    # Tranche positions past the words are at least K+, so negative; NEP 50
+    # refuses to add a count above 255 to uint8, so the sum is int32.
+    past = k - 64 * words
+    return np.add(counts, past, dtype=np.int32) if past > 0 else counts
 
 
-def _row_tranche_sums(charges: np.ndarray, k: int, m: int, blocks) -> np.ndarray:
-    """Tranche charge sums of ``m`` trials held as byte rows, for charges in
-    any order: per step, a gather of column ``j`` and a scatter to the offsets
-    ``rows + r`` of one flat buffer.  ``blocks`` are as for
-    :func:`_word_tranche_sums`."""
+def _row_negatives(charges: np.ndarray, k: int, m: int, blocks) -> np.ndarray:
+    """Negative spheres in the tranches of ``m`` trials held as byte rows, for
+    charges in any order: per step, a gather of column ``j`` and a scatter to
+    the offsets ``rows + r`` of one flat buffer.  ``blocks`` are as for
+    :func:`_word_negatives`."""
     total = charges.size
-    flat = np.tile(charges, m)
+    flat = np.tile(charges < 0, m)
     rows = np.arange(0, m * total, total, dtype=np.int64)
     columns = flat.reshape(m, total)
     for top, partners in blocks:
@@ -237,22 +239,20 @@ def _transmitted_mask(charges: np.ndarray, k: int, trial_seeds: np.ndarray) -> n
     position from K+ on needs storage.
 
     For K+ <= 256 (``_WORD_POSITIONS``) the positions below K+ are held as
-    ``ceil(K+/64)`` words per trial (:func:`_word_tranche_sums`); above
-    that as byte rows of all K spheres (:func:`_row_tranche_sums`).  Both
-    take the same draws and give the same sums on canonical charges.
+    ``ceil(K+/64)`` words per trial (:func:`_word_negatives`); above that as
+    byte rows of all K spheres (:func:`_row_negatives`).  Both take the same
+    draws and count each tranche's ``n`` negative spheres.  The charge sum
+    ``k - 2n`` is positive iff ``n <= (k - 1) // 2``, and zero iff ``2n == k``.
     """
     total, m = charges.size, trial_seeds.size
     blocks = _step_blocks(total, k, trial_seeds)
     if np.count_nonzero(charges > 0) <= _WORD_POSITIONS:
-        charge_sum = _word_tranche_sums(charges, k, m, blocks)
+        negatives = _word_negatives(charges, k, m, blocks)
     else:
-        charge_sum = _row_tranche_sums(charges, k, m, blocks)
-    transmitted = charge_sum > 0
-    tie = np.flatnonzero(charge_sum == 0)
-    if tie.size:
-        assert k % 2 == 0, "balanced tranche with odd tranche size"
-        coins = rng.draws_at(trial_seeds.take(tie), total - 1)
-        transmitted[tie] = coins & _U64_1
+        negatives = _row_negatives(charges, k, m, blocks)
+    transmitted = negatives <= (k - 1) // 2
+    if k % 2 == 0 and (tie := np.flatnonzero(negatives == k // 2)).size:
+        transmitted[tie] = rng.draws_at(trial_seeds.take(tie), total - 1) & _U64_1
     return transmitted
 
 

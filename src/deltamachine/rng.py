@@ -38,7 +38,7 @@ GENERATOR_NAME = "splitmix64"
 _U64_GOLDEN = np.uint64(GOLDEN)
 _U64_MULT1 = np.uint64(_MULT1)
 _U64_MULT2 = np.uint64(_MULT2)
-_U64_1, _U64_27, _U64_30, _U64_31 = (np.uint64(n) for n in (1, 27, 30, 31))
+_U64_27, _U64_30, _U64_31 = (np.uint64(n) for n in (27, 30, 31))
 
 
 def mix64(z: int) -> int:
@@ -100,10 +100,10 @@ def advanced_seeds(seeds: np.ndarray, count: int) -> np.ndarray:
 
 
 def substream_seeds(seed: int, start: int, count: int) -> np.ndarray:
-    """Seeds of child streams ``start .. start+count-1`` as a uint64 array."""
-    base = np.arange(start, start + count, dtype=np.uint64)
-    base += _U64_1
+    """Seeds of child streams ``start .. start+count-1`` as a uint64 array:
+    child ``start + i`` mixes ``i * GOLDEN + ((start + 1) * GOLDEN + seed)``."""
+    base = np.arange(count, dtype=np.uint64)
     base *= _U64_GOLDEN
-    base += np.uint64(seed & MASK64)
+    base += np.uint64(((start + 1) * GOLDEN + seed) & MASK64)
     return _mix64_inplace(base)
 

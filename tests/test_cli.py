@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -572,6 +573,39 @@ class TestGridLimit:
         code, out, err = run_cli(capsys, "scatter", "--grid", "0:1:6")
         assert code == 2 and out == ""
         assert "--grid" in err and "at most 5" in err and "usage:" in err
+
+
+class TestArgvLimit:
+    def test_limits_hold_every_energy_and_option(self):
+        assert cli.MAX_ENERGIES == 1_000 and cli.MAX_ARGS == 2_048
+        longest = ["scatter", *["--E", "1"] * cli.MAX_ENERGIES, "--grid", "0:1:2", "--coupling", "1"]
+        assert len(longest + ["--format", "csv", "--output", "x"]) <= cli.MAX_ARGS
+
+    def test_every_energy_up_to_the_bound(self, capsys):
+        argv = ["scatter", *["--E", "1"] * cli.MAX_ENERGIES, "--coupling", "2", "--format", "csv"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == 1 + cli.MAX_ENERGIES
+
+    def test_energies_above_the_bound_are_usage_errors(self, capsys):
+        # One token per value, so argv itself stays within its bound.
+        code, out, err = run_cli(capsys, "scatter", *["--E=1"] * (cli.MAX_ENERGIES + 1))
+        assert (code, out) == (2, "")
+        assert err == "error: scatter takes at most 1000 --E values, got 1001\n"
+
+    @pytest.mark.parametrize("from_sys_argv", [False, True])
+    def test_long_argv_is_refused_before_argparse(self, capsys, monkeypatch, from_sys_argv):
+        def never():
+            raise AssertionError("argparse read an argv above the bound")
+
+        monkeypatch.setattr(cli, "build_parser", never)
+        argv = ["scatter", *["--E", "1.0"] * 100_000]
+        monkeypatch.setattr(sys, "argv", ["deltamachine", *argv])
+        start = time.perf_counter()
+        code = cli.main(None if from_sys_argv else argv)
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: at most 2048 arguments, got 200001\n"
 
 
 def test_grid_ends_at_hi():

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -205,12 +206,21 @@ class TestKernelParity:
 
     @staticmethod
     def both_kernels(charges, k, seeds, blocks):
-        """Tranche sums of the word and the byte-row kernel; ``blocks()`` gives
-        a fresh block sequence, since each kernel consumes its own."""
+        """Negative spheres per tranche of the word and the byte-row kernel;
+        ``blocks()`` gives a fresh block sequence, since each kernel consumes
+        its own."""
         return [
             kernel(charges, k, seeds.size, blocks())
-            for kernel in (machine_mod._word_tranche_sums, machine_mod._row_tranche_sums)
+            for kernel in (machine_mod._word_negatives, machine_mod._row_negatives)
         ]
+
+    def check_both_kernels(self, kp, km, k, seeds):
+        charges = machine_mod._charges(ElectricState(kp, km))
+        words, rows = self.both_kernels(
+            charges, k, seeds, lambda: machine_mod._step_blocks(kp + km, k, seeds)
+        )
+        assert words.tolist() == rows.tolist(), (kp, km, k)
+        return words
 
     def test_word_and_byte_kernels_agree(self):
         # Canonical charges only: the words hold the positions below K+ and
@@ -220,17 +230,25 @@ class TestKernelParity:
             kp = int(gen.integers(0, machine_mod._WORD_POSITIONS + 1))
             km = int(gen.integers(kp == 0, 600 - kp))
             k = int(gen.integers(1, kp + km + 1))
-            charges = machine_mod._charges(ElectricState(kp, km))
             seeds = rng.substream_seeds(int(gen.integers(2**63)), 0, 200)
-            words, rows = self.both_kernels(
-                charges, k, seeds, lambda: machine_mod._step_blocks(kp + km, k, seeds)
-            )
-            assert words.tolist() == rows.tolist(), (kp, km, k)
+            self.check_both_kernels(kp, km, k, seeds)
+
+    @pytest.mark.parametrize("kp, km, k", [(1, 600, 400), (64, 536, 600), (250, 350, 520)])
+    def test_tranche_far_past_the_words(self, kp, km, k):
+        # More than 255 tranche positions lie past the words, so the word
+        # kernel's count of negatives outgrows its uint8 popcounts.
+        seeds = rng.substream_seeds(400, 0, 64)
+        negatives = self.check_both_kernels(kp, km, k, seeds)
+        assert negatives.min() > 255 and negatives.max() <= k
+        expected = [oracles.sphere_trial(kp, km, k, seed) for seed in seeds.tolist()[:8]]
+        got = machine_mod._transmitted_mask(machine_mod._charges(ElectricState(kp, km)), k, seeds)
+        assert got[:8].tolist() == expected
 
     def test_every_partner_sequence_gives_the_exact_table(self):
         # One block holds every partner sequence r_j in [0, j], j = K-1 .. k,
         # as the K!/k! columns of a mixed-radix count, so the share of
         # transmitting columns (a tie counting one half) is the exact cell.
+        # A tranche of n negatives transmits iff 2 n < k and ties iff 2 n = k.
         def every_sequence(total, k):
             m = math.perm(total, total - k)
             index = np.arange(m, dtype=np.uint64)
@@ -246,9 +264,22 @@ class TestKernelParity:
                     state = ElectricState(kp, K - kp)
                     exact = transmission_probability_exact(state, KMeasurement(k))
                     charges = machine_mod._charges(state)
-                    for sums in self.both_kernels(charges, k, seeds, lambda: every_sequence(K, k)):
-                        share = Fraction(2 * int((sums > 0).sum()) + int((sums == 0).sum()), 2 * seeds.size)
+                    for n in self.both_kernels(charges, k, seeds, lambda: every_sequence(K, k)):
+                        n = n.astype(np.int64)
+                        share = Fraction(2 * int((2 * n < k).sum()) + int((2 * n == k).sum()), 2 * seeds.size)
                         assert share == exact, (kp, K - kp, k)
+
+    def test_tranche_of_256_negatives_in_four_words(self):
+        # Steps j = 492 .. 300 swap the 193 positives out to final positions,
+        # so all 256 positions of the four words hold negatives: a count no
+        # uint8 holds.
+        kp, km, k = 193, 300, 256
+        partners = np.arange(kp + km - 1, k - 1, -1, dtype=np.uint64)
+        partners[:kp] = np.arange(kp, dtype=np.uint64)
+        seeds = np.zeros(1, dtype=np.uint64)
+        charges = machine_mod._charges(ElectricState(kp, km))
+        blocks = lambda: [(kp + km - 1, partners[:, None].copy())]
+        assert [n.tolist() for n in self.both_kernels(charges, k, seeds, blocks)] == [[256], [256]]
 
     @pytest.mark.parametrize("block", [1, 3 * 32])
     def test_draw_blocks_invisible(self, monkeypatch, block):
@@ -311,7 +342,8 @@ class TestKernelAssumptions:
 
     def record_draws(self, monkeypatch):
         """(index, rows) of every draws_at call: a block's row i is draw
-        index + i (rng.advanced_seeds), a 1-D call is one draw per seed."""
+        index + i (rng.advanced_seeds, or the trial seeds as one row), a 1-D
+        call is one draw per seed."""
         calls = []
         draws_at = rng.draws_at
 
@@ -440,6 +472,28 @@ class TestChunkBudget:
         assert max(sizes) <= 52 == ensemble_mod.CHUNK_BYTES // machine_mod._trial_bytes(
             ElectricState(K // 2, K // 2)
         )
+
+    #: Fixed bytes a kernel call may allocate beyond its chunk's budget: the
+    #: spans of every step (K = 256 in 2 KiB) and numpy's small objects.
+    ALLOWANCE = 16 << 10
+
+    @pytest.mark.parametrize("kp, km, k", [(2, 1, 1), (40, 40, 10), (100, 28, 10), (128, 128, 10), (128, 128, 250)])
+    def test_kernel_peak_fits_the_chunk_budget(self, kp, km, k):
+        # One word (K+ <= 64) and two words (K+ <= 128) per trial: chunks of
+        # more than 8,192 trials, whose blocks are one step each.
+        state = ElectricState(kp, km)
+        trial_bytes = machine_mod._trial_bytes(state)
+        m = ensemble_mod.CHUNK_BYTES // trial_bytes
+        seeds, charges = rng.substream_seeds(11, 0, m), machine_mod._charges(state)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            machine_mod._transmitted_mask(charges, k, seeds)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= trial_bytes * m + self.ALLOWANCE, (peak / m, trial_bytes)
 
     def test_tiny_chunks_leave_counts_unchanged(self, monkeypatch):
         args = (ElectricState(128, 128), KMeasurement(10), 5000, 17)
