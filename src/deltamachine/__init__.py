@@ -5,9 +5,10 @@ statistics of a macroscopic measurement device whose outcome frequencies
 reproduce 1-D delta-potential quantum scattering:
 
 * :mod:`~deltamachine.spheres` — exact rational probabilities for
-  tranche-majority measurements on a cluster of charged spheres;
-* :mod:`~deltamachine.scattering` — analytic delta-potential amplitudes,
-  probabilities, and wave-packet quadrature;
+  tranche-majority measurements on a cluster of charged spheres, and for
+  mixtures of its states (a wave packet on the lattice energies);
+* :mod:`~deltamachine.scattering` — analytic delta-potential amplitudes and
+  probabilities;
 * :mod:`~deltamachine.machine` — seeded, reproducible event-level Monte
   Carlo of the machine itself;
 * :mod:`~deltamachine.band` — the breakable-elastic spin measurement (the
@@ -20,12 +21,12 @@ reproduce 1-D delta-potential quantum scattering:
 Every public name is declared once, in ``_EXPORTS``, under the submodule
 that defines it, and is loaded on first access (PEP 562).  ``import
 deltamachine`` therefore loads no submodule.  Only the simulation modules
-(``machine``, ``elastic``, ``ensemble``, ``rng``), the array functions of
-``scattering`` and ``band.ElasticExperiment.from_vectors`` use numpy, so the
-exact and scalar commands of the command line, ``epsilon`` without ``--n``
-among them, never load it.  Every module takes its argument checks and its
-value-type decorator from ``values``, a leaf module that imports nothing
-from the package.
+(``machine``, ``elastic``, ``ensemble``, ``rng``), the array function
+``scattering.transmission_curve`` and ``band.ElasticExperiment.from_vectors``
+use numpy, so the exact and scalar commands of the command line, ``epsilon``
+without ``--n`` among them, never load it.  Every module takes its argument
+checks and its value-type decorator from ``values``, a leaf module that
+imports nothing from the package.
 """
 
 from importlib import import_module as _import_module
@@ -64,12 +65,10 @@ _EXPORTS = {
     "scattering": (
         "ScatteringAmplitudes",
         "ScatteringConfig",
-        "WavePacket",
         "amplitudes",
         "jump_condition_residual",
         "reflection_probability",
         "transmission_probability",
-        "wavepacket_transmission",
     ),
     "spheres": (
         "DEFAULT_TABLE_CEILING",
@@ -79,6 +78,7 @@ _EXPORTS = {
         "ProbabilityTable",
         "ProbabilityTableRow",
         "determinism_threshold",
+        "mixed_transmission",
         "probability_table",
         "reflection_probability_exact",
         "transmission_probability_exact",

@@ -170,10 +170,15 @@ MAX_TABLE_SIZE = 256
 
 
 def _check_golden(table) -> None:
+    reference = golden_table(table.K)
+    shape = [len(row.entries) for row in table.rows]
+    golden_shape = [len(row) for row in reference]
+    if shape != golden_shape:
+        raise GoldenMismatch(f"computed row lengths {shape}, golden {golden_shape}")
     mismatches = [
         f"k={row.k} K+={state.k_plus}: computed {value}, golden {expected}"
-        for row, ref_row in zip(table.rows, golden_table(table.K))
-        for (state, value), expected in zip(row.entries, ref_row)
+        for row, ref_row in zip(table.rows, reference, strict=True)
+        for (state, value), expected in zip(row.entries, ref_row, strict=True)
         if value != expected
     ]
     if mismatches:

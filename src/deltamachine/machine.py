@@ -138,7 +138,7 @@ def _step_blocks(total: int, k: int, trial_seeds: np.ndarray):
         # draws % span, as draws - (draws // span) * span: numpy divides by a
         # scalar with a precomputed reciprocal, but takes `%`, or division by
         # an array, by hardware division.
-        for draw, span, row in zip(draws, rows, out):
+        for draw, span, row in zip(draws, rows, out, strict=True):
             np.floor_divide(draw, span, out=row)
         out *= rows[:, None]
         np.subtract(draws, out, out=out)

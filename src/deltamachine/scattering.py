@@ -17,20 +17,13 @@ nonnegative (``values.as_real`` reads -0.0 as 0.0) with a finite
 residual from a single :func:`amplitudes` call, each equal to its own
 function's value.
 
-The wave-packet operation integrates ``|T(E)|^2`` against a user-supplied
-energy density on a grid with the trapezoidal rule; the sharply peaked limit
-recovers the fixed-energy probability.  A packet keeps its own read-only
-copies of its arrays, and integrates through one method, whose point-mass
-rule serves both the weight integral and the transmission.  A packet never
-overflows silently: a weight integral that overflows the double range
-raises ``ValueError``.  :meth:`WavePacket.gaussian` and
-:meth:`WavePacket.normalized` return only packets that
-:func:`wavepacket_transmission` accepts, and otherwise raise ``ValueError``
-(from ``gaussian``, naming its four parameters).
+At coupling 1, ``|T(E_i)|^2 = i / K`` at E_i = i / (K - i): a wave packet on
+that lattice is a mixed state of the K-sphere machine, whose exact
+transmission is :func:`deltamachine.spheres.mixed_transmission`.
 
 The scalar functions use only ``math`` and ``complex``; numpy is imported by
-the array code alone (:func:`transmission_curve`, :class:`WavePacket` and
-:func:`wavepacket_transmission`), so scalar callers never load it.
+the array function :func:`transmission_curve` alone, so scalar callers never
+load it.
 """
 
 from __future__ import annotations
@@ -39,7 +32,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .values import as_int, as_real, as_real_array, value_type
+from .values import as_real, as_real_array, value_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -47,9 +40,6 @@ if TYPE_CHECKING:
 #: Identity tolerance for the closed-form amplitude relations (unitarity,
 #: continuity, derivative jump).  Double precision leaves ~3 orders of margin.
 IDENTITY_TOL = 1e-12
-
-#: Acceptable deviation of a packet's weight integral from 1 at use time.
-PACKET_NORM_TOL = 1e-6
 
 
 @value_type
@@ -204,129 +194,3 @@ def _jump_residual(amp: ScatteringAmplitudes, config: ScatteringConfig) -> float
         - (2.0 * lam - complex(0.0, k_wave)) * amp.transmission
     )
     return abs(residual)
-
-
-class WavePacket:
-    """Energy density |phi(E)|^2 sampled on a strictly increasing grid.
-
-    The density is interpreted under the trapezoidal rule; helpers construct
-    normalized packets, and the transmission operation refuses packets whose
-    weight integral strays from 1 by more than :data:`PACKET_NORM_TOL`.
-    A single-point grid is treated as a point mass (the monoenergetic limit).
-    The packet copies both arrays and makes its copies read-only, so the
-    caller's arrays stay writeable and unchanged.
-    """
-
-    def __init__(self, energies, weights) -> None:
-        import numpy as np
-
-        e = as_real_array(energies, "energies")
-        w = as_real_array(weights, "weights")
-        if e.ndim != 1 or w.ndim != 1 or e.size != w.size or e.size == 0:
-            raise ValueError("energies and weights must be equal-length 1-D arrays")
-        if not np.all(np.isfinite(e)) or not np.all(np.isfinite(w)):
-            raise ValueError("energies and weights must be finite")
-        if e[0] < 0.0:
-            raise ValueError("energies must be nonnegative")
-        if e.size > 1 and not np.all(np.diff(e) > 0.0):
-            raise ValueError("energy grid must be strictly increasing")
-        if w.min() < 0.0:
-            raise ValueError("weights must be nonnegative")
-        e.flags.writeable = False
-        w.flags.writeable = False
-        self.energies = e
-        self.weights = w
-
-    def _integrate(self, values: np.ndarray) -> float:
-        """Trapezoidal integral of ``values`` over the grid (the value itself
-        for a point mass); an overflow gives ``inf``, without a warning."""
-        import numpy as np
-
-        if self.energies.size == 1:
-            return float(values[0])
-        with np.errstate(over="ignore"):
-            return float(np.trapezoid(values, self.energies))
-
-    def weight_integral(self) -> float:
-        """Trapezoidal integral of the weights (the weight itself for a point mass).
-
-        Raises ``ValueError`` when the integral overflows the double range.
-        """
-        total = self._integrate(self.weights)
-        if not math.isfinite(total):
-            raise ValueError("the packet's weight integral overflows")
-        return total
-
-    def normalized(self) -> "WavePacket":
-        """Copy rescaled so the weight integral is 1.
-
-        Raises ``ValueError`` unless the copy's weight integral is within
-        :data:`PACKET_NORM_TOL` of 1, the test :func:`wavepacket_transmission`
-        applies, so every packet returned is one it accepts.
-        """
-        total = self.weight_integral()
-        if total <= 0.0:
-            raise ValueError("cannot normalize a packet with zero total weight")
-        if not math.isfinite(float(self.weights.max()) / total):
-            raise ValueError("cannot normalize: a weight divided by the integral overflows")
-        packet = WavePacket(self.energies, self.weights / total)
-        rescaled = packet.weight_integral()
-        if abs(rescaled - 1.0) > PACKET_NORM_TOL:
-            raise ValueError(f"cannot normalize: the rescaled weight integral {rescaled!r} deviates from 1 by more than {PACKET_NORM_TOL}")
-        return packet
-
-    @classmethod
-    def gaussian(
-        cls,
-        center: float,
-        width: float,
-        *,
-        n_points: int = 2001,
-        span: float = 6.0,
-    ) -> "WavePacket":
-        """Normalized Gaussian density of the given width, clipped to E >= 0.
-
-        The grid holds ``n_points`` (an integer >= 2) energies over
-        ``center ± span * width``, with ``center`` a nonnegative finite real
-        and ``width`` and ``span`` positive finite reals.  Where no packet
-        that :func:`wavepacket_transmission` accepts can be built from them
-        in double precision, raises ``ValueError`` naming all four.
-        """
-        center, width = as_real(center, "center"), as_real(width, "width")
-        if not (math.isfinite(center) and center >= 0.0):
-            raise ValueError("center must be a nonnegative finite real")
-        if not (math.isfinite(width) and width > 0.0):
-            raise ValueError("width must be a positive finite real")
-        n_points = as_int(n_points, "n_points")
-        if n_points < 2:
-            raise ValueError("n_points must be at least 2")
-        span = as_real(span, "span")
-        if not (math.isfinite(span) and span > 0.0):
-            raise ValueError("span must be a positive finite real")
-        lo = max(0.0, center - span * width)
-        hi = center + span * width
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            grid = np.linspace(lo, hi, n_points)
-            dens = np.exp(-0.5 * ((grid - center) / width) ** 2)
-        try:
-            return cls(grid, dens).normalized()
-        except ValueError as exc:
-            raise ValueError(
-                f"no packet from center={center!r}, width={width!r}, n_points={n_points}, span={span!r}: {exc}"
-            ) from None
-
-
-def wavepacket_transmission(
-    packet: WavePacket, config: ScatteringConfig = DEFAULT_CONFIG
-) -> float:
-    """Packet-averaged transmission: trapezoidal integral of |T|^2 |phi|^2."""
-    total = packet.weight_integral()
-    if abs(total - 1.0) > PACKET_NORM_TOL:
-        raise ValueError(
-            f"packet is not normalized: weight integral {total!r} deviates "
-            f"from 1 by more than {PACKET_NORM_TOL}"
-        )
-    value = packet._integrate(transmission_curve(packet.energies, config) * packet.weights)
-    return min(1.0, max(0.0, value))

@@ -66,7 +66,7 @@ def table_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]
     rows = [
         [row["k"], s["k_plus"], s["k_minus"], cell["num"], cell["den"], cell["decimal"]]
         for row in payload["rows"]
-        for s, cell in zip(payload["states"], row["cells"])
+        for s, cell in zip(payload["states"], row["cells"], strict=True)
     ]
     return header, rows
 

@@ -29,8 +29,11 @@ computed cells of the odd rows as ``Fraction``s.  Each count S / C is
 reduced by one gcd, which reduces its charge swap (C - S) / C as well,
 and both lowest-terms pairs go into ``Fraction``'s slots without a second
 normalization.  The table builder never calls the closed form, so the two
-check each other.
-Floats never enter; rendering a value as a decimal is presentation-side only.
+check each other.  The transmission of a mixed state,
+:func:`mixed_transmission`, is the weighted mean of its states' closed-form
+cells, and a float weight is read exactly, as the rational it is.
+Floats never enter the arithmetic; rendering a value as a decimal is
+presentation-side only.
 
 The argument checks and the value-type decorator come from
 :mod:`deltamachine.values`, which imports nothing from the package.
@@ -38,11 +41,11 @@ The argument checks and the value-type decorator come from
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, gcd
 
-from .values import as_int, value_type
+from .values import as_int, is_bool, value_type
 
 #: Exact probability values are reduced rationals in [0, 1]: ``Fraction``s in
 #: lowest terms with a positive denominator.  The table builder reduces each
@@ -160,6 +163,53 @@ def reflection_probability_exact(
 ) -> ExactProbability:
     """Exact complement of :func:`transmission_probability_exact`."""
     return 1 - transmission_probability_exact(state, meas)
+
+
+def mixed_transmission(weights: Sequence[object], k: int) -> ExactProbability:
+    """Exact transmission of a mixed state of K spheres under tranche size k.
+
+    ``weights[i]`` weighs the state ``ElectricState(i, K - i)``, with
+    K = ``len(weights) - 1``, and need not sum to 1.  Each is read exactly
+    by ``Fraction``: an int, a ``Fraction`` or a finite float; a ``bool``,
+    ``str``, ``bytes`` or complex weight raises ``TypeError``, and fewer
+    than two weights, a non-finite, negative or all-zero vector, or a k
+    above K raise ``ValueError``.  Returns sum_i w_i P_k(i) / sum_i w_i in
+    lowest terms, with one :func:`transmission_probability_exact` call per
+    nonzero weight.
+
+    At coupling 1, E_i = i / (K - i) has |T(E_i)|^2 = E_i / (1 + E_i) = i / K,
+    the k = 1 cell of state i: the paper's energy <-> charge-ratio map.  So
+    a wave packet on that lattice is a probability vector over the K + 1
+    states, and at k = 1 this is its packet-averaged |T|^2.  For larger k,
+    weight only on states 1 <= i < h, h = ceil(k / 2), lies entirely at
+    positive energy yet transmits with probability exactly 0, which no 1-D
+    potential can do: by the Wronskian argument of :mod:`deltamachine.regimes`,
+    |T(E)|^2 > 0 at every E > 0.
+    """
+    meas = KMeasurement(k)
+    exact = [_weight(w, i) for i, w in enumerate(weights)]
+    if len(exact) < 2:
+        raise ValueError("a mixture needs at least two weights, for K >= 1")
+    if not any(exact):
+        raise ValueError("the weights must not all be zero")
+    K = len(exact) - 1
+    mixed = sum(
+        w * transmission_probability_exact(ElectricState(i, K - i), meas) for i, w in enumerate(exact) if w
+    )
+    return mixed / sum(exact)
+
+
+def _weight(value: object, i: int) -> Fraction:
+    """Weight ``i`` of a mixture, read exactly: a nonnegative finite rational."""
+    if is_bool(value) or isinstance(value, (str, bytes, bytearray, complex)):
+        raise TypeError(f"weight {i} must be a real number, not {type(value).__name__}")
+    try:
+        w = Fraction(value)
+    except (OverflowError, ValueError):
+        raise ValueError(f"weight {i} must be finite, not {value!r}") from None
+    if w < 0:
+        raise ValueError(f"weight {i} must be nonnegative, not {value!r}")
+    return w
 
 
 def determinism_threshold(state: ElectricState) -> int:
@@ -298,7 +348,7 @@ def probability_table(
     zeros = [(state, zero) for state in states]
     ones = [(state, one) for state in states]
     odd = [
-        (*zeros[:h], *zip(states[h : K + 1 - h], cells), *ones[K + 1 - h :])
+        (*zeros[:h], *zip(states[h : K + 1 - h], cells, strict=True), *ones[K + 1 - h :])
         for h, cells in enumerate(_odd_rows(K), 1)
     ]
     make = ProbabilityTableRow._make

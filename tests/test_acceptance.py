@@ -23,16 +23,15 @@ from deltamachine.machine import empirical_table
 from deltamachine.regimes import Regime, WitnessKind, classify_table
 from deltamachine.rng import substream_seed
 from deltamachine.scattering import (
-    WavePacket,
     amplitudes,
     jump_condition_residual,
     transmission_probability,
-    wavepacket_transmission,
 )
 from deltamachine.spheres import (
     ElectricState,
     KMeasurement,
     determinism_threshold,
+    mixed_transmission,
     probability_table,
     transmission_probability_exact,
 )
@@ -147,10 +146,13 @@ def test_criterion_06_scattering_identities(capsys):
 
 
 def test_criterion_07_wavepacket_limit(capsys):
+    # A Gaussian packet on the lattice energies E_i = i / (K - i), i < K, is
+    # a mixed state of the K-sphere machine; its k = 1 transmission is exact.
     started = time.perf_counter()
-    packet = WavePacket.gaussian(4.0, 0.01)
-    value = wavepacket_transmission(packet)
-    assert abs(value - 0.8) < 1e-3
+    K = 10_000
+    weights = [math.exp(-0.5 * ((i / (K - i) - 4.0) / 0.01) ** 2) for i in range(K)]
+    value = mixed_transmission([*weights, 0.0], 1)
+    assert abs(value - Fraction(4, 5)) < Fraction(1, 1000)
     with capsys.disabled():
         check_budget(7, "width-0.01 packet at E=4 transmits 4/5 within 1e-3", started, 1.0)
 

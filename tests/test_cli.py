@@ -115,6 +115,21 @@ class TestGoldenTables:
             for row, ref in zip(table.rows, reference):
                 assert row.probabilities() == ref
 
+    @pytest.mark.parametrize(
+        "pad, message",
+        [
+            (lambda rows: (*rows, rows[-1]), "lengths [5, 5, 5, 5], golden [5, 5, 5, 5, 5]"),
+            (lambda rows: tuple((*row, row[-1]) for row in rows), "lengths [5, 5, 5, 5], golden [6, 6, 6, 6]"),
+        ],
+        ids=["extra-row", "extra-cell-per-row"],
+    )
+    def test_golden_of_another_shape_is_a_mismatch(self, capsys, monkeypatch, pad, message):
+        reference = golden.golden_table
+        monkeypatch.setattr(cli, "golden_table", lambda K: pad(reference(K)))
+        code, _, err = run_cli(capsys, "tables", "--K", "4", "--golden")
+        assert code == 3
+        assert "golden mismatch" in err and message in err
+
     def test_missing_size_raises_key_error(self):
         with pytest.raises(KeyError, match="K=8"):
             golden.golden_table(8)

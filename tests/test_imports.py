@@ -62,6 +62,10 @@ def test_exact_and_scatter_commands_never_import_numpy():
         no_numpy("from deltamachine import ElectricState")
         from deltamachine import ElasticExperiment, OutcomePair, epsilon_probabilities, quantum_spin_probabilities
         no_numpy("from deltamachine import the four names of band")
+        from fractions import Fraction
+        from deltamachine import mixed_transmission
+        assert mixed_transmission([1, 2.5, 0, 1], 2) == Fraction(11, 27)
+        no_numpy("from deltamachine import mixed_transmission and one call")
         from deltamachine import cli
         no_numpy("import deltamachine.cli")
         # The default seed reads os.urandom; secrets would pull in hashlib.

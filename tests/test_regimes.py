@@ -154,7 +154,7 @@ class TestClassifyRow:
     def test_rejects_mixed_cluster_sizes(self):
         entries = probability_table(3).row(1).entries
         mixed = entries[:3] + ((ElectricState(3, 1), Fraction(1)),)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"expected \(3, 0\)"):
             classify_row(ProbabilityTableRow(k=1, entries=mixed))
 
     def test_accepts_int_entries(self):

@@ -1,5 +1,6 @@
 """Exact-probability module: frozen values, oracle equivalence, invariants."""
 
+import math
 import pickle
 from fractions import Fraction
 from math import comb, gcd
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 from deltamachine import spheres
+from deltamachine.scattering import transmission_probability
 from deltamachine.spheres import (
     _CERTAIN,
     ElectricState,
     KMeasurement,
     determinism_threshold,
+    mixed_transmission,
     probability_table,
     reflection_probability_exact,
     transmission_probability_exact,
@@ -124,6 +127,86 @@ class TestTransmissionValues:
                     p = p_tr(kp, K - kp, k)
                     assert 0 <= p <= 1
                     assert p.denominator > 0  # Fraction keeps lowest terms
+
+
+class TestMixedTransmission:
+    """A weight vector over the K + 1 states: the lattice wave packet."""
+
+    def test_point_mass_is_its_table_cell(self):
+        # The closed form, called per weight, against the table's _odd_rows.
+        for K in range(1, 13):
+            table = probability_table(K)
+            for i in range(K + 1):
+                point = [0] * (K + 1)
+                point[i] = 1
+                for k in range(1, K + 1):
+                    assert mixed_transmission(point, k) == table.value(k, i), (K, i, k)
+
+    def test_k1_is_the_packet_average_of_born_values(self):
+        for K in range(1, 13):
+            weights = [Fraction(j * j + 1, K + j + 1) for j in range(K + 1)]
+            expected = sum(w * Fraction(i, K) for i, w in enumerate(weights)) / sum(weights)
+            assert mixed_transmission(weights, 1) == expected
+            for i in range(K):
+                # |T(E_i)|^2 at the lattice energy E_i = i / (K - i) is i / K.
+                born = transmission_probability(i / (K - i))
+                assert abs(born - i / K) <= math.ulp(i / K), (K, i)
+
+    def test_positive_energy_packet_that_never_transmits(self):
+        # h = ceil(5 / 2) = 3: states 1 and 2 are below every k = 5 majority.
+        value = mixed_transmission([0, Fraction(1, 3), 2.5, 0, 0, 0, 0, 0, 0, 0], 5)
+        assert value == Fraction(0) and type(value) is Fraction
+
+    def test_weights_are_read_exactly_and_need_not_sum_to_one(self):
+        floats = mixed_transmission([0.1, 0.2, 0.3], 1)
+        assert floats == (Fraction(0.2) / 2 + Fraction(0.3)) / (Fraction(0.1) + Fraction(0.2) + Fraction(0.3))
+        assert mixed_transmission([2, 4, 6], 2) == mixed_transmission([Fraction(1, 6), Fraction(1, 3), 0.5], 2)
+        assert mixed_transmission((np.int64(1), np.float64(1.0)), 1) == Fraction(1, 2)
+
+    def test_one_closed_form_call_per_nonzero_weight(self, monkeypatch):
+        calls = []
+
+        def counted(state, meas):
+            calls.append(state.k_plus)
+            return transmission_probability_exact(state, meas)
+
+        monkeypatch.setattr(spheres, "transmission_probability_exact", counted)
+        weights = [0] * 65
+        weights[20] = weights[40] = 1
+        assert mixed_transmission(weights, 3) == (p_tr(20, 44, 3) + p_tr(40, 24, 3)) / 2
+        assert calls == [20, 40]
+
+    @pytest.mark.parametrize(
+        "weight", [True, np.True_, "1", b"1", 1j], ids=["bool", "numpy-bool", "str", "bytes", "complex"]
+    )
+    def test_rejects_non_real_weights(self, weight):
+        with pytest.raises(TypeError, match="weight 1 must be a real number, not"):
+            mixed_transmission([1, weight], 1)
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([1, float("nan")], "weight 1 must be finite"),
+            ([float("inf"), 1], "weight 0 must be finite"),
+            ([1, -1], "weight 1 must be nonnegative"),
+            ([1, -0.5], "weight 1 must be nonnegative"),
+            ([0, 0.0, Fraction(0)], "must not all be zero"),
+            ([1], "at least two weights"),
+            ([], "at least two weights"),
+        ],
+        ids=["nan", "inf", "negative-int", "negative-float", "all-zero", "one-weight", "empty"],
+    )
+    def test_rejects_bad_weight_vectors(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            mixed_transmission(weights, 1)
+
+    def test_k_is_checked_as_a_measurement_of_the_cluster(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            mixed_transmission([1, 1], 0)
+        with pytest.raises(ValueError, match="k=3 exceeds cluster size K=2"):
+            mixed_transmission([1, 1, 1], 3)
+        with pytest.raises(TypeError):
+            mixed_transmission([1, 1], True)
 
 
 class TestClosedFormTerms:
