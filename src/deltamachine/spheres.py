@@ -44,6 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, gcd
+from numbers import Rational
 
 from .values import as_int, is_bool, value_type
 
@@ -170,8 +171,8 @@ def mixed_transmission(weights: Sequence[object], k: int) -> ExactProbability:
 
     ``weights[i]`` weighs the state ``ElectricState(i, K - i)``, with
     K = ``len(weights) - 1``, and need not sum to 1.  Each is read exactly
-    by ``Fraction``: an int, a ``Fraction`` or a finite float; a ``bool``,
-    ``str``, ``bytes`` or complex weight raises ``TypeError``, and fewer
+    as a ``Fraction`` (an int, a ``Fraction``, a finite float or a numpy number);
+    a ``bool``, ``None``, ``str``, ``bytes`` or complex raises ``TypeError``, and fewer
     than two weights, a non-finite, negative or all-zero vector, or a k
     above K raise ``ValueError``.  Returns sum_i w_i P_k(i) / sum_i w_i in
     lowest terms, with one :func:`transmission_probability_exact` call per
@@ -200,11 +201,11 @@ def mixed_transmission(weights: Sequence[object], k: int) -> ExactProbability:
 
 
 def _weight(value: object, i: int) -> Fraction:
-    """Weight ``i`` of a mixture, read exactly: a nonnegative finite rational."""
-    if is_bool(value) or isinstance(value, (str, bytes, bytearray, complex)):
+    """Weight ``i`` read exactly: a nonnegative finite ``Rational`` or real with ``as_integer_ratio``."""
+    if is_bool(value) or not (isinstance(value, Rational) or hasattr(value, "as_integer_ratio")):
         raise TypeError(f"weight {i} must be a real number, not {type(value).__name__}")
     try:
-        w = Fraction(value)
+        w = Fraction(value) if isinstance(value, Rational) else Fraction(*value.as_integer_ratio())
     except (OverflowError, ValueError):
         raise ValueError(f"weight {i} must be finite, not {value!r}") from None
     if w < 0:

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import random
 from fractions import Fraction
 from math import comb, gcd
 
@@ -207,6 +208,60 @@ class TestMixedTransmission:
             mixed_transmission([1, 1, 1], 3)
         with pytest.raises(TypeError):
             mixed_transmission([1, 1], True)
+
+    @pytest.mark.parametrize("entries", [["4", "1"], [1, "4"], [b"4", b"1"], [True, False], [1j, 2j]])
+    def test_rejects_non_real_entries(self, entries):
+        first = 1 if entries == [1, "4"] else 0
+        with pytest.raises(TypeError, match=f"weight {first} must be a real number, not"):
+            mixed_transmission(entries, 1)
+
+    @pytest.mark.parametrize("entries", [["4", 1], [1, True], [1, None], [1, [1]]])
+    def test_rejects_non_real_object_entries(self, entries):
+        first = 0 if entries == ["4", 1] else 1
+        with pytest.raises(TypeError, match=f"weight {first} must be a real number, not"):
+            mixed_transmission(np.array(entries, dtype=object), 1)
+
+    @pytest.mark.parametrize("entries", [[1, True], [1.0, np.True_], np.array([True, False])])
+    def test_rejects_bools_that_numpy_would_convert(self, entries):
+        with pytest.raises(TypeError, match="must be a real number, not bool"):
+            mixed_transmission(entries, 1)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+    def test_reads_numpy_floats_of_every_width_exactly(self, dtype):
+        weights = np.array([0.1, 0.2, 0.3], dtype=dtype)
+        exact = [Fraction(*w.as_integer_ratio()) for w in weights]
+        assert mixed_transmission(weights, 1) == (exact[1] / 2 + exact[2]) / sum(exact)
+        with pytest.raises(ValueError, match="weight 1 must be finite"):
+            mixed_transmission(np.array([1, np.inf], dtype=dtype), 1)
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_mixture_is_the_weighted_mean_of_its_table_rows(self, K):
+        rng = random.Random(K)
+        weights = [Fraction(rng.randrange(4), rng.randrange(1, 9)) for _ in range(K + 1)]
+        weights[rng.randrange(K + 1)] += 1
+        table = probability_table(K)
+        for k in range(1, K + 1):
+            expected = sum(w * table.value(k, i) for i, w in enumerate(weights)) / sum(weights)
+            assert mixed_transmission(weights, k) == expected, k
+        # Measuring the whole cluster reads its majority: a tie at i = K / 2 is 1/2.
+        majority = sum(w * Fraction(1 + (2 * i > K), 2) for i, w in enumerate(weights) if 2 * i >= K)
+        assert mixed_transmission(weights, K) == majority / sum(weights)
+
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_reversed_weights_transmit_the_complement(self, K):
+        # State i reversed is state K - i, whose charges are swapped: P_k(i) + P_k(K - i) = 1.
+        weights = [Fraction(i * i + 1, K + 2) for i in range(K + 1)]
+        for k in range(1, K + 1):
+            assert mixed_transmission(weights, k) + mixed_transmission(weights[::-1], k) == 1, k
+
+    @pytest.mark.parametrize("K", range(3, 13))
+    def test_positive_energy_witness_at_every_majority(self, K):
+        for k in range(3, K + 1):
+            h = -(-k // 2)
+            below = [1 if 1 <= i < h else 0 for i in range(K + 1)]
+            assert mixed_transmission(below, k) == 0, k
+            # Each weighted state sits at E_i = i / (K - i) > 0, where every 1-D potential transmits.
+            assert all(transmission_probability(i / (K - i)) > 0 for i in range(1, h)), k
 
 
 class TestClosedFormTerms:
