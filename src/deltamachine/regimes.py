@@ -48,7 +48,7 @@ from .spheres import (
     _states,
     probability_table,
 )
-from .values import is_bool, value_type
+from .values import as_fraction, value_type
 
 
 class Regime(Enum):
@@ -132,15 +132,7 @@ def _validated_entries(
                 f"entry {i} of {len(entries)} has state ({state.k_plus}, "
                 f"{state.k_minus}); expected ({i}, {total - i})"
             )
-        if is_bool(p):
-            raise TypeError(f"probability at K+={i} must be a rational number, not bool")
-        try:
-            p = Fraction(p)
-        except (OverflowError, ValueError):
-            if isinstance(p, str):
-                raise
-            # Fraction raises OverflowError for an infinity, ValueError for NaN.
-            raise ValueError(f"probability {p!r} at K+={i} is not finite") from None
+        p = Fraction(p) if isinstance(p, str) else as_fraction(p, f"probability at K+={i}")
         if p < 0 or p > 1:
             raise ValueError(f"probability {p} at K+={i} is outside [0, 1]")
         checked.append((state, p))
@@ -191,12 +183,12 @@ def _row_verdict(entries: Sequence[tuple[ElectricState, Fraction]]) -> RegimeVer
 def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
     """Classify one table row; see the module docstring for the criteria.
 
-    The row is validated first, and entries of any rational type (``int``,
-    ``str``, ``Fraction``...) are converted to ``Fraction``.  States that
-    are not :class:`ElectricState` and probabilities that are a Python or
-    numpy ``bool`` raise ``TypeError``; a misshapen row or a probability
-    that is not finite (NaN included) or lies outside [0, 1] raises
-    ``ValueError``.
+    The row is validated first.  Each probability becomes a ``Fraction``:
+    a ``str`` is parsed as a rational literal such as ``"1/3"``, and any
+    other value is read by :func:`deltamachine.values.as_fraction`, whose
+    ``TypeError`` and ``ValueError`` name the column K+.  States that are
+    not :class:`ElectricState` raise ``TypeError``; a misshapen row or a
+    probability outside [0, 1] raises ``ValueError``.
     """
     return _row_verdict(_validated_entries(row))
 

@@ -44,9 +44,8 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import comb, gcd
-from numbers import Rational
 
-from .values import as_int, is_bool, value_type
+from .values import as_fraction, as_int, value_type
 
 #: Exact probability values are reduced rationals in [0, 1]: ``Fraction``s in
 #: lowest terms with a positive denominator.  The table builder reduces each
@@ -171,12 +170,11 @@ def mixed_transmission(weights: Sequence[object], k: int) -> ExactProbability:
 
     ``weights[i]`` weighs the state ``ElectricState(i, K - i)``, with
     K = ``len(weights) - 1``, and need not sum to 1.  Each is read exactly
-    as a ``Fraction`` (an int, a ``Fraction``, a finite float or a numpy number);
-    a ``bool``, ``None``, ``str``, ``bytes`` or complex raises ``TypeError``, and fewer
-    than two weights, a non-finite, negative or all-zero vector, or a k
-    above K raise ``ValueError``.  Returns sum_i w_i P_k(i) / sum_i w_i in
-    lowest terms, with one :func:`transmission_probability_exact` call per
-    nonzero weight.
+    by :func:`deltamachine.values.as_fraction`, whose ``TypeError`` and
+    ``ValueError`` name the weight's index; fewer than two weights, a
+    negative or all-zero vector, or a k above K raise ``ValueError``.
+    Returns sum_i w_i P_k(i) / sum_i w_i in lowest terms, with one
+    :func:`transmission_probability_exact` call per nonzero weight.
 
     At coupling 1, E_i = i / (K - i) has |T(E_i)|^2 = E_i / (1 + E_i) = i / K,
     the k = 1 cell of state i: the paper's energy <-> charge-ratio map.  So
@@ -201,13 +199,8 @@ def mixed_transmission(weights: Sequence[object], k: int) -> ExactProbability:
 
 
 def _weight(value: object, i: int) -> Fraction:
-    """Weight ``i`` read exactly: a nonnegative finite ``Rational`` or real with ``as_integer_ratio``."""
-    if is_bool(value) or not (isinstance(value, Rational) or hasattr(value, "as_integer_ratio")):
-        raise TypeError(f"weight {i} must be a real number, not {type(value).__name__}")
-    try:
-        w = Fraction(value) if isinstance(value, Rational) else Fraction(*value.as_integer_ratio())
-    except (OverflowError, ValueError):
-        raise ValueError(f"weight {i} must be finite, not {value!r}") from None
+    """Weight ``i`` read by :func:`~deltamachine.values.as_fraction`, and nonnegative."""
+    w = as_fraction(value, f"weight {i}")
     if w < 0:
         raise ValueError(f"weight {i} must be nonnegative, not {value!r}")
     return w

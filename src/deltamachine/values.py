@@ -1,11 +1,12 @@
 """Argument checks and value types, shared by every module of the package.
 
 A leaf module: it imports nothing from the package.  The checks
-(:func:`as_int`, :func:`is_bool`, :func:`as_real`, :func:`as_real_array`)
-refuse a ``bool``, ``str`` or ``bytes`` with ``TypeError``.  The two real
-checks are the one home of the rule that a real input is a float the
-package owns: -0.0 reads as 0.0, so no result carries a minus sign, and an
-array is always a new float64 array, so the caller's stays theirs.
+(:func:`as_int`, :func:`is_bool`, :func:`as_real`, :func:`as_real_array`
+and :func:`as_fraction`, the one exact reader) refuse a ``bool``, ``str``
+or ``bytes`` with ``TypeError``.  The two real checks are the one home of
+the rule that a real input is a float the package owns: -0.0 reads as 0.0,
+so no result carries a minus sign, and an array is always a new float64
+array, so the caller's stays theirs.
 
 The value types of the numpy-free modules (``spheres``, ``band``,
 ``regimes`` and ``scattering``) are ``__slots__`` classes finished by one
@@ -23,6 +24,8 @@ simulations stay dataclasses, since numpy costs their commands far more.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
+from numbers import Rational
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -75,6 +78,19 @@ def as_real_array(values: object, what: str) -> np.ndarray:
     owned = a.astype(np.float64)  # always a copy
     owned += 0.0  # -0.0 becomes 0.0
     return owned
+
+
+def as_fraction(value: object, what: str) -> Fraction:
+    """``value``, a ``Rational`` (numpy integers included) or a real with
+    ``as_integer_ratio`` (a float, a numpy float of any width, a ``Decimal``),
+    as the ``Fraction`` it equals; any other value, bool and ``str``
+    included, raises ``TypeError``, an infinity or a NaN ``ValueError``."""
+    if is_bool(value) or not (isinstance(value, Rational) or hasattr(value, "as_integer_ratio")):
+        raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
+    try:
+        return Fraction(value) if isinstance(value, Rational) else Fraction(*value.as_integer_ratio())
+    except (OverflowError, ValueError):
+        raise ValueError(f"{what} must be finite, not {value!r}") from None
 
 
 class FrozenInstanceError(AttributeError):

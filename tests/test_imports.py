@@ -169,7 +169,7 @@ class TestLayering:
     """``values`` is the leaf that every module takes its checks from, and
     numpy and ``dataclasses`` stay in the simulation modules."""
 
-    CHECKS = {"as_int", "is_bool", "as_real", "as_real_array", "FrozenInstanceError", "value_type"}
+    CHECKS = {"as_int", "is_bool", "as_real", "as_real_array", "as_fraction", "FrozenInstanceError", "value_type"}
 
     def test_values_imports_nothing_from_the_package(self):
         for module, names in _imports(_modules()["values"], top=False):

@@ -26,13 +26,10 @@ from oracles import reference_verdict
 
 
 def make_row(k, values):
-    total = len(values) - 1
-    return ProbabilityTableRow(
-        k=k,
-        entries=tuple(
-            (ElectricState(i, total - i), Fraction(v)) for i, v in enumerate(values)
-        ),
-    )
+    """Row ``k`` whose probabilities are ``values`` as they are: ``classify_row``
+    parses a ``str`` such as ``"1/3"`` and reads any other value exactly."""
+    states = [ElectricState(i, len(values) - 1 - i) for i in range(len(values))]
+    return ProbabilityTableRow(k=k, entries=tuple(zip(states, values)))
 
 
 class TestClassifyRow:
@@ -103,37 +100,27 @@ class TestClassifyRow:
         with pytest.raises(TypeError):
             wronskian_witnesses(row)
 
-    def test_rejects_infinite_probability(self):
-        row = ProbabilityTableRow(
-            k=1,
-            entries=((ElectricState(0, 1), 0), (ElectricState(1, 0), float("inf"))),
-        )
-        with pytest.raises(ValueError):
-            classify_row(row)
-        with pytest.raises(ValueError):
-            wronskian_witnesses(row)
-
-    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
-    def test_rejects_bool_probability(self, flag):
-        row = ProbabilityTableRow(
-            k=1, entries=((ElectricState(0, 1), 0), (ElectricState(1, 0), flag))
-        )
-        with pytest.raises(TypeError, match="not bool"):
-            classify_row(row)
-        with pytest.raises(TypeError, match="not bool"):
-            wronskian_witnesses(row)
-
     @pytest.mark.parametrize(
         "value", [float("nan"), np.float64("nan"), float("inf"), -float("inf")]
     )
-    def test_non_finite_probability_is_not_finite(self, value):
-        row = ProbabilityTableRow(
-            k=1, entries=((ElectricState(0, 1), value), (ElectricState(1, 0), 1))
-        )
-        with pytest.raises(ValueError, match="at K\\+=0 is not finite"):
-            classify_row(row)
-        with pytest.raises(ValueError, match="at K\\+=0 is not finite"):
-            wronskian_witnesses(row)
+    def test_rejects_non_finite_probability(self, value):
+        row = make_row(1, [0, value])
+        for check in (classify_row, wronskian_witnesses):
+            with pytest.raises(ValueError, match=r"^probability at K\+=1 must be finite, not "):
+                check(row)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, None, 1j, b"1"], ids=repr)
+    def test_rejects_non_real_probability_naming_its_column(self, value):
+        row = make_row(1, [0, value, 1])
+        for check in (classify_row, wronskian_witnesses):
+            with pytest.raises(TypeError, match=r"^probability at K\+=1 must be a real number, not "):
+                check(row)
+
+    @pytest.mark.parametrize("width", [np.float16, np.float32, np.longdouble])
+    def test_reads_numpy_floats_of_every_width(self, width):
+        verdict = classify_row(make_row(1, [0, width(0.5), 1]))
+        assert verdict == classify_row(make_row(1, [0, Fraction(1, 2), 1]))
+        assert verdict.verdict is Regime.CLASSICAL_WITH_TIE
 
     def test_witnesses_hold_the_rows_states(self):
         rows = [probability_table(5).row(3), probability_table(6).row(5)]

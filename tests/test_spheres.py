@@ -177,25 +177,23 @@ class TestMixedTransmission:
         assert mixed_transmission(weights, 3) == (p_tr(20, 44, 3) + p_tr(40, 24, 3)) / 2
         assert calls == [20, 40]
 
-    @pytest.mark.parametrize(
-        "weight", [True, np.True_, "1", b"1", 1j], ids=["bool", "numpy-bool", "str", "bytes", "complex"]
-    )
-    def test_rejects_non_real_weights(self, weight):
-        with pytest.raises(TypeError, match="weight 1 must be a real number, not"):
-            mixed_transmission([1, weight], 1)
+    def test_reader_messages_name_the_weight(self):
+        # values.as_fraction reads each weight; its messages carry the index.
+        with pytest.raises(TypeError, match="^weight 2 must be a real number, not str$"):
+            mixed_transmission([1, 1, "1"], 1)
+        with pytest.raises(ValueError, match="^weight 0 must be finite, not inf$"):
+            mixed_transmission([float("inf"), 1], 1)
 
     @pytest.mark.parametrize(
         "weights, match",
         [
-            ([1, float("nan")], "weight 1 must be finite"),
-            ([float("inf"), 1], "weight 0 must be finite"),
             ([1, -1], "weight 1 must be nonnegative"),
             ([1, -0.5], "weight 1 must be nonnegative"),
             ([0, 0.0, Fraction(0)], "must not all be zero"),
             ([1], "at least two weights"),
             ([], "at least two weights"),
         ],
-        ids=["nan", "inf", "negative-int", "negative-float", "all-zero", "one-weight", "empty"],
+        ids=["negative-int", "negative-float", "all-zero", "one-weight", "empty"],
     )
     def test_rejects_bad_weight_vectors(self, weights, match):
         with pytest.raises(ValueError, match=match):
@@ -209,30 +207,9 @@ class TestMixedTransmission:
         with pytest.raises(TypeError):
             mixed_transmission([1, 1], True)
 
-    @pytest.mark.parametrize("entries", [["4", "1"], [1, "4"], [b"4", b"1"], [True, False], [1j, 2j]])
-    def test_rejects_non_real_entries(self, entries):
-        first = 1 if entries == [1, "4"] else 0
-        with pytest.raises(TypeError, match=f"weight {first} must be a real number, not"):
-            mixed_transmission(entries, 1)
-
-    @pytest.mark.parametrize("entries", [["4", 1], [1, True], [1, None], [1, [1]]])
-    def test_rejects_non_real_object_entries(self, entries):
-        first = 0 if entries == ["4", 1] else 1
-        with pytest.raises(TypeError, match=f"weight {first} must be a real number, not"):
-            mixed_transmission(np.array(entries, dtype=object), 1)
-
-    @pytest.mark.parametrize("entries", [[1, True], [1.0, np.True_], np.array([True, False])])
-    def test_rejects_bools_that_numpy_would_convert(self, entries):
+    def test_rejects_a_numpy_bool_array(self):
         with pytest.raises(TypeError, match="must be a real number, not bool"):
-            mixed_transmission(entries, 1)
-
-    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
-    def test_reads_numpy_floats_of_every_width_exactly(self, dtype):
-        weights = np.array([0.1, 0.2, 0.3], dtype=dtype)
-        exact = [Fraction(*w.as_integer_ratio()) for w in weights]
-        assert mixed_transmission(weights, 1) == (exact[1] / 2 + exact[2]) / sum(exact)
-        with pytest.raises(ValueError, match="weight 1 must be finite"):
-            mixed_transmission(np.array([1, np.inf], dtype=dtype), 1)
+            mixed_transmission(np.array([True, False]), 1)
 
     @pytest.mark.parametrize("K", range(1, 13))
     def test_mixture_is_the_weighted_mean_of_its_table_rows(self, K):

@@ -5,11 +5,13 @@ immutability from each class's ``__slots__``; one parametrized test checks
 every class against the behaviour of the frozen dataclass it replaced, and
 another checks that the unchecked maker ``_make`` builds the same values as
 the constructor.  The real checks that the value types validate with read
--0.0 as 0.0, and give every array input a new float64 array.
+-0.0 as 0.0, and give every array input a new float64 array; the exact
+reader ``as_fraction`` gives the ``Fraction`` a real equals, or refuses it.
 """
 
 import copy
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from deltamachine.band import ElasticExperiment, OutcomePair
 from deltamachine.regimes import Regime, RegimeVerdict, Witness, WitnessKind
 from deltamachine.scattering import ScatteringAmplitudes, ScatteringConfig
-from deltamachine.values import as_real, as_real_array
+from deltamachine.values import as_fraction, as_real, as_real_array
 from deltamachine.spheres import (
     ElectricState,
     KMeasurement,
@@ -204,3 +206,31 @@ def test_as_real_array_reads_negative_zero_as_zero_into_a_new_array(values):
     if isinstance(values, np.ndarray):
         assert not np.shares_memory(result, values)
         assert values.flags.writeable and str(values[0]) == "-0.0"
+
+
+_WIDTHS = [np.float16, np.float32, np.float64, np.longdouble]
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (3, Fraction(3)),
+        (np.int64(-2), Fraction(-2)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        (0.1, Fraction(3602879701896397, 1 << 55)),
+        (Decimal("0.1"), Fraction(1, 10)),
+        *[(width("0.1"), Fraction(*width("0.1").as_integer_ratio())) for width in _WIDTHS],
+        *[(value, TypeError) for value in (True, np.True_, "1", np.str_("1"), b"1", 1j, None, [1])],
+        *[(value, ValueError) for value in (float("inf"), -float("inf"), float("nan"), Decimal("nan"))],
+        *[(width(value), ValueError) for width in _WIDTHS for value in ("inf", "-inf", "nan")],
+    ],
+    ids=lambda v: getattr(v, "__name__", None) or repr(v),
+)
+def test_as_fraction_reads_a_real_exactly_or_refuses_it(value, expected):
+    if isinstance(expected, Fraction):
+        result = as_fraction(value, "x")
+        assert type(result) is Fraction and result == expected
+    else:
+        rule = f"a real number, not {type(value).__name__}$" if expected is TypeError else "finite, not "
+        with pytest.raises(expected, match="^x must be " + rule):
+            as_fraction(value, "x")
