@@ -20,9 +20,9 @@ with its checks and its arithmetic.  ``eps = 0`` is the deterministic sign
 rule, with the ``c = 0`` knife-edge resolved as a fair (1/2, 1/2) split,
 mirroring the sphere machine's balanced-tranche convention.
 
-The module loads no numpy: only :meth:`ElasticExperiment.from_vectors`
-imports it, inside itself.  The seeded simulator lives in
-:mod:`deltamachine.elastic`.
+The module imports no numpy: only :meth:`ElasticExperiment.from_vectors`
+loads it, through :func:`deltamachine.values.as_real_array`.  The seeded
+simulator lives in :mod:`deltamachine.elastic`.
 """
 
 from __future__ import annotations
@@ -76,26 +76,29 @@ class ElasticExperiment:
     ) -> "ElasticExperiment":
         """Reduce full 3-D unit vectors to the angle between them.
 
-        The exact normalized dot product is kept as the landing coordinate.
-        Each vector is first divided by its largest absolute component, so
-        the norms neither overflow nor underflow.
+        The normalized dot product is kept as the landing coordinate.  Each
+        vector is first divided by its largest absolute component, so the
+        norms neither overflow nor underflow.  Each norm is the square root
+        of the ``math.fsum`` of its squares, and the dot product the
+        ``math.fsum`` of the products: a correctly rounded formula, with no
+        BLAS kernel chosen at run time, so the coordinate is the same on
+        every machine.
         """
-        import numpy as np
-
         v, u = as_real_array(state, "state"), as_real_array(axis, "axis")
         if v.shape != (3,) or u.shape != (3,):
             raise ValueError("state and axis must be 3-vectors")
-        if not (np.isfinite(v).all() and np.isfinite(u).all()):
+        v, u = v.tolist(), u.tolist()
+        if not all(map(math.isfinite, v + u)):
             raise ValueError("state and axis must have finite components")
-        sv = float(np.abs(v).max())
-        su = float(np.abs(u).max())
+        sv = max(map(abs, v))
+        su = max(map(abs, u))
         if sv == 0.0 or su == 0.0:
             raise ValueError("state and axis must be nonzero vectors")
-        v = v / sv
-        u = u / su
-        nv = float(np.linalg.norm(v))
-        nu = float(np.linalg.norm(u))
-        c = max(-1.0, min(1.0, float(np.dot(v, u) / (nv * nu))))
+        v = [x / sv for x in v]
+        u = [x / su for x in u]
+        nv = math.sqrt(math.fsum(x * x for x in v))
+        nu = math.sqrt(math.fsum(x * x for x in u))
+        c = max(-1.0, min(1.0, math.fsum(a * b for a, b in zip(v, u)) / (nv * nu)))
         return cls(theta=math.acos(c), epsilon=epsilon, projection=c)
 
 

@@ -66,6 +66,7 @@ from .spheres import (
     probability_table,
     transmission_probability_exact,
 )
+from .values import as_real
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -85,7 +86,7 @@ def _parse_z(spec: str) -> float:
         z = math.nan
     if not (math.isfinite(z) and z >= 0.0):
         raise argparse.ArgumentTypeError(f"expected a nonnegative finite real, got {spec!r}")
-    return z + 0.0  # -0 reads as 0, so no report carries a minus sign
+    return as_real(z, "z")
 
 
 def _positive_int(spec: str) -> int:

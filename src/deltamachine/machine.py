@@ -114,7 +114,7 @@ def _trial_bytes(state: ElectricState) -> int:
     partner and its draw with the draw's mix temporary, and for K+ <= 256 its
     ``W = ceil(K+/64)`` words, ``W`` scratch words, ``W`` partner masks and the
     source-bit word; above that, one byte per sphere.  This holds a chunk whose
-    blocks are one step (W <= 2); a block of R steps holds R partner rows."""
+    blocks are one step (W <= 3); a block of R steps holds R partner rows."""
     if state.k_plus <= _WORD_POSITIONS:
         return 8 * (3 * -(-state.k_plus // 64) + 1) + TRIAL_BYTES
     return state.total + TRIAL_BYTES

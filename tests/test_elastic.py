@@ -1,6 +1,7 @@
 """Breakable-elastic spin measurement: closed forms and simulation."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -138,6 +139,25 @@ class TestElasticExperiment:
         assert exp.cos_theta == 1.0
         exp = ElasticExperiment.from_vectors([0.0, 5e-324, 0.0], [0.0, -3.0, 0.0], 0.5)
         assert exp.cos_theta == -1.0
+
+    def test_from_vectors_gives_the_same_bits_on_every_machine(self):
+        # numpy's dot and norm go through the BLAS kernel picked at run time;
+        # OpenBLAS's Haswell kernel gave 0x1.4d2b53fae721cp-2 for this pair.
+        v = (0.2532965817336079, -0.39794760314898925, 0.014485967658119048)
+        u = (-0.2282674823101949, -0.2981790224596399, 0.17014821481072695)
+        exp = ElasticExperiment.from_vectors(v, u, 0.5)
+        assert exp.cos_theta == float.fromhex("0x1.4d2b53fae721ap-2")
+
+    def test_from_vectors_is_the_fsum_formula(self):
+        gen = random.Random(37)
+        for _ in range(1000):
+            v = [gen.gauss(0.0, 1.0) for _ in range(3)]
+            u = [gen.gauss(0.0, 1.0) for _ in range(3)]
+            sv, su = max(map(abs, v)), max(map(abs, u))
+            vs, us = [x / sv for x in v], [x / su for x in u]
+            norms = math.sqrt(math.fsum(x * x for x in vs)) * math.sqrt(math.fsum(x * x for x in us))
+            c = math.fsum(a * b for a, b in zip(vs, us)) / norms
+            assert ElasticExperiment.from_vectors(v, u, 0.5).cos_theta == max(-1.0, min(1.0, c)), (v, u)
 
 
 class TestEpsilonProbabilities:

@@ -477,10 +477,12 @@ class TestChunkBudget:
     #: spans of every step (K = 256 in 2 KiB) and numpy's small objects.
     ALLOWANCE = 16 << 10
 
-    @pytest.mark.parametrize("kp, km, k", [(2, 1, 1), (40, 40, 10), (100, 28, 10), (128, 128, 10), (128, 128, 250)])
+    @pytest.mark.parametrize(
+        "kp, km, k", [(2, 1, 1), (40, 40, 10), (100, 28, 10), (128, 128, 10), (128, 128, 250), (150, 50, 10)]
+    )
     def test_kernel_peak_fits_the_chunk_budget(self, kp, km, k):
-        # One word (K+ <= 64) and two words (K+ <= 128) per trial: chunks of
-        # more than 8,192 trials, whose blocks are one step each.
+        # One, two and three words (K+ <= 192) per trial: chunks of more than
+        # 8,192 trials (9,362 at three words), whose blocks are one step each.
         state = ElectricState(kp, km)
         trial_bytes = machine_mod._trial_bytes(state)
         m = ensemble_mod.CHUNK_BYTES // trial_bytes
