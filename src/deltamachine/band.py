@@ -20,9 +20,10 @@ with its checks and its arithmetic.  ``eps = 0`` is the deterministic sign
 rule, with the ``c = 0`` knife-edge resolved as a fair (1/2, 1/2) split,
 mirroring the sphere machine's balanced-tranche convention.
 
-The module imports no numpy: only :meth:`ElasticExperiment.from_vectors`
-loads it, through :func:`deltamachine.values.as_real_array`.  The seeded
-simulator lives in :mod:`deltamachine.elastic`.
+The module imports no numpy and loads none at run time:
+:meth:`ElasticExperiment.from_vectors` reads each component with
+:func:`deltamachine.values.as_real`.  The seeded simulator lives in
+:mod:`deltamachine.elastic`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .values import as_real, as_real_array, value_type
+from .values import as_real, value_type
 
 
 @value_type
@@ -84,10 +85,7 @@ class ElasticExperiment:
         BLAS kernel chosen at run time, so the coordinate is the same on
         every machine.
         """
-        v, u = as_real_array(state, "state"), as_real_array(axis, "axis")
-        if v.shape != (3,) or u.shape != (3,):
-            raise ValueError("state and axis must be 3-vectors")
-        v, u = v.tolist(), u.tolist()
+        v, u = _components(state, "state"), _components(axis, "axis")
         if not all(map(math.isfinite, v + u)):
             raise ValueError("state and axis must have finite components")
         sv = max(map(abs, v))
@@ -98,8 +96,27 @@ class ElasticExperiment:
         u = [x / su for x in u]
         nv = math.sqrt(math.fsum(x * x for x in v))
         nu = math.sqrt(math.fsum(x * x for x in u))
-        c = max(-1.0, min(1.0, math.fsum(a * b for a, b in zip(v, u)) / (nv * nu)))
+        c = max(-1.0, min(1.0, math.fsum(a * b for a, b in zip(v, u, strict=True)) / (nv * nu)))
         return cls(theta=math.acos(c), epsilon=epsilon, projection=c)
+
+
+def _components(vector: Sequence[float], what: str) -> list[float]:
+    """The three components of ``vector``, each read by :func:`as_real`.
+
+    Anything but a sequence of three scalars, a component that is itself a
+    list, a tuple or an array included, raises ``ValueError``; a ``str`` or
+    ``bytes`` vector, or a component that ``as_real`` refuses (a str, bytes,
+    bool or ``None``), raises ``TypeError`` naming ``what``.
+    """
+    if isinstance(vector, (str, bytes, bytearray)):
+        raise TypeError(f"{what} must be a vector of real numbers, not {type(vector).__name__}")
+    try:
+        components = [vector[0], vector[1], vector[2]] if len(vector) == 3 else []
+    except (TypeError, LookupError):  # a scalar, a 0-d array, an iterator, a set, ...
+        components = []
+    if not components or any(isinstance(x, (list, tuple)) or getattr(x, "ndim", 0) for x in components):
+        raise ValueError("state and axis must be 3-vectors")
+    return [as_real(x, what) for x in components]
 
 
 @value_type

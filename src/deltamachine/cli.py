@@ -125,9 +125,12 @@ def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
 
 
 def _grid_text(header: Sequence[str], rows: list[Sequence[str]]) -> str:
-    """``header`` over ``rows``, each column right-aligned to its widest cell."""
+    """``header`` over ``rows``, each column right-aligned to its widest cell.
+
+    A row longer or shorter than the header raises ``ValueError``.
+    """
     cells = [header, *rows]
-    widths = [max(map(len, column)) for column in zip(*cells)]
+    widths = [max(map(len, column)) for column in zip(*cells, strict=True)]
     line = "  ".join(f"%{w}s" for w in widths) + "\n"
     return "".join([line % tuple(c) for c in cells])
 

@@ -30,7 +30,9 @@ precedence is Classical > ClassicalWithTie > Quantum > Intermediate
 
 :func:`classify_row` finds cells by column index and puts its witnesses on
 the row's own states; :func:`classify_table` builds one witness tuple per
-kind over the K + 1 states and gives each row slices of them.
+kind and gives each row slices of them: the fractional witnesses over the
+K + 1 states, the zero-transmission ones over the states K+ < (K - 1) // 2
+that its rows slice.
 """
 
 from __future__ import annotations
@@ -216,16 +218,19 @@ def classify_table(
 
     The cases go in verdict precedence (K = 1 is Classical, K = 2 a tie).
     Row k + 1 equals row k and shares its verdict.  Each Intermediate
-    witness kind has one tuple over the states K+ = 0..K, which the rows
-    slice (``zero[1:h]``, ``fractional[h:K-h+1]``): the rows share one
+    witness kind has one tuple of witnesses, which the rows slice
+    (``zero[1:h]``, ``fractional[h:K-h+1]``): the rows share one
     :class:`Witness` per state and kind, and one state object per K+.
+    ``fractional`` covers the states K+ = 0..K, and ``zero`` only the
+    prefix K+ < (K - 1) // 2, since h <= (K - 1) // 2 in every
+    Intermediate row.
     The verdicts equal those of :func:`classify_row` on the rows of
     :func:`probability_table`.
     """
     states = _states(K, ceiling)
     K = len(states) - 1
     make = Witness._make  # the states are valid: _states checked K
-    zero = tuple([make(_ZERO, s) for s in states])
+    zero = tuple([make(_ZERO, s) for s in states[: (K - 1) // 2]])
     fractional = tuple([make(_FRACTIONAL, s) for s in states])
     odd = []
     for k in range(1, K + 1, 2):

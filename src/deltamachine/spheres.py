@@ -24,11 +24,12 @@ of the cells are shared constants and never computed.  Their
 ``(state, 0)`` and ``(state, 1)`` pairs are shared too, built once per
 table for every column.  The density's symmetry w_i = w_{K+1-i} is the
 charge swap P(K+, K-) = 1 - P(K-, K+), so the sums stop at K+ = K/2, and
-each even row k equals the odd row k - 1.  ``_odd_rows`` yields the
-computed cells of the odd rows as ``Fraction``s.  Each count S / C is
-reduced by one gcd, which reduces its charge swap (C - S) / C as well,
-and both lowest-terms pairs go into ``Fraction``'s slots without a second
-normalization.  The table builder never calls the closed form, so the two
+each even row k equals the odd row k - 1.  ``_odd_rows`` yields each odd
+row whole, as its tuple of ``(state, p)`` pairs on the shared column
+states.  Each count S / C is reduced by one gcd, which reduces its charge
+swap (C - S) / C as well; both lowest-terms pairs go into ``Fraction``'s
+slots without a second normalization, and both cells' pairs are made in
+the same step.  The table builder never calls the closed form, so the two
 check each other.  The transmission of a mixed state,
 :func:`mixed_transmission`, is the weighted mean of its states' closed-form
 cells, and a float weight is read exactly, as the rational it is.
@@ -286,39 +287,48 @@ def _row_index(k: object, K: int) -> int:
 _CERTAIN = (Fraction(0), Fraction(1))
 
 
-def _odd_rows(K: int) -> Iterator[tuple[Fraction, ...]]:
-    """The computed cells of the odd rows k = 1, 3, ... of the K table, in order.
+def _odd_rows(
+    states: tuple[ElectricState, ...],
+) -> Iterator[tuple[tuple[ElectricState, Fraction], ...]]:
+    """The entries of the odd rows k = 1, 3, ... of the table over ``states``.
 
-    Row k = 2h - 1 yields its cells K+ = h..K-h, each a ``Fraction``: the
-    CDF of the tranche median's slot (see the module docstring),
-    P = S / C(K, k) with S = w_h + ... + w_K+.  The cells K+ < h are 0 and
-    the cells K+ > K - h are 1; they are not yielded.  The sums run from
-    w_h = C(K - h, h - 1) up to K+ = K/2, stepped by the exact division
-    w_{i+1} = w_i i (K - i - h + 1) / ((i - h + 1)(K - i)).  A cell above
-    K/2 is the charge swap (C - S) / C of cell K - K+.  Both cells of a sum
-    are reduced once, by g = gcd(S, C), which is gcd(C - S, C) too, and
-    their two ``Fraction`` slots are set directly, with no second
-    normalization.  The live state is one row.
+    ``states`` are the column states K+ = 0..K, and each row is the tuple of
+    its K + 1 pairs ``(states[K+], p)``.  Row k = 2h - 1 computes its cells
+    K+ = h..K-h as the CDF of the tranche median's slot (see the module
+    docstring), P = S / C(K, k) with S = w_h + ... + w_K+.  The cells
+    K+ < h are 0 and the cells K+ > K - h are 1: their pairs are the K + 1
+    ``(state, 0)`` and K + 1 ``(state, 1)`` pairs built here once and
+    shared by every row.  The sums run from w_h = C(K - h, h - 1) up to
+    K+ = K/2, stepped by the exact division
+    w_{i+1} = w_i i (K - i - h + 1) / ((i - h + 1)(K - i)), and each sum
+    gives two pairs in one step: cell K+ and its charge swap (C - S) / C at
+    column K - K+.  Both are reduced once, by g = gcd(S, C), which is
+    gcd(C - S, C) too, and their two ``Fraction`` slots are set directly,
+    with no second normalization.  The live state is one row.
     """
+    K = len(states) - 1
+    zero, one = _CERTAIN
+    zeros = [(state, zero) for state in states]
+    ones = [(state, one) for state in states]
     new = object.__new__
     half = K // 2
     for h in range(1, (K + 3) // 2):
         subsets = comb(K, 2 * h - 1)
         weight, count = comb(K - h, h - 1), 0  # w_h and S at K+ = h - 1
-        cells, swaps = [], []
+        row = zeros[:h] + ones[h:]  # the cells K+ = h..K-h are set below
         for i in range(h, half + 1):
             count += weight
             g = gcd(count, subsets)
             num, den = count // g, subsets // g
             cell = new(Fraction)
             cell._numerator, cell._denominator = num, den
-            swap = new(Fraction)
-            swap._numerator, swap._denominator = den - num, den
-            cells.append(cell)
-            swaps.append(swap)
+            row[i] = (states[i], cell)
+            if i < K - i:  # the balanced column K+ = K - K+ is its own swap
+                swap = new(Fraction)
+                swap._numerator, swap._denominator = den - num, den
+                row[K - i] = (states[K - i], swap)
             weight = weight * (i * (K - i - h + 1)) // ((i - h + 1) * (K - i))
-        # Cells K+ = h..K/2, then the swaps of cells K - K+ for K+ = K/2 + 1..K - h.
-        yield (*cells, *reversed(swaps[: K - half - h]))
+        yield tuple(row)
 
 
 def probability_table(
@@ -328,23 +338,17 @@ def probability_table(
 
     Rows run over tranche sizes k = 1..K, columns over states K+ = 0..K
     (equivalently over increasing energy label K+/K-).  Entry K+ of a row
-    is the pair ``(state, p)``.  Outside the determinism threshold
-    2 min(K+, K-) + 1, p is ``_CERTAIN[0]`` or ``_CERTAIN[1]``, and the
-    pair is one of the K + 1 ``(state, 0)`` and K + 1 ``(state, 1)`` pairs
-    built once per table and shared by every row that holds it.  Inside
-    it, the cells come from :func:`_odd_rows`, zipped with their column
-    states.  Row k + 1 of an odd k shares row k's entries, the pairwise
-    equality P(k + 1) = P(k).
+    is the pair ``(state, p)``, with one state object per column.  Outside
+    the determinism threshold 2 min(K+, K-) + 1, p is ``_CERTAIN[0]`` or
+    ``_CERTAIN[1]``, and the pair is one of the K + 1 ``(state, 0)`` and
+    K + 1 ``(state, 1)`` pairs built once per table and shared by every row
+    that holds it.  :func:`_odd_rows` yields each odd row's whole entries.
+    Row k + 1 of an odd k shares row k's entries, the pairwise equality
+    P(k + 1) = P(k).
     """
     states = _states(K, ceiling)
     K = len(states) - 1
-    zero, one = _CERTAIN
-    zeros = [(state, zero) for state in states]
-    ones = [(state, one) for state in states]
-    odd = [
-        (*zeros[:h], *zip(states[h : K + 1 - h], cells, strict=True), *ones[K + 1 - h :])
-        for h, cells in enumerate(_odd_rows(K), 1)
-    ]
+    odd = list(_odd_rows(states))
     make = ProbabilityTableRow._make
     rows = [make(k, odd[(k - 1) // 2]) for k in range(1, K + 1)]
     return ProbabilityTable(K=K, rows=tuple(rows))

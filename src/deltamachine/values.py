@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from numbers import Rational
+from numbers import Complex, Rational, Real
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -52,12 +52,18 @@ def is_bool(value: object) -> bool:
 
 
 def as_real(value: object, what: str) -> float:
-    """``value`` as a ``float``, -0.0 as 0.0; any bool, ``str`` or ``bytes`` raises ``TypeError``."""
+    """``value`` as a ``float``, -0.0 as 0.0; any bool, ``str``, ``bytes``,
+    complex number or other value that ``float`` refuses (``None``, say)
+    raises ``TypeError``."""
     if type(value) is float:
         return value + 0.0
-    if is_bool(value) or isinstance(value, (str, bytes, bytearray)):
-        raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
-    return float(value) + 0.0
+    complex_ = isinstance(value, Complex) and not isinstance(value, Real)
+    if not (complex_ or is_bool(value) or isinstance(value, (str, bytes, bytearray))):
+        try:
+            return float(value) + 0.0
+        except TypeError:  # None, a list, ...
+            pass
+    raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
 
 
 def as_real_array(values: object, what: str) -> np.ndarray:

@@ -833,6 +833,15 @@ def test_ensemble_text_is_the_csv_grid(capsys, argv):
     assert [line.split() for line in grid] == list(csv.reader(io.StringIO(csv_out)))
 
 
+@pytest.mark.parametrize("row", [["1"], ["1", "22", "333"]], ids=["short", "long"])
+def test_grid_text_refuses_a_row_unlike_the_header(row):
+    # zip without strict= would drop the extra or missing column, and the
+    # misshapen row would fail later, in % formatting, with a TypeError.
+    assert cli._grid_text(["a", "b"], [["1", "22"]]) == "a   b\n1  22\n"
+    with pytest.raises(ValueError):
+        cli._grid_text(["a", "b"], [["1", "22"], row])
+
+
 @pytest.mark.parametrize(
     "argv, lower, upper",
     [

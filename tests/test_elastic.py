@@ -127,8 +127,32 @@ class TestElasticExperiment:
             ElasticExperiment.from_vectors([0.0, 0.0, 1.0], vector, 0.5)
 
     def test_from_vectors_rejects_strings(self):
-        with pytest.raises(TypeError, match="state must be real numbers"):
+        with pytest.raises(TypeError, match="state must be a real number"):
             ElasticExperiment.from_vectors(["1", "0", "0"], [0.0, 0.0, 1.0], 0.5)
+
+    @pytest.mark.parametrize(
+        "vector", [[[1.0], [0.0], [0.0]], np.zeros((3, 1)), [np.ones(1), 0.0, 0.0], {0.0, 1.0, 2.0}, iter([0.0, 0.0, 1.0])]
+    )
+    def test_from_vectors_rejects_what_is_not_three_scalars(self, vector):
+        with pytest.raises(ValueError, match="state and axis must be 3-vectors"):
+            ElasticExperiment.from_vectors(vector, [0.0, 0.0, 1.0], 0.5)
+        with pytest.raises(ValueError, match="state and axis must be 3-vectors"):
+            ElasticExperiment.from_vectors([0.0, 0.0, 1.0], vector, 0.5)
+
+    @pytest.mark.parametrize("vector", [[None, 0.0, 1.0], [b"1", 0.0, 1.0], [1j, 0.0, 1.0], b"abc", "abc"])
+    def test_from_vectors_names_the_vector_of_a_non_real_component(self, vector):
+        with pytest.raises(TypeError, match="state must be"):
+            ElasticExperiment.from_vectors(vector, [0.0, 0.0, 1.0], 0.5)
+        with pytest.raises(TypeError, match="axis must be"):
+            ElasticExperiment.from_vectors([0.0, 0.0, 1.0], vector, 0.5)
+
+    def test_from_vectors_reads_numpy_components_to_the_same_bits(self):
+        v = [0.2532965817336079, -0.39794760314898925, 0.014485967658119048]
+        u = [-0.2282674823101949, -0.2981790224596399, 0.17014821481072695]
+        expected = ElasticExperiment.from_vectors(v, u, 0.5)
+        assert ElasticExperiment.from_vectors(np.array(v), tuple(map(np.float64, u)), 0.5) == expected
+        v32 = np.array(v, dtype=np.float32)
+        assert ElasticExperiment.from_vectors(v32, u, 0.5) == ElasticExperiment.from_vectors(v32.tolist(), u, 0.5)
 
     def test_from_vectors_huge_components_do_not_overflow(self):
         exp = ElasticExperiment.from_vectors([1e308, 0.0, 1e308], [0.0, 0.0, 1.0], 0.5)

@@ -62,6 +62,8 @@ def test_exact_and_scatter_commands_never_import_numpy():
         no_numpy("from deltamachine import ElectricState")
         from deltamachine import ElasticExperiment, OutcomePair, epsilon_probabilities, quantum_spin_probabilities
         no_numpy("from deltamachine import the four names of band")
+        assert ElasticExperiment.from_vectors([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.5).cos_theta == 0.0
+        no_numpy("ElasticExperiment.from_vectors")
         from fractions import Fraction
         from deltamachine import mixed_transmission
         assert mixed_transmission([1, 2.5, 0, 1], 2) == Fraction(11, 27)

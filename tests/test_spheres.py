@@ -518,6 +518,18 @@ class TestTableSharing:
         for row in table.rows:
             assert all(entry[0] is state for entry, state in zip(row.entries, states))
 
+    @pytest.mark.parametrize("K", [1, 2, 7, 64, 65])
+    def test_every_entry_holds_row_ones_state_object(self, K):
+        # A builder that made a new state per pair would pass every equality test.
+        table = probability_table(K, ceiling=K)
+        first = [state for state, _ in table.rows[0].entries]
+        computed = 0
+        for row in table.rows:
+            for k_plus, ((state, _), shared) in enumerate(zip(row.entries, first, strict=True)):
+                assert state is shared, (row.k, k_plus)
+                computed += row.k < determinism_threshold(state)
+        assert computed == sum(min(kp, K - kp) * 2 for kp in range(K + 1))
+
 
 def assert_plain_fraction(p, num, den):
     """``p`` is indistinguishable from the normalized ``Fraction(num, den)``."""

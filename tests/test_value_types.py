@@ -189,6 +189,16 @@ def test_as_real_reads_negative_zero_as_zero(value):
 
 
 @pytest.mark.parametrize(
+    "value, name",
+    [(None, "NoneType"), ([1.0], "list"), (1j, "complex"), (np.complex64(1), "complex64"), (np.complex128(1), "complex128")],
+)
+def test_as_real_names_what_float_refuses(value, name):
+    # A complex number is refused before float() could drop its imaginary part.
+    with pytest.raises(TypeError, match=f"^x must be a real number, not {name}$"):
+        as_real(value, "x")
+
+
+@pytest.mark.parametrize(
     "values",
     [
         [-0.0, 1.0],
