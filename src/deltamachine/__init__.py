@@ -21,12 +21,11 @@ reproduce 1-D delta-potential quantum scattering:
 Every public name is declared once, in ``_EXPORTS``, under the submodule
 that defines it, and is loaded on first access (PEP 562).  ``import
 deltamachine`` therefore loads no submodule.  Only the simulation modules
-(``machine``, ``elastic``, ``ensemble``, ``rng``) and the array function
-``scattering.transmission_curve`` use numpy, so the exact and scalar
-commands of the command line, ``epsilon`` without ``--n`` among them,
-never load it.  Every module takes its argument checks and its value-type
-decorator from ``values``, a leaf module that imports nothing from the
-package.
+(``machine``, ``elastic``, ``ensemble``, ``rng``) use numpy, so the exact
+and scalar commands of the command line, ``epsilon`` without ``--n`` among
+them, never load it.  Every module takes its argument checks and its
+value-type decorator from ``values``, a leaf module that imports nothing
+from the package.
 """
 
 from importlib import import_module as _import_module

@@ -502,7 +502,7 @@ _RENDERERS = {
 
 
 def _write_output(output: str | None, rendered: str) -> None:
-    if output:
+    if output is not None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
@@ -521,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     command, fmt, output = args.command, args.format, args.output
-    if output:
+    if output is not None:
         # Refuse an unwritable path before any work; append mode creates a
         # missing file and leaves an existing file's bytes as they are.
         try:

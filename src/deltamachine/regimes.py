@@ -134,7 +134,14 @@ def _validated_entries(
                 f"entry {i} of {len(entries)} has state ({state.k_plus}, "
                 f"{state.k_minus}); expected ({i}, {total - i})"
             )
-        p = Fraction(p) if isinstance(p, str) else as_fraction(p, f"probability at K+={i}")
+        what = f"probability at K+={i}"
+        if isinstance(p, str):
+            try:
+                p = Fraction(p)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{what} must be a rational literal, not {p!r}") from None
+        else:
+            p = as_fraction(p, what)
         if p < 0 or p > 1:
             raise ValueError(f"probability {p} at K+={i} is outside [0, 1]")
         checked.append((state, p))
@@ -187,7 +194,8 @@ def classify_row(row: ProbabilityTableRow) -> RegimeVerdict:
 
     The row is validated first.  Each probability becomes a ``Fraction``:
     a ``str`` is parsed as a rational literal such as ``"1/3"``, and any
-    other value is read by :func:`deltamachine.values.as_fraction`, whose
+    other value is read by :func:`deltamachine.values.as_fraction`.  A
+    malformed literal raises ``ValueError``, and it and ``as_fraction``'s
     ``TypeError`` and ``ValueError`` name the column K+.  States that are
     not :class:`ElectricState` raise ``TypeError``; a misshapen row or a
     probability outside [0, 1] raises ``ValueError``.

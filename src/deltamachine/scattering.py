@@ -12,30 +12,24 @@ normalization constant ``c = sqrt(2 hbar^2 / m)``, so that the default
 coupling 1 gives ``kappa = sqrt(E)`` and the transmission probability the
 simple form ``E / (1 + E)``.  One rule admits an energy: finite and
 nonnegative (``values.as_real`` reads -0.0 as 0.0) with a finite
-``kappa^2``; the array form checks it at the extremes of its energies.
-:func:`scatter_row` gives one point's amplitudes, probabilities and jump
-residual from a single :func:`amplitudes` call, each equal to its own
-function's value.
+``kappa^2``.  :func:`scatter_row` gives one point's amplitudes,
+probabilities and jump residual from a single :func:`amplitudes` call, each
+equal to its own function's value.
 
 At coupling 1, ``|T(E_i)|^2 = i / K`` at E_i = i / (K - i): a wave packet on
 that lattice is a mixed state of the K-sphere machine, whose exact
 transmission is :func:`deltamachine.spheres.mixed_transmission`.
 
-The scalar functions use only ``math`` and ``complex``; numpy is imported by
-the array function :func:`transmission_curve` alone, so scalar callers never
-load it.
+The functions use only ``math`` and ``complex``.  A curve is the pointwise
+list ``[transmission_probability(e, config) for e in energies]``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING
 
-from .values import as_real, as_real_array, value_type
-
-if TYPE_CHECKING:
-    import numpy as np
+from .values import as_real, value_type
 
 #: Identity tolerance for the closed-form amplitude relations (unitarity,
 #: continuity, derivative jump).  Double precision leaves ~3 orders of margin.
@@ -130,24 +124,6 @@ def reflection_probability(
     """|R(E)|^2 = 1 / (1 + kappa^2); equals 1/(1+E) at default coupling."""
     _, k2 = _kappa_squared(energy, config)
     return 1.0 / (1.0 + k2)
-
-
-def transmission_curve(
-    energies: np.ndarray, config: ScatteringConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """Vectorized |T(E)|^2 over an array of nonnegative energies.
-
-    Each element equals :func:`transmission_probability` at that energy,
-    bit for bit: both evaluate the same IEEE operations.  The one energy
-    rule is checked at the extremes, with the scalar functions' errors.
-    """
-    e = as_real_array(energies, "energies")
-    if e.size:
-        # NaN reaches both, +-inf and negatives one, and kappa^2 grows with E
-        _kappa_squared(e.min(), config)
-        _kappa_squared(e.max(), config)
-    k2 = e / (config.coupling * config.coupling)
-    return k2 / (1.0 + k2)
 
 
 def jump_condition_residual(

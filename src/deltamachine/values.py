@@ -1,12 +1,10 @@
 """Argument checks and value types, shared by every module of the package.
 
 A leaf module: it imports nothing from the package.  The checks
-(:func:`as_int`, :func:`is_bool`, :func:`as_real`, :func:`as_real_array`
-and :func:`as_fraction`, the one exact reader) refuse a ``bool``, ``str``
-or ``bytes`` with ``TypeError``.  The two real checks are the one home of
-the rule that a real input is a float the package owns: -0.0 reads as 0.0,
-so no result carries a minus sign, and an array is always a new float64
-array, so the caller's stays theirs.
+(:func:`as_int`, :func:`is_bool`, :func:`as_real` and :func:`as_fraction`,
+the one exact reader) refuse a ``bool``, ``str`` or ``bytes`` with
+``TypeError``.  The real check :func:`as_real` is the one home of the rule
+that a real input reads -0.0 as 0.0, so no result carries a minus sign.
 
 The value types of the numpy-free modules (``spheres``, ``band``,
 ``regimes`` and ``scattering``) are ``__slots__`` classes finished by one
@@ -26,10 +24,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from numbers import Complex, Rational, Real
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def as_int(value: object, what: str) -> int:
@@ -64,26 +58,6 @@ def as_real(value: object, what: str) -> float:
         except TypeError:  # None, a list, ...
             pass
     raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
-
-
-def as_real_array(values: object, what: str) -> np.ndarray:
-    """``values`` as a new float64 array, -0.0 as 0.0; str, bytes, bool or
-    complex entries raise ``TypeError``.
-
-    An ``ndarray`` is checked by its dtype, any other input (a list, say)
-    and an object array entry by entry, before numpy converts a bool.
-    """
-    import numpy as np
-
-    a = np.asarray(values)
-    if a.dtype.kind in "USbc":
-        raise TypeError(f"{what} must be real numbers, not {a.dtype}")
-    if a.dtype.kind == "O" or not isinstance(values, np.ndarray):
-        entries = np.asarray(values, dtype=object).flat
-        return np.array([as_real(v, what) for v in entries], np.float64).reshape(a.shape)
-    owned = a.astype(np.float64)  # always a copy
-    owned += 0.0  # -0.0 becomes 0.0
-    return owned
 
 
 def as_fraction(value: object, what: str) -> Fraction:

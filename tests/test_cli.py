@@ -900,10 +900,10 @@ class TestOutputDestinations:
             "scatter": ["--E", "1"],
             "epsilon": ["--theta", "1", "--eps", "0.5"],
         }[command]
-        target = tmp_path / "missing" / "x.txt"
-        code, out, err = run_cli(capsys, command, *argv, "--output", str(target))
-        assert (code, out) == (2, "")
-        assert err.startswith("error: cannot write output:") and "Traceback" not in err
+        for target in (str(tmp_path / "missing" / "x.txt"), ""):
+            code, out, err = run_cli(capsys, command, *argv, "--output", target)
+            assert (code, out) == (2, ""), target
+            assert err.startswith("error: cannot write output:") and "Traceback" not in err
 
     def test_a_failed_command_leaves_an_existing_file_unchanged(self, capsys, tmp_path):
         target = tmp_path / "table.txt"

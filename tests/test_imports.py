@@ -1,14 +1,14 @@
 """Import contract: the exact and scalar commands run without numpy.
 
 numpy costs more start-up time than the rest of the package together, so
-only the simulation modules and the array functions load it.  The exact and
-scalar commands, and ``epsilon`` without ``--n``, whose closed form lives in
-the numpy-free ``band``, also leave ``dataclasses`` and ``inspect``
-unloaded: their value types are ``values.value_type`` classes.  The package
-namespace stays complete: ``import deltamachine`` loads no submodule, and
-every public name resolves on first access.  The modules keep one layering:
-``values`` is a leaf that holds every argument check and ``value_type``, and
-only the simulation modules import numpy at the top or ``dataclasses``.
+only the simulation modules load it.  The exact and scalar commands, and
+``epsilon`` without ``--n``, whose closed form lives in the numpy-free
+``band``, also leave ``dataclasses`` and ``inspect`` unloaded: their value
+types are ``values.value_type`` classes.  The package namespace stays
+complete: ``import deltamachine`` loads no submodule, and every public name
+resolves on first access.  The modules keep one layering: ``values`` is a
+leaf that holds every argument check and ``value_type``, and only the
+simulation modules import numpy, in any scope, or ``dataclasses``.
 """
 
 import ast
@@ -171,7 +171,7 @@ class TestLayering:
     """``values`` is the leaf that every module takes its checks from, and
     numpy and ``dataclasses`` stay in the simulation modules."""
 
-    CHECKS = {"as_int", "is_bool", "as_real", "as_real_array", "as_fraction", "FrozenInstanceError", "value_type"}
+    CHECKS = {"as_int", "is_bool", "as_real", "as_fraction", "FrozenInstanceError", "value_type"}
 
     def test_values_imports_nothing_from_the_package(self):
         for module, names in _imports(_modules()["values"], top=False):
@@ -205,6 +205,14 @@ class TestLayering:
             name
             for name, tree in _modules().items()
             if any(module.split(".")[0] == "numpy" for module, _ in _imports(tree, top=True))
+        }
+        assert importers == {"rng", "ensemble", "machine", "elastic"}
+
+    def test_no_other_module_imports_numpy_in_any_scope(self):
+        importers = {
+            name
+            for name, tree in _modules().items()
+            if any(module.split(".")[0] == "numpy" for module, _ in _imports(tree, top=False))
         }
         assert importers == {"rng", "ensemble", "machine", "elastic"}
 

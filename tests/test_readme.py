@@ -1,14 +1,18 @@
 """README's library quick start runs as written and prints what it states,
-and its CLI section names every command-line option, and no other, and
-states every size bound as the ``cli`` constant has it."""
+its CLI section names every command-line option, and no other, and states
+every size bound as the ``cli`` constant has it, and every name it gives
+in the package exists."""
 
 import argparse
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import deltamachine
 from deltamachine import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +75,18 @@ def test_cli_section_states_the_size_bounds():
             assert bounds[name] == 2 ** int(power.translate(_SUPERSCRIPTS)), figure
     # Every bound of the command line, found by name, so none ships undocumented.
     assert bounds == {name: value for name, value in vars(cli).items() if name.startswith("MAX_")}
+
+
+def test_every_package_name_in_readme_exists():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    modules = {info.name: f"deltamachine.{info.name}" for info in pkgutil.iter_modules(deltamachine.__path__)}
+    modules["deltamachine"] = "deltamachine"
+    # `cli.MAX_ARGS`, `spheres.mixed_transmission(...)`, `deltamachine.band`
+    named = sorted({ref for ref in re.findall(r"`(\w+)\.(\w+)[`(]", readme) if ref[0] in modules})
+    assert len(named) > 10, named
+    missing = [
+        f"{module}.{name}"
+        for module, name in named
+        if not hasattr(importlib.import_module(modules[module]), name)
+    ]
+    assert missing == [], f"README names what the package does not define: {missing}"

@@ -116,6 +116,13 @@ class TestClassifyRow:
             with pytest.raises(TypeError, match=r"^probability at K\+=1 must be a real number, not "):
                 check(row)
 
+    @pytest.mark.parametrize("literal", ["1/0", "abc", "nan", ""])
+    def test_rejects_a_malformed_literal_naming_its_column(self, literal):
+        row = make_row(1, [0, literal, 1])
+        for check in (classify_row, wronskian_witnesses):
+            with pytest.raises(ValueError, match=r"^probability at K\+=1 must be a rational literal, not "):
+                check(row)
+
     @pytest.mark.parametrize("width", [np.float16, np.float32, np.longdouble])
     def test_reads_numpy_floats_of_every_width(self, width):
         verdict = classify_row(make_row(1, [0, width(0.5), 1]))

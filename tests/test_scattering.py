@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from deltamachine.scattering import (
     amplitudes,
     jump_condition_residual,
     reflection_probability,
-    transmission_curve,
     transmission_probability,
 )
 
@@ -26,11 +26,6 @@ class TestAmplitudes:
         assert math.copysign(1.0, transmission_probability(-0.0)) == 1.0
         assert math.copysign(1.0, amplitudes(-0.0).energy) == 1.0
         assert amplitudes(-0.0) == amplitudes(0.0)
-        curve = transmission_curve([-0.0, 0.0])
-        pointwise = [transmission_probability(e) for e in (-0.0, 0.0)]
-        assert [(v, math.copysign(1.0, v)) for v in curve.tolist()] == [
-            (v, math.copysign(1.0, v)) for v in pointwise
-        ]
 
     @pytest.mark.parametrize("energy", ["4", b"4", True])
     def test_rejects_non_real_energy(self, energy):
@@ -42,29 +37,6 @@ class TestAmplitudes:
     def test_rejects_numpy_bool_energy(self, energy):
         with pytest.raises(TypeError, match="energy must be a real number"):
             transmission_probability(energy)
-
-    @pytest.mark.parametrize(
-        "energies", [["4", "1"], [1, "4"], [b"4"], [True, False], np.array([1j])]
-    )
-    def test_curve_rejects_non_real_entries(self, energies):
-        with pytest.raises(TypeError, match="energies must be real numbers"):
-            transmission_curve(energies)
-
-    @pytest.mark.parametrize("entries", [["4", 1], [1, b"4"], [True], [1.0, np.True_]])
-    def test_curve_rejects_non_real_object_entries(self, entries):
-        with pytest.raises(TypeError, match="energies must be a real number"):
-            transmission_curve(np.array(entries, dtype=object))
-
-    @pytest.mark.parametrize("entries", [[1, True], [1.0, np.True_], (0.5, True)])
-    def test_curve_rejects_bools_that_numpy_would_convert(self, entries):
-        # np.asarray turns these into int64 or float64; each entry is checked first.
-        with pytest.raises(TypeError, match="energies must be a real number, not bool"):
-            transmission_curve(entries)
-
-    def test_curve_takes_object_arrays_of_reals(self):
-        curve = transmission_curve(np.array([4.0, 1], dtype=object))
-        assert curve.dtype == np.float64 and curve.tolist() == [0.8, 0.5]
-        assert transmission_curve([4, 1]).tolist() == [0.8, 0.5]
 
     def test_int_and_numpy_energies_equal_floats(self):
         assert amplitudes(4) == amplitudes(np.float64(4.0)) == amplitudes(4.0)
@@ -125,7 +97,6 @@ class TestAmplitudes:
             transmission_probability,
             reflection_probability,
             jump_condition_residual,
-            lambda e, config: transmission_curve(np.array([0.0, e]), config),
         ],
     )
     def test_kappa_squared_overflow_raises(self, evaluate):
@@ -134,25 +105,25 @@ class TestAmplitudes:
             evaluate(1e300, config)
 
     @pytest.mark.parametrize(
-        "energies, bad, coupling",
+        "energy, coupling, message",
         [
-            ([math.nan], math.nan, 1.0),
-            ([1.0, math.nan, 2.0], math.nan, 1.0),
-            ([math.inf], math.inf, 1.0),
-            ([-math.inf], -math.inf, 1.0),
-            ([-1.0], -1.0, 1.0),
-            ([4.0, -1.0], -1.0, 1.0),
-            ([0.0, 1e300], 1e300, 1e-10),
-            ([1e308], 1e308, 0.3),
+            (math.nan, 1.0, "energy must be finite"),
+            (math.inf, 1.0, "energy must be finite"),
+            (-math.inf, 1.0, "energy must be finite"),
+            (-1.0, 1.0, "energy must be nonnegative"),
+            (1e300, 1e-10, "energy 1e+300 is out of range for coupling 1e-10: kappa"),
+            (1e308, 0.3, "energy 1e+308 is out of range for coupling 0.3: kappa"),
         ],
+        ids=["nan", "inf", "-inf", "negative", "overflow-small-coupling", "overflow-large-energy"],
     )
-    def test_curve_rejects_as_the_scalar_functions(self, energies, bad, coupling):
+    def test_scalar_functions_reject_an_energy_alike(self, energy, coupling, message):
         config = ScatteringConfig(coupling=coupling)
-        with pytest.raises(ValueError) as scalar:
-            transmission_probability(bad, config)
-        with pytest.raises(ValueError) as curve:
-            transmission_curve(np.array(energies), config)
-        assert str(curve.value) == str(scalar.value)
+        messages = set()
+        for function in (amplitudes, transmission_probability, reflection_probability):
+            with pytest.raises(ValueError, match="^" + re.escape(message)) as raised:
+                function(energy, config)
+            messages.add(str(raised.value))
+        assert len(messages) == 1, messages
 
 
 class TestProbabilities:
@@ -188,16 +159,6 @@ class TestProbabilities:
                 k_minus = total - k_plus
                 p = transmission_probability(k_plus / k_minus)
                 assert abs(p - float(Fraction(k_plus, total))) < IDENTITY_TOL
-
-    def test_transmission_curve_matches_pointwise(self):
-        energies = np.linspace(0.0, 100.0, 10001)
-        for coupling in (0.3, 1.0, 1.5):
-            config = ScatteringConfig(coupling=coupling)
-            curve = transmission_curve(energies, config)
-            pointwise = [transmission_probability(float(e), config) for e in energies]
-            assert curve.tolist() == pointwise, coupling
-        with pytest.raises(ValueError):
-            transmission_curve(np.array([-1.0]))
 
 
 class TestJumpCondition:

@@ -4,9 +4,9 @@
 immutability from each class's ``__slots__``; one parametrized test checks
 every class against the behaviour of the frozen dataclass it replaced, and
 another checks that the unchecked maker ``_make`` builds the same values as
-the constructor.  The real checks that the value types validate with read
--0.0 as 0.0, and give every array input a new float64 array; the exact
-reader ``as_fraction`` gives the ``Fraction`` a real equals, or refuses it.
+the constructor.  The real check that the value types validate with reads
+-0.0 as 0.0; the exact reader ``as_fraction`` gives the ``Fraction`` a real
+equals, or refuses it.
 """
 
 import copy
@@ -20,7 +20,7 @@ import pytest
 from deltamachine.band import ElasticExperiment, OutcomePair
 from deltamachine.regimes import Regime, RegimeVerdict, Witness, WitnessKind
 from deltamachine.scattering import ScatteringAmplitudes, ScatteringConfig
-from deltamachine.values import as_fraction, as_real, as_real_array
+from deltamachine.values import as_fraction, as_real
 from deltamachine.spheres import (
     ElectricState,
     KMeasurement,
@@ -196,26 +196,6 @@ def test_as_real_names_what_float_refuses(value, name):
     # A complex number is refused before float() could drop its imaginary part.
     with pytest.raises(TypeError, match=f"^x must be a real number, not {name}$"):
         as_real(value, "x")
-
-
-@pytest.mark.parametrize(
-    "values",
-    [
-        [-0.0, 1.0],
-        [np.float64(-0.0), 1],
-        np.array([-0.0, 1.0]),
-        np.array([-0.0, 1.0], dtype=np.float32),
-        np.array([-0.0, 1.0], dtype=object),
-    ],
-    ids=["list", "list-of-numpy", "f64", "f32", "object"],
-)
-def test_as_real_array_reads_negative_zero_as_zero_into_a_new_array(values):
-    result = as_real_array(values, "x")
-    assert result.dtype == np.float64 and result.flags.writeable
-    assert [v.hex() for v in result.tolist()] == ["0x0.0p+0", "0x1.0000000000000p+0"]
-    if isinstance(values, np.ndarray):
-        assert not np.shares_memory(result, values)
-        assert values.flags.writeable and str(values[0]) == "-0.0"
 
 
 _WIDTHS = [np.float16, np.float32, np.float64, np.longdouble]
