@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -27,20 +28,33 @@ class TestAmplitudes:
         assert math.copysign(1.0, amplitudes(-0.0).energy) == 1.0
         assert amplitudes(-0.0) == amplitudes(0.0)
 
-    @pytest.mark.parametrize("energy", ["4", b"4", True])
+    @pytest.mark.parametrize(
+        "energy", ["4", b"4", True, False, bytearray(b"4"), np.str_("4"), None, 1j, np.complex128(1)]
+    )
     def test_rejects_non_real_energy(self, energy):
         for function in (amplitudes, transmission_probability, reflection_probability):
             with pytest.raises(TypeError, match="energy must be a real number"):
                 function(energy)
 
-    @pytest.mark.parametrize("energy", [np.True_, np.array(True)])
+    @pytest.mark.parametrize("energy", [np.True_, np.array(True), np.False_, np.array(False)])
     def test_rejects_numpy_bool_energy(self, energy):
+        # float() would read False as the valid energy 0.0.
         with pytest.raises(TypeError, match="energy must be a real number"):
             transmission_probability(energy)
 
     def test_int_and_numpy_energies_equal_floats(self):
         assert amplitudes(4) == amplitudes(np.float64(4.0)) == amplitudes(4.0)
         assert transmission_probability(np.float32(0.5)) == transmission_probability(0.5)
+
+    @pytest.mark.parametrize(
+        "energy",
+        [4, Fraction(4), Decimal("4"), np.int64(4), np.float16(4), np.float32(4), np.longdouble(4), np.array(4.0)],
+        ids=lambda v: type(v).__name__,
+    )
+    def test_every_real_energy_gives_the_float_values(self, energy):
+        for function in (amplitudes, transmission_probability, reflection_probability):
+            assert function(energy) == function(4.0)
+        assert transmission_probability(energy) == 0.8
 
     @pytest.mark.parametrize("coupling", [True, "1.5", b"1.5"])
     def test_rejects_non_real_coupling(self, coupling):

@@ -181,7 +181,18 @@ def test_construction_validates(build, error, match):
 
 
 @pytest.mark.parametrize(
-    "value", [-0.0, np.float64(-0.0), np.float32(-0.0), np.array(-0.0)], ids=["float", "f64", "f32", "0-d"]
+    "value",
+    [
+        -0.0,
+        np.float64(-0.0),
+        np.float32(-0.0),
+        np.array(-0.0),
+        np.float16(-0.0),
+        np.longdouble(-0.0),
+        np.array(-0.0, dtype=object),
+        Decimal("-0"),
+    ],
+    ids=["float", "f64", "f32", "0-d", "f16", "longdouble", "0-d-object", "decimal"],
 )
 def test_as_real_reads_negative_zero_as_zero(value):
     result = as_real(value, "x")
