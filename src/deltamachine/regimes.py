@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 
 # ``probability_table`` is not called here, but stays importable from this
 # module: bench/tracing.py wraps ``regimes.probability_table``.
@@ -231,25 +232,23 @@ def classify_table(
     :class:`Witness` per state and kind, and one state object per K+.
     ``fractional`` covers the states K+ = 0..K, and ``zero`` only the
     prefix K+ < (K - 1) // 2, since h <= (K - 1) // 2 in every
-    Intermediate row.
+    Intermediate row.  K is checked once, by the column states, so each
+    witness tuple and all the Intermediate verdicts, over the witness
+    tuples ``zero[1:h] + fractional[h:K-h+1]`` for h = 2..(K - 1) // 2,
+    are made a column at a time by the unchecked bulk maker.  The odd rows
+    are then Quantum, the Intermediate verdicts and the last row, which is
+    Classical for odd K and the tie for even K (the only row when K <= 2).
     The verdicts equal those of :func:`classify_row` on the rows of
     :func:`probability_table`.
     """
     states = _states(K, ceiling)
     K = len(states) - 1
-    make = Witness._make  # the states are valid: _states checked K
-    zero = tuple([make(_ZERO, s) for s in states[: (K - 1) // 2]])
-    fractional = tuple([make(_FRACTIONAL, s) for s in states])
-    odd = []
-    for k in range(1, K + 1, 2):
-        h = (k + 1) // 2
-        if k == K:
-            odd.append(_CLASSICAL)
-        elif k == K - 1:
-            odd.append(_tie(states[K // 2]))
-        elif k == 1:
-            odd.append(_QUANTUM)
-        else:
-            witnesses = zero[1:h] + fractional[h : K - h + 1]
-            odd.append(RegimeVerdict(Regime.INTERMEDIATE, witnesses))
+    zero = Witness._make_all((K - 1) // 2, repeat(_ZERO), states)
+    fractional = Witness._make_all(K + 1, repeat(_FRACTIONAL), states)
+    middle = [zero[1:h] + fractional[h : K - h + 1] for h in range(2, (K + 1) // 2)]
+    intermediate = RegimeVerdict._make_all(
+        len(middle), repeat(Regime.INTERMEDIATE), middle, repeat(None)
+    )
+    last = _CLASSICAL if K % 2 else _tie(states[K // 2])
+    odd = [_QUANTUM, *intermediate, last] if K > 2 else [last]
     return {k: odd[(k - 1) // 2] for k in range(1, K + 1)}

@@ -14,23 +14,25 @@ computed once, in :func:`ensemble_payload`, from the result's counts and seed.
 A ``scatter`` payload holds each point as its CSV row;
 :func:`scatter_point_payload` is the JSON object of one row.
 
-The module loads no numpy: ``OutcomePair`` comes from the numpy-free
-``band``, and ``EnsembleResult``, a simulation result, is imported for the
-annotations only.
+At run time the module imports only ``interval``, whose Wilson interval it
+computes.  The value types it reads, ``EnsembleResult`` (a simulation
+result, whose module loads numpy) and the rest alike, are imported for the
+annotations only, so loading it loads neither numpy nor ``band``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .band import OutcomePair
 from .interval import wilson_interval
-from .regimes import RegimeVerdict, Witness
-from .spheres import ProbabilityTable
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .band import OutcomePair
     from .ensemble import EnsembleResult
+    from .regimes import RegimeVerdict, Witness
+    from .spheres import ProbabilityTable
 
 
 def fraction_payload(value: Fraction) -> dict[str, Any]:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd
 
 from .values import as_fraction, as_int, value_type
@@ -263,7 +264,8 @@ def _states(K: object, ceiling: object) -> tuple[ElectricState, ...]:
     """The states ``ElectricState(i, K - i)``, i = 0..K, of a table's columns,
     with K checked to be an ``int`` in 1..ceiling (an ``int`` too).
 
-    K is checked once, so the states are built by the unchecked maker.
+    K is checked once, so the states are built by the unchecked bulk maker,
+    as the columns K+ = 0..K and K- = K..0.
     """
     K = as_int(K, "K")
     ceiling = as_int(ceiling, "ceiling")
@@ -271,8 +273,7 @@ def _states(K: object, ceiling: object) -> tuple[ElectricState, ...]:
         raise ValueError("K must be at least 1")
     if K > ceiling:
         raise ValueError(f"K={K} exceeds the table ceiling {ceiling}")
-    make = ElectricState._make
-    return tuple([make(i, K - i) for i in range(K + 1)])
+    return ElectricState._make_all(K + 1, range(K + 1), range(K, -1, -1))
 
 
 def _row_index(k: object, K: int) -> int:
@@ -344,11 +345,11 @@ def probability_table(
     K + 1 ``(state, 1)`` pairs built once per table and shared by every row
     that holds it.  :func:`_odd_rows` yields each odd row's whole entries.
     Row k + 1 of an odd k shares row k's entries, the pairwise equality
-    P(k + 1) = P(k).
+    P(k + 1) = P(k).  The K rows are made at once by the unchecked bulk
+    maker, from the columns k = 1..K and the odd rows' entries, each twice.
     """
     states = _states(K, ceiling)
     K = len(states) - 1
     odd = list(_odd_rows(states))
-    make = ProbabilityTableRow._make
-    rows = [make(k, odd[(k - 1) // 2]) for k in range(1, K + 1)]
-    return ProbabilityTable(K=K, rows=tuple(rows))
+    rows = ProbabilityTableRow._make_all(K, range(1, K + 1), chain.from_iterable(zip(odd, odd)))
+    return ProbabilityTable(K=K, rows=rows)

@@ -4,7 +4,10 @@ A leaf module: it imports nothing from the package.  The checks
 (:func:`as_int`, :func:`is_bool`, :func:`as_real` and :func:`as_fraction`,
 the one exact reader) refuse a ``bool``, ``str`` or ``bytes`` with
 ``TypeError``.  The real check :func:`as_real` is the one home of the rule
-that a real input reads -0.0 as 0.0, so no result carries a minus sign.
+that a real input reads -0.0 as 0.0, so no result depends on the sign of a
+zero input.  A result can still hold a signed zero of its own, such as the
+complex division of :func:`deltamachine.scattering.amplitudes` yields at
+E = 0.
 
 The value types of the numpy-free modules (``spheres``, ``band``,
 ``regimes`` and ``scattering``) are ``__slots__`` classes finished by one
@@ -13,16 +16,19 @@ pickling and immutability of a frozen dataclass, built with closures from
 the class's ``__slots__``, so the exact and scalar commands neither import
 :mod:`dataclasses` (and through it ``inspect``) nor ``exec`` generated
 methods at start-up.  Each class writes its own ``__init__``, which
-validates first and then sets each slot once; the table builders, which
-validate K once, build their states and witnesses with the class's
-unchecked maker ``_make`` instead.  The result types of the
-simulations stay dataclasses, since numpy costs their commands far more.
+validates first and then sets each slot once.  The table builders, which
+validate K once, build their column states, rows, witnesses and verdicts
+a column at a time instead, with the class's unchecked bulk maker
+``_make_all``.  The result types of the simulations stay dataclasses,
+since numpy costs their commands far more.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import deque
 from fractions import Fraction
+from itertools import repeat
 from numbers import Complex, Rational, Real
 
 
@@ -91,9 +97,17 @@ def value_type(cls: type) -> type:
     * ``__setattr__`` and ``__delattr__``, which raise
       :class:`FrozenInstanceError`;
     * ``__match_args__``, the field names;
-    * ``_make(*fields)``, a private maker that sets the slots through their
-      member descriptors and checks nothing, for callers that have already
-      validated the fields (the table builders, once per K).
+    * ``_make_all(count, *columns)``, a private maker of ``count``
+      instances at once, returned as a tuple: instance i takes item i of
+      each column, one column per field in order.  It makes the bare
+      instances with ``object.__new__`` and fills each slot from its column
+      through the slot's member descriptor, in ``map`` calls that a
+      ``deque`` drains, so no Python frame runs per instance.  It checks
+      nothing, for callers that have already validated the fields (the
+      table builders, once per K): each column must hold at least ``count``
+      values (an endless ``itertools.repeat`` is fine), and a shorter one
+      leaves slots unset.  Only a wrong number of columns raises
+      ``ValueError``.
     """
     names = cls.__slots__
     get = operator.attrgetter(*names)
@@ -101,6 +115,7 @@ def value_type(cls: type) -> type:
     template = ", ".join(f"{name}=%r" for name in names)
     new = object.__new__
     setters = [getattr(cls, name).__set__ for name in names]
+    drain = deque(maxlen=0).extend  # runs an iterator to its end, keeping nothing
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -122,26 +137,14 @@ def value_type(cls: type) -> type:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    if len(setters) == 2:
-        # Unrolled for the hot two-field makers (column states, witnesses).
-        set_first, set_second = setters
-
-        def _make(first, second):
-            self = new(cls)
-            set_first(self, first)
-            set_second(self, second)
-            return self
-
-    else:
-
-        def _make(*fields):
-            self = new(cls)
-            for set_field, value in zip(setters, fields, strict=True):
-                set_field(self, value)
-            return self
+    def _make_all(count, *columns):
+        instances = tuple(map(new, repeat(cls, count)))
+        for set_field, column in zip(setters, columns, strict=True):
+            drain(map(set_field, instances, column))
+        return instances
 
     for method in (__eq__, __hash__, __repr__, __reduce__, __setattr__, __delattr__):
         setattr(cls, method.__name__, method)
-    cls._make = staticmethod(_make)
+    cls._make_all = staticmethod(_make_all)
     cls.__match_args__ = names
     return cls

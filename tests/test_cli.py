@@ -436,6 +436,15 @@ class TestScatter:
         positive = run_cli(capsys, "scatter", "--E", "0", "--format", fmt)
         assert negative == positive and negative[0] == 0
 
+    def test_zero_energy_row_keeps_the_signed_zeros_of_its_amplitudes(self, capsys):
+        # The input's sign is dropped, but the complex division in
+        # amplitudes gives t and r's imaginary part signed zeros of their own.
+        _, out, _ = run_cli(capsys, "scatter", "--E", "-0", "--format", "csv")
+        assert [float(x).hex() for x in out.splitlines()[1].split(",")] == [
+            "0x0.0p+0", "-0x0.0p+0", "-0x0.0p+0", "-0x1.0000000000000p+0",
+            "-0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+        ]
+
     @pytest.mark.parametrize(
         "E, coupling",
         [

@@ -101,6 +101,30 @@ def test_exact_and_scatter_commands_never_import_numpy():
     )
 
 
+def test_exact_and_scatter_commands_never_import_band():
+    # serialize names band's OutcomePair for an annotation only, so only
+    # epsilon, whose closed form band holds, loads it.
+    run_fresh(
+        """
+        import contextlib, io, sys
+
+        def no_band(where):
+            assert "deltamachine.band" not in sys.modules, f"band imported by {where}"
+
+        from deltamachine import cli
+        no_band("import deltamachine.cli")
+        commands = (["tables", "--K", "5"], ["classify", "--K", "8"], ["scatter", "--E", "1"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in commands:
+                for fmt in ("text", "json", "csv"):
+                    assert cli.main([*argv, "--format", fmt]) == 0, argv
+                    no_band(f"{argv} --format {fmt}")
+            assert cli.main(["epsilon", "--theta", "1", "--eps", "0.5", "--seed", "1"]) == 0
+        assert "deltamachine.band" in sys.modules
+        """
+    )
+
+
 def test_json_and_csv_load_only_with_their_generic_renderers():
     run_fresh(
         """

@@ -3,8 +3,8 @@
 ``values.value_type`` builds equality, hashing, ``repr``, pickling and
 immutability from each class's ``__slots__``; one parametrized test checks
 every class against the behaviour of the frozen dataclass it replaced, and
-another checks that the unchecked maker ``_make`` builds the same values as
-the constructor.  The real check that the value types validate with reads
+another checks that the unchecked bulk maker ``_make_all`` builds the same
+values as the constructor.  The real check that the value types validate with reads
 -0.0 as 0.0; the exact reader ``as_fraction`` gives the ``Fraction`` a real
 equals, or refuses it.
 """
@@ -13,6 +13,7 @@ import copy
 import pickle
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -112,24 +113,33 @@ def test_frozen_dataclass_contract(name):
 def test_unchecked_maker_builds_the_same_value(name):
     value, fields, text = CASES[name]
     cls = type(value)
-    made = cls._make(*fields)
-    assert type(made) is cls and made is not value
-    assert made == value and value == made and not made != value
-    assert hash(made) == hash(value) and repr(made) == text
-    assert tuple(getattr(made, field) for field in cls.__slots__) == fields
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        clone = pickle.loads(pickle.dumps(made, protocol))
-        assert type(clone) is cls and clone == value
-        assert pickle.dumps(made, protocol) == pickle.dumps(value, protocol)
-    for field in cls.__slots__:
+    made = cls._make_all(3, *([field] * 3 for field in fields))
+    assert type(made) is tuple and len(made) == 3
+    assert len({id(instance) for instance in made}) == 3
+    for instance in made:
+        assert type(instance) is cls and instance is not value
+        assert instance == value and value == instance and not instance != value
+        assert hash(instance) == hash(value) and repr(instance) == text
+        assert tuple(getattr(instance, field) for field in cls.__slots__) == fields
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(instance, protocol))
+            assert type(clone) is cls and clone == value
+            assert pickle.dumps(instance, protocol) == pickle.dumps(value, protocol)
+        for field in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(instance, field, None)
+            with pytest.raises(AttributeError):
+                delattr(instance, field)
         with pytest.raises(AttributeError):
-            setattr(made, field, None)
-        with pytest.raises(AttributeError):
-            delattr(made, field)
-    with pytest.raises(AttributeError):
-        made.unknown = None
-    with pytest.raises((TypeError, ValueError)):
-        cls._make(*fields, None)
+            instance.unknown = None
+    # An endless column, and no instance at all.
+    assert cls._make_all(2, *map(repeat, fields)) == (value, value)
+    assert cls._make_all(0, *([] for _ in fields)) == ()
+    # One column too many or too few.
+    with pytest.raises(ValueError):
+        cls._make_all(1, *([field] for field in fields), [None])
+    with pytest.raises(ValueError):
+        cls._make_all(1, *([field] for field in fields[1:]))
 
 
 def test_defaults():
