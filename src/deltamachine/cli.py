@@ -4,9 +4,11 @@ Exit codes: 0 success, 2 usage or validation error (an unwritable output
 path included, refused before the command runs), 3 golden-table mismatch.
 Every randomized command reports its seed and generator name, so any
 published number can be reproduced bit-for-bit; when no seed is given a
-fresh one is drawn and reported.  The text report of an ensemble command
-(``simulate``, ``epsilon``, ``convergence``) is a title over its CSV grid,
-and that grid's columns are its JSON payload, flattened.
+fresh one is drawn and reported.  Every list report's text is drawn from its
+CSV rows: a title over the CSV grid for ``simulate``, ``epsilon`` and
+``convergence`` (their payload, flattened), a format per column for
+``scatter``, a line per row for ``classify``.  Only ``tables`` has a text
+layout of its own, a 2-D grid.
 
 The command line reads no shell variable: argv alone decides every
 report (a ``--seed`` left out is still drawn, and reported).  argparse
@@ -385,15 +387,11 @@ def _cmd_classify(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _classify_text(payload: dict[str, Any]) -> str:
+    # No witness label holds a ";", so the witnesses cell splits back into its labels.
     lines = [f"regime classification, K = {payload['K']}"]
-    for key, verdict in payload["verdicts"].items():
-        witnesses = ", ".join(
-            serialize.witness_label(w) for w in payload["witnesses"][key]
-        )
-        line = f"k={key}: {verdict}  [{witnesses}]"
-        if payload["notes"][key]:
-            line += f"  note: {payload['notes'][key]}"
-        lines.append(line)
+    for k, verdict, witnesses, note in serialize.classify_csv_rows(payload)[1]:
+        line = f"k={k}: {verdict}  [{witnesses.replace(';', ', ')}]"
+        lines.append(f"{line}  note: {note}" if note else line)
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,9 @@ Every ensemble payload carries the Wilson interval as ``lower`` and ``upper``,
 computed once, in :func:`ensemble_payload`, from the result's counts and seed.
 
 A ``scatter`` payload holds each point as its CSV row;
-:func:`scatter_point_payload` is the JSON object of one row.
+:func:`scatter_point_payload` is the JSON object of one row.  A verdict's
+witness labels are built only in :func:`classify_csv_rows`, whose rows the
+``classify`` text report also reads.
 
 At run time the module imports only ``interval``, whose Wilson interval it
 computes.  The value types it reads, ``EnsembleResult`` (a simulation
@@ -176,16 +178,11 @@ def verdicts_payload(verdicts: dict[int, RegimeVerdict]) -> dict[str, Any]:
     }
 
 
-def witness_label(payload: dict[str, Any]) -> str:
-    """``kind``, or ``kind(k_plus/k_minus)`` for a witness tied to a state."""
-    if payload["k_plus"] is None:
-        return payload["kind"]
-    return f"{payload['kind']}({payload['k_plus']}/{payload['k_minus']})"
-
-
 def classify_csv_rows(payload: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    """One row per k; a witness is ``kind``, or ``kind(k_plus/k_minus)`` when tied to a state."""
     rows = []
     for key, verdict in payload["verdicts"].items():
-        witnesses = ";".join(witness_label(w) for w in payload["witnesses"][key])
-        rows.append([int(key), verdict, witnesses, payload["notes"][key] or ""])
+        labels = [w["kind"] if w["k_plus"] is None else f"{w['kind']}({w['k_plus']}/{w['k_minus']})"
+                  for w in payload["witnesses"][key]]
+        rows.append([int(key), verdict, ";".join(labels), payload["notes"][key] or ""])
     return ["k", "verdict", "witnesses", "note"], rows

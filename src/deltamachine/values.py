@@ -19,8 +19,10 @@ methods at start-up.  Each class writes its own ``__init__``, which
 validates first and then sets each slot once.  The table builders, which
 validate K once, build their column states, rows, witnesses and verdicts
 a column at a time instead, with the class's unchecked bulk maker
-``_make_all``.  The result types of the simulations stay dataclasses,
-since numpy costs their commands far more.
+``_make_all``.  The result types of the simulations stay dataclasses:
+``bench/test_checks.py`` calls ``dataclasses.replace`` on
+``EnsembleResult``, and ``EmpiricalRow`` and ``EmpiricalTable`` have not
+been moved to :func:`value_type` yet.
 """
 
 from __future__ import annotations

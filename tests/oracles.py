@@ -13,7 +13,9 @@ kernel they replaced, on the library's draws (``test_rng`` checks those
 against the transcription).
 The statistical tests accept a seeded frequency within ``normal_half_width``
 of the exact probability.  The ``scatter`` text report is checked against
-``scatter_text``, the column formatter it replaced.
+``scatter_text``, the column formatter it replaced, and the ``classify`` text
+report against ``classify_text``, which labels the witnesses straight from
+the JSON payload rather than from its CSV rows.
 """
 
 from __future__ import annotations
@@ -211,3 +213,22 @@ def scatter_text(coupling: float, rows: list[tuple[float, ...]]) -> str:
         f"delta-potential scattering, coupling = {coupling:g} "
         "(multiples of sqrt(2 hbar^2 / m))\n" + "\n".join(lines) + "\n"
     )
+
+
+def witness_label(payload: dict) -> str:
+    """``kind``, or ``kind(k_plus/k_minus)`` for a witness tied to a state."""
+    if payload["k_plus"] is None:
+        return payload["kind"]
+    return f"{payload['kind']}({payload['k_plus']}/{payload['k_minus']})"
+
+
+def classify_text(payload: dict) -> str:
+    """The ``classify`` text report, one line per k, from the JSON payload."""
+    lines = [f"regime classification, K = {payload['K']}"]
+    for key, verdict in payload["verdicts"].items():
+        witnesses = ", ".join(witness_label(w) for w in payload["witnesses"][key])
+        line = f"k={key}: {verdict}  [{witnesses}]"
+        if payload["notes"][key]:
+            line += f"  note: {payload['notes'][key]}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from deltamachine.spheres import (
     probability_table,
     transmission_probability_exact,
 )
-from oracles import scatter_text
+from oracles import classify_text, scatter_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -723,6 +723,26 @@ class TestClassify:
         assert code == 0
         assert "k=3: Intermediate" in out
         assert "NonQuantumZeroTransmission(1/4)" in out
+
+    @pytest.mark.parametrize("K", range(1, 129))
+    def test_text_matches_the_payload_reference(self, K):
+        # Large K gives the longest witness lists, each re-joined from its CSV
+        # cell.  Lines are compared, since pytest's diff of two long strings is slow.
+        verdicts = regimes.classify_table(K, ceiling=K)
+        payload = {"command": "classify", "K": K, **serialize.verdicts_payload(verdicts)}
+        assert cli._classify_text(payload).split("\n") == classify_text(payload).split("\n")
+
+    def test_noted_text_matches_the_payload_reference(self):
+        verdict = RegimeVerdict(
+            verdict=Regime.INTERMEDIATE,
+            witnesses=(
+                Witness(WitnessKind.NON_CLASSICAL_INDETERMINISM, ElectricState(1, 2)),
+                Witness(WitnessKind.NON_QUANTUM_ZERO_TRANSMISSION, ElectricState(0, 3)),
+            ),
+            note=regimes._UNDECIDED_NOTE,
+        )
+        payload = {"command": "classify", "K": 3, **serialize.verdicts_payload({2: verdict})}
+        assert cli._classify_text(payload) == classify_text(payload)
 
 
 class TestConvergence:

@@ -102,3 +102,27 @@ def test_the_report_takes_the_next_free_number(tmp_path):
     (tmp_path / "BENCH_3.json").write_text("{}")
     (tmp_path / "BENCH_x.json").write_text("{}")
     assert compare.next_report_path(tmp_path) == tmp_path / "BENCH_4.json"
+
+
+def _never_extract(revision, dest):
+    raise AssertionError("extracted a revision")
+
+
+def test_an_unknown_workload_is_refused_before_any_extraction(monkeypatch, capsys):
+    monkeypatch.setattr(compare, "extract", _never_extract)
+    with pytest.raises(SystemExit) as exc:
+        compare.main(["HEAD", "HEAD", "--workload", "nope"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_a_failed_run_prints_its_stderr_without_a_traceback(monkeypatch, capsys):
+    # Nothing is extracted, so each checkout lacks bench/run.py and the run fails.
+    monkeypatch.setattr(compare, "commit", lambda revision: revision)
+    monkeypatch.setattr(compare, "extract", lambda revision, dest: None)
+    with pytest.raises(SystemExit) as exc:
+        compare.main(["parent", "change", "--workload", "exact_tables", "--pairs", "2"])
+    # A message as the code: sys.exit prints it and exits with status 1.
+    assert exc.value.code.startswith("error: ") and exc.value.code.endswith("exited with status 2")
+    err = capsys.readouterr().err
+    assert "bench/run.py" in err and "No such file or directory" in err

@@ -25,6 +25,11 @@ verdicts against ``BENCHMARK.json``:
 
 It also keeps each run's metrics and fail counts, and each side's ``env``
 line, the one ``bench/run.py`` prints, from its first run.
+
+``--workload`` takes only the workload names of ``BENCHMARK.json``, so a
+mistyped one is refused before anything is extracted.  When a ``git`` or
+``bench/run.py`` command fails, the tool prints that command's stderr and
+exits with status 1.
 """
 
 from __future__ import annotations
@@ -136,10 +141,11 @@ def next_report_path(root: Path) -> Path:
 
 
 def main(argv: list[str] | None = None) -> Path:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="the revision measured against")
     parser.add_argument("change", help="the revision measured")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0, help="measuring time of each run")
     parser.add_argument("--first-seed", type=int, default=1, help="the seed of the first pair")
@@ -147,16 +153,21 @@ def main(argv: list[str] | None = None) -> Path:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to have quartiles")
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m for m in spec["end_to_end"]}
-    revisions = {"parent": commit(args.parent), "change": commit(args.change)}
-    with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
-        checkouts = {side: Path(tmp, side) for side in SIDES}
-        for side, path in checkouts.items():
-            path.mkdir()
-            extract(revisions[side], path)
-        report = compare(checkouts, args.workload, args.pairs, args.seconds,
-                         args.first_seed, bounds)
+    try:
+        revisions = {"parent": commit(args.parent), "change": commit(args.change)}
+        with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
+            checkouts = {side: Path(tmp, side) for side in SIDES}
+            for side, path in checkouts.items():
+                path.mkdir()
+                extract(revisions[side], path)
+            report = compare(checkouts, args.workload, args.pairs, args.seconds,
+                             args.first_seed, bounds)
+    except subprocess.CalledProcessError as exc:
+        # The failed command's own message, which capture_output kept from the terminal.
+        stderr = exc.stderr.decode(errors="replace") if isinstance(exc.stderr, bytes) else exc.stderr
+        sys.stderr.write(stderr or "")
+        sys.exit(f"error: {' '.join(map(str, exc.cmd))} exited with status {exc.returncode}")
     report = {
         "description": f"tools/compare.py {args.parent} {args.change}: paired untraced "
         "bench/run.py runs of the two revisions, extracted with git archive",
